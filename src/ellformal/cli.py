@@ -12,16 +12,23 @@ Rationals serialize as exact ``num/den`` strings; repeated runs with the
 same configuration produce byte-identical output.  Every flag can also
 be supplied through ``--config file.json`` under the same name; explicit
 flags win.
+
+A command is defined once, in ``_COMMANDS``: help text, fields in report
+order, defaults (a field without one is required), inclusive bounds and
+runner.  ``_FLAGS`` gives each field's parser and argparse keywords; flag
+and config-file values pass the same parsers and bounds before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .formal_group import (
     formal_exponential,
@@ -32,7 +39,7 @@ from .formal_group import (
     universal_bernoulli,
     verify_axioms,
 )
-from .lseries import classical_demo, honda_check
+from .lseries import POINT_COUNT_CAP, classical_demo, honda_check
 from .numeric_eval import param_point
 from .series import BiSeries, LaurentSeries, UniSeries
 from .weierstrass import Curve, bernoulli_hurwitz, wp_laurent, wp_prime_laurent
@@ -56,12 +63,9 @@ _RATIONAL_PREFIX = re.compile(r"[+-]?\d*(?:/\d*|\.\d*)?\Z")
 def parse_rational(text: str) -> Fraction:
     """Exact rational from an integer, ``a/b``, or finite decimal string."""
     m = _RATIONAL.fullmatch(text)
-    if not m:
-        position = 0
-        for i in range(len(text), -1, -1):
-            if _RATIONAL_PREFIX.fullmatch(text[:i]):
-                position = i
-                break
+    if not m:  # the empty prefix always matches
+        position = next(i for i in range(len(text), -1, -1)
+                        if _RATIONAL_PREFIX.fullmatch(text[:i]))
         raise RationalParseError(text, position, "malformed rational")
     den = m.group("den")
     if den is not None and int(den) == 0:
@@ -69,19 +73,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-COMMANDS = ("expand", "grouplaw", "honda", "bernoulli", "param", "classical")
-
-_FIELDS = {
-    "expand": ("g2", "g3", "order", "what", "format"),
-    "grouplaw": ("g2", "g3", "order", "format"),
-    "honda": ("g2", "g3", "pmax", "order", "format"),
-    "bernoulli": ("g2", "g3", "order", "format"),
-    "param": ("g2", "g3", "z", "order", "nmax", "precision", "format"),
-    "classical": ("nmax", "order", "s", "format"),
-}
-
-_WHAT_CHOICES = ("fe", "fl", "wp", "wpp", "s", "an")
-_WHAT_MIN_ORDER = {"fe": 1, "fl": 1, "an": 1, "wp": 2, "wpp": 2, "s": 3}
+_WHAT_MIN_ORDER = {"fe": 1, "fl": 1, "wp": 2, "wpp": 2, "s": 3, "an": 1}
 
 
 @dataclass(frozen=True)
@@ -99,200 +91,66 @@ class RunConfig:
     precision: int | None = None
 
 
-# -- flag / config resolution -------------------------------------------------
+# -- field parsers, shared by flags and config-file values -------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ellformal",
-        description="Exact formal-group engine for curves y^2 = 4x^3 - g2*x - g3",
-        epilog="Negative rational values need the = form, e.g. --g2=-3/7.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, curve=False, order=False, pmax=False, z=False,
-            nmax=False, what=False, s=False, precision=False):
-        p = sub.add_parser(name, help=help_text)
-        if curve:
-            p.add_argument("--g2", help="rational, e.g. 4, -3/7 or 0.25")
-            p.add_argument("--g3", help="rational")
-        if order:
-            p.add_argument("--order", type=int, help="series truncation order")
-        if pmax:
-            p.add_argument("--pmax", type=int, help="check primes 5..pmax")
-        if z:
-            p.add_argument("--z", help="upper half-plane point as re,im")
-        if nmax:
-            p.add_argument("--nmax", type=int, help="number of q-series terms")
-        if what:
-            p.add_argument("--what", choices=_WHAT_CHOICES,
-                           help="which expansion to emit")
-        if s:
-            p.add_argument("--s", type=int, action="append",
-                           help="Dirichlet exponent (repeatable)")
-        if precision:
-            p.add_argument("--precision", type=int,
-                           help="working precision in bits (default 53)")
-        p.add_argument("--format", choices=("text", "json"))
-        p.add_argument("--config", help="JSON file with the same field names")
-        return p
-
-    add("expand", "emit one series expansion", curve=True, order=True, what=True)
-    add("grouplaw", "build the group law both ways and verify axioms",
-        curve=True, order=True)
-    add("honda", "congruence a(p) = p+1-#E(F_p) mod p for good primes",
-        curve=True, order=True, pmax=True)
-    add("bernoulli", "universal and elliptic Bernoulli numbers",
-        curve=True, order=True)
-    add("param", "numeric parametrization point and curve residual",
-        curve=True, order=True, z=True, nmax=True, precision=True)
-    add("classical", "exp(T)-1 degeneration: log(1+T) and eta partial sums",
-        nmax=True, order=True, s=True)
-    return parser
+def _rational(name: str, value) -> Fraction:
+    return parse_rational(str(value))
 
 
-def _parse_z(value) -> tuple[float, float]:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return float(value[0]), float(value[1])
-    if isinstance(value, str):
-        parts = value.split(",")
-        if len(parts) == 2:
-            try:
-                return float(parts[0]), float(parts[1])
-            except ValueError:
-                pass
-    raise UsageError(f"z must be 're,im', got {value!r}")
+def _int(name: str, value) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
+def _z(name: str, value) -> tuple[float, float]:
+    parts = value.split(",") if isinstance(value, str) else value
     try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+        z = tuple(float(x) for x in parts) if isinstance(parts, (list, tuple)) else ()
+    except (TypeError, ValueError):
+        z = ()
+    # q = exp(2*pi*i*z) must be computable in double precision
+    if len(z) != 2 or not all(math.isfinite(2 * math.pi * x) for x in z):
+        raise UsageError(f"{name} must be 're,im' with 2*pi*re and 2*pi*im finite "
+                         f"doubles, got {value!r}")
+    if z[1] <= 0:
+        raise UsageError(f"{name} must have positive imaginary part")
+    return z
 
 
-def _load_config_file(path: str, command: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
-    allowed = set(_FIELDS[command]) | {"command"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise UsageError(
-            f"config fields not used by '{command}': {', '.join(unknown)}"
-        )
-    if "command" in data and data["command"] != command:
-        raise UsageError(
-            f"config command {data['command']!r} does not match '{command}'"
-        )
-    return data
+def _s(name: str, value) -> tuple[int, ...]:
+    if isinstance(value, int):
+        value = [value]
+    if not isinstance(value, (list, tuple)) or not value:
+        raise UsageError(f"{name} must be a non-empty list of integers, got {value!r}")
+    return tuple(_int(name, v) for v in value)
 
 
-def resolve_config(argv=None) -> RunConfig:
-    """Parse flags (and optional config file) into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    file_values = _load_config_file(args.config, command) if args.config else {}
-
-    def pick(field):
-        flag = getattr(args, field, None)
-        if flag is not None:
-            return flag
-        return file_values.get(field)
-
-    values: dict = {"command": command}
-    fmt = pick("format")
-    if fmt is None:
-        fmt = "text"
-    if fmt not in ("text", "json"):
-        raise UsageError(f"format must be text or json, got {fmt!r}")
-    values["format"] = fmt
-
-    fields = _FIELDS[command]
-    if "g2" in fields:
-        for name in ("g2", "g3"):
-            raw = pick(name)
-            if raw is None:
-                raise UsageError(f"{command} requires --{name}")
-            values[name] = parse_rational(str(raw))
-    for name in ("order", "pmax", "nmax", "precision"):
-        if name in fields:
-            raw = pick(name)
-            values[name] = None if raw is None else _parse_int(name, raw)
-    if "z" in fields:
-        raw = pick("z")
-        if raw is None:
-            raise UsageError(f"{command} requires --z")
-        values["z"] = _parse_z(raw)
-    if "what" in fields:
-        raw = pick("what")
-        if raw is None:
-            raise UsageError(f"{command} requires --what")
-        if raw not in _WHAT_CHOICES:
-            raise UsageError(f"what must be one of {_WHAT_CHOICES}, got {raw!r}")
-        values["what"] = raw
-    if "s" in fields:
-        raw = pick("s")
-        if raw is None:
-            raw = [1, 2]
-        if isinstance(raw, int):
-            raw = [raw]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise UsageError(f"s must be a non-empty list of integers, got {raw!r}")
-        values["s"] = tuple(_parse_int("s", v) for v in raw)
-
-    return _validate(RunConfig(**values))
+def _choice(name: str, value) -> str:
+    choices = _FLAGS[name][1]["choices"]
+    if value not in choices:
+        raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
-def _validate(config: RunConfig) -> RunConfig:
-    c = config
-    if c.command == "expand":
-        minimum = _WHAT_MIN_ORDER[c.what]
-        if c.order is None or c.order < minimum:
-            raise UsageError(f"expand --what {c.what} needs --order >= {minimum}")
-    elif c.command == "grouplaw":
-        if c.order is None or c.order < 2:
-            raise UsageError("grouplaw needs --order >= 2")
-    elif c.command == "honda":
-        if c.pmax is None or c.pmax < 5:
-            raise UsageError("honda needs --pmax >= 5")
-        order = c.pmax if c.order is None else c.order
-        if order < c.pmax:
-            raise UsageError("honda needs --order >= --pmax")
-        c = replace(c, order=order)
-    elif c.command == "bernoulli":
-        if c.order is None or c.order < 0:
-            raise UsageError("bernoulli needs --order >= 0")
-    elif c.command == "param":
-        if c.order is None or c.order < 2:
-            raise UsageError("param needs --order >= 2")
-        nmax = c.order if c.nmax is None else c.nmax
-        if not 1 <= nmax <= c.order:
-            raise UsageError("param needs 1 <= --nmax <= --order")
-        precision = 53 if c.precision is None else c.precision
-        if precision < 1:
-            raise UsageError("precision must be >= 1 bit")
-        if c.z[1] <= 0:
-            raise UsageError("z must have positive imaginary part")
-        c = replace(c, nmax=nmax, precision=precision)
-    elif c.command == "classical":
-        if c.nmax is None or c.nmax < 1:
-            raise UsageError("classical needs --nmax >= 1")
-        order = 16 if c.order is None else c.order
-        if order < 1:
-            raise UsageError("classical needs --order >= 1")
-        if any(s < 1 for s in c.s):
-            raise UsageError("classical needs every s >= 1")
-        c = replace(c, order=order)
-    return c
+# Field -> (parser, argparse keywords), in the order flags appear in --help.
+_FLAGS: dict[str, tuple[Callable, dict]] = {
+    "g2": (_rational, {"help": "rational, e.g. 4, -3/7 or 0.25"}),
+    "g3": (_rational, {"help": "rational"}),
+    "order": (_int, {"help": "series truncation order"}),
+    "pmax": (_int, {"help": "check primes 5..pmax"}),
+    "z": (_z, {"help": "upper half-plane point as re,im"}),
+    "nmax": (_int, {"help": "number of q-series terms"}),
+    "what": (_choice, {"choices": tuple(_WHAT_MIN_ORDER),
+                       "help": "which expansion to emit"}),
+    "s": (_s, {"action": "append", "help": "Dirichlet exponent (repeatable)"}),
+    "precision": (_int, {"help": "working precision in bits (default 53)"}),
+    "format": (_choice, {"choices": ("text", "json")}),
+}
 
 
 # -- serialization -----------------------------------------------------------
@@ -335,18 +193,14 @@ def _complex_doc(value, precision: int) -> dict:
 
 def _config_doc(config: RunConfig) -> dict:
     doc: dict = {"command": config.command}
-    for field in _FIELDS[config.command]:
-        value = getattr(config, field)
-        if value is None:
-            continue
+    for name in _COMMANDS[config.command].fields:
+        value = getattr(config, name)
         if isinstance(value, Fraction):
-            doc[field] = str(value)
-        elif field == "z":
-            doc[field] = [value[0], value[1]]
-        elif field == "s":
-            doc[field] = list(value)
+            doc[name] = str(value)
+        elif isinstance(value, tuple):
+            doc[name] = list(value)
         else:
-            doc[field] = value
+            doc[name] = value
     return doc
 
 
@@ -487,21 +341,134 @@ def _run_classical(config: RunConfig) -> tuple[bool, dict]:
     }
 
 
-_RUNNERS = {
-    "expand": _run_expand,
-    "grouplaw": _run_grouplaw,
-    "honda": _run_honda,
-    "bernoulli": _run_bernoulli,
-    "param": _run_param,
-    "classical": _run_classical,
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand; a default or bound naming an earlier field means its
+    value.  Bounds are inclusive (low, high); high None is unbounded."""
+
+    help: str
+    fields: tuple[str, ...]  # in report order
+    run: Callable[[RunConfig], tuple[bool, dict]]
+    defaults: dict = field(default_factory=dict)  # "format" defaults to "text"
+    bounds: dict = field(default_factory=dict)
+
+
+_COMMANDS = {
+    "expand": _Command(
+        "emit one series expansion",
+        ("g2", "g3", "order", "what", "format"), _run_expand,
+        bounds={"order": (1, None)},  # low replaced by _WHAT_MIN_ORDER[what]
+    ),
+    "grouplaw": _Command(
+        "build the group law both ways and verify axioms",
+        ("g2", "g3", "order", "format"), _run_grouplaw,
+        bounds={"order": (2, None)},
+    ),
+    "honda": _Command(
+        "congruence a(p) = p+1-#E(F_p) mod p for good primes",
+        ("g2", "g3", "pmax", "order", "format"), _run_honda,
+        defaults={"order": "pmax"},
+        bounds={"pmax": (5, POINT_COUNT_CAP), "order": ("pmax", None)},
+    ),
+    "bernoulli": _Command(
+        "universal and elliptic Bernoulli numbers",
+        ("g2", "g3", "order", "format"), _run_bernoulli,
+        bounds={"order": (0, None)},
+    ),
+    "param": _Command(
+        "numeric parametrization point and curve residual",
+        ("g2", "g3", "z", "order", "nmax", "precision", "format"), _run_param,
+        defaults={"nmax": "order", "precision": 53},
+        bounds={"order": (2, None), "nmax": (1, "order"), "precision": (1, None)},
+    ),
+    "classical": _Command(
+        "exp(T)-1 degeneration: log(1+T) and eta partial sums",
+        ("nmax", "order", "s", "format"), _run_classical,
+        defaults={"order": 16, "s": (1, 2)},
+        bounds={"nmax": (1, None), "order": (1, None), "s": (1, None)},
+    ),
 }
+
+COMMANDS = tuple(_COMMANDS)
+
+
+# -- flag / config resolution -------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ellformal",
+        description="Exact formal-group engine for curves y^2 = 4x^3 - g2*x - g3",
+        epilog="Negative rational values need the = form, e.g. --g2=-3/7.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name, (_, keywords) in _FLAGS.items():
+            if name in spec.fields:
+                p.add_argument(f"--{name}", **keywords)
+        p.add_argument("--config", help="JSON file with the same field names")
+    return parser
+
+
+def _load_config_file(path: str, command: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(_COMMANDS[command].fields) - {"command"})
+    if unknown:
+        raise UsageError(
+            f"config fields not used by '{command}': {', '.join(unknown)}"
+        )
+    if "command" in data and data["command"] != command:
+        raise UsageError(
+            f"config command {data['command']!r} does not match '{command}'"
+        )
+    return data
+
+
+def resolve_config(argv=None) -> RunConfig:
+    """Parse flags (and optional config file) into a validated RunConfig."""
+    args = _build_parser().parse_args(argv)
+    command = args.command
+    spec = _COMMANDS[command]
+    file_values = _load_config_file(args.config, command) if args.config else {}
+    defaults = {"format": "text", **spec.defaults}
+    values: dict = {}
+    for name in spec.fields:
+        raw = getattr(args, name)
+        if raw is None:
+            raw = file_values.get(name)
+        if raw is not None:
+            values[name] = _FLAGS[name][0](name, raw)
+        elif name in defaults:
+            values[name] = values.get(defaults[name], defaults[name])
+        else:
+            raise UsageError(f"{command} requires --{name}")
+    for name, (low, high) in spec.bounds.items():
+        who = command
+        if command == "expand":  # the one bound that depends on a choice
+            low = _WHAT_MIN_ORDER[values["what"]]
+            who += f" --what {values['what']}"
+        lo, hi = values.get(low, low), values.get(high, high)
+        items = values[name] if isinstance(values[name], tuple) else (values[name],)
+        if any(v < lo or hi is not None and v > hi for v in items):
+            low, high = (f"--{b}" if isinstance(b, str) else b for b in (low, high))
+            raise UsageError(f"{who} needs " + (f"--{name} >= {low}" if hi is None
+                                                else f"{low} <= --{name} <= {high}"))
+    return RunConfig(command=command, **values)
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one resolved command; returns (exit code, report)."""
-    ok, body = _RUNNERS[config.command](config)
-    report = {"command": config.command, "config": _config_doc(config)}
-    report.update(body)
+    ok, body = _COMMANDS[config.command].run(config)
+    report = {"command": config.command, "config": _config_doc(config), **body}
     return (0 if ok else 1), report
 
 
@@ -557,11 +524,3 @@ def main(argv=None) -> int:
         return 1
     sys.stdout.write(_render(report, config.format))
     return code
-
-
-def entry() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

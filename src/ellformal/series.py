@@ -219,18 +219,6 @@ class UniSeries:
             q.append(acc / b0)
         return UniSeries(n, q)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        result = UniSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- calculus / structural operations ------------------------------
 
     def differentiate(self) -> "UniSeries":

@@ -112,6 +112,24 @@ class TestHonda:
         assert doc["all_congruent"] is True
         assert doc["entries"][0]["a_p"] == "-2"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_pmax_above_point_count_cap_refused_before_any_series(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        monkeypatch.setattr(
+            "ellformal.cli.formal_exponential", lambda *a: pytest.fail("series built")
+        )
+        argv = ["honda", "--g2", "4", "--g3", "0"]
+        if source == "flag":
+            argv += ["--pmax", "1000003"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"pmax": 1000003}))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--pmax" in err and "1000000" in err
+
     def test_order_defaults_to_pmax(self, capsys):
         code, out, _ = run_cli(
             capsys, "honda", "--g2", "1", "--g3", "1", "--pmax", "7",
@@ -153,12 +171,29 @@ class TestParam:
         )
         assert code == 1 and out == "" and "radius" in err
 
-    def test_lower_half_plane_rejected_as_usage(self, capsys):
-        code, _, err = run_cli(
-            capsys, "param", "--g2", "4", "--g3", "0", "--z", "0,-1",
-            "--order", "50",
-        )
-        assert code == 2 and "imaginary" in err
+    @pytest.mark.parametrize(
+        "z,reason",
+        [
+            ("0,-1", "imaginary"),
+            ("nan,1", "finite"),
+            ("1,nan", "finite"),
+            ("inf,1", "finite"),
+            ("0,inf", "finite"),
+            ("1e308,1", "finite"),
+            ("0,1e308", "finite"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_z_rejected_as_usage(self, capsys, tmp_path, z, reason, source):
+        argv = ["param", "--g2", "4", "--g3", "0", "--order", "50"]
+        if source == "flag":
+            argv += ["--z", z]
+        else:  # json writes nan and inf as the NaN / Infinity extensions
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"z": [float(x) for x in z.split(",")]}))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "z" in err and reason in err
 
 
 class TestClassical:
@@ -197,6 +232,13 @@ class TestConfigFile:
         path.write_text(json.dumps({"g2": "4", "g3": "0", "pmax": 10, "z": "0,1"}))
         code, _, err = run_cli(capsys, "honda", "--config", str(path))
         assert code == 2 and "z" in err
+
+    @pytest.mark.parametrize("z", [[1, "a"], [1, None], [1], [], 5, {"re": 0, "im": 1}])
+    def test_malformed_z_is_usage_error(self, capsys, tmp_path, z):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"g2": "4", "g3": "0", "z": z, "order": 10}))
+        code, out, err = run_cli(capsys, "param", "--config", str(path))
+        assert code == 2 and out == "" and "z must be" in err
 
     def test_command_mismatch_rejected(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
