@@ -95,7 +95,10 @@ class RunConfig:
 
 
 def _rational(name: str, value) -> Fraction:
-    return parse_rational(str(value))
+    try:
+        return parse_rational(str(value))
+    except RationalParseError as exc:
+        raise UsageError(f"{name}: {exc}") from exc
 
 
 def _int(name: str, value) -> int:
@@ -109,8 +112,10 @@ def _int(name: str, value) -> int:
 
 def _z(name: str, value) -> tuple[float, float]:
     parts = value.split(",") if isinstance(value, str) else value
+    # JSON booleans are not numbers here, as in _int
+    ok = isinstance(parts, (list, tuple)) and not any(isinstance(x, bool) for x in parts)
     try:
-        z = tuple(float(x) for x in parts) if isinstance(parts, (list, tuple)) else ()
+        z = tuple(float(x) for x in parts) if ok else ()
     except (TypeError, ValueError):
         z = ()
     # q = exp(2*pi*i*z) must be computable in double precision

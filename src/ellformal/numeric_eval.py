@@ -4,14 +4,17 @@ Feeds q = exp(2*pi*i*z) through the formal-logarithm series to get a
 point w in a small disk around the origin, then evaluates the truncated
 wp Laurent expansion there: alpha(z) = wp(w), beta(z) = wp'(w).  The
 pair must land on y^2 = 4x^3 - g2*x - g3 up to rounding, which is what
-``residual`` measures.
+``residual`` measures.  Each evaluation builds its exact wp expansion
+once, and each point computes q and runs the q-series loop once.
 
 Convergence is never assumed.  The wp series is only trusted inside a
 reliability radius computed from its own coefficient magnitudes (last
 retained term contributing at most 1e-12 relative to the pole term);
 outside the radius evaluation refuses rather than silently degrading.
 The q-series truncation error is likewise only estimated, by the
-magnitude of the last retained term, and reported as such.
+magnitude of the last retained term, and reported as such.  In double
+precision a point near the cusp (Im z above about 18.8) is refused with
+``OverflowError``: q underflows there or wp(w) ~ q^-2 overflows.
 
 Default arithmetic is the machine double / ``complex`` pair; passing
 ``precision`` (binary digits) above 53 switches the same code path onto
@@ -25,7 +28,7 @@ import contextlib
 from dataclasses import dataclass
 
 from .formal_group import FormalLog
-from .weierstrass import Curve, wp_coefficients
+from .weierstrass import Curve, WpExpansion, wp_coefficients
 
 RADIUS_RELATIVE_TOLERANCE = 1e-12
 
@@ -64,10 +67,7 @@ class _Numerics:
         return self.mp.workprec(self.precision)
 
     def complex_of(self, z):
-        if isinstance(z, tuple):
-            re, im = z
-        else:
-            re, im = z.real, z.imag
+        re, im = z if isinstance(z, tuple) else (z.real, z.imag)
         if self.mp is None:
             return complex(float(re), float(im))
         return self.mp.mpc(re, im)
@@ -84,9 +84,7 @@ class _Numerics:
         return cmath.exp(z) if self.mp is None else self.mp.exp(z)
 
     def two_pi_i(self):
-        if self.mp is None:
-            return 2j * cmath.pi
-        return 2j * self.mp.pi
+        return 2j * (cmath.pi if self.mp is None else self.mp.pi)
 
 
 @dataclass(frozen=True)
@@ -141,6 +139,26 @@ class DerivativeCheck:
     relative_deviation: float
 
 
+def _qseries(num: _Numerics, z, coeffs, nmax: int):
+    """The one q-series loop, run under ``num.workprec()``: returns z, q =
+    exp(2*pi*i*z), sum of coeffs[n] q^n over 1..nmax and |coeffs[nmax] q^nmax|."""
+    zc = num.complex_of(z)
+    if not zc.imag > 0:
+        raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
+    if nmax > len(coeffs) - 1:
+        raise ValueError(f"nmax={nmax} exceeds formal log order {len(coeffs) - 1}")
+    q = num.exp(num.two_pi_i() * zc)
+    total = zc - zc  # typed zero
+    qpow = 1
+    for n in range(1, nmax + 1):
+        qpow = qpow * q
+        c = coeffs[n]
+        if c:
+            total = total + num.rational(c) * qpow
+    estimate = abs(num.rational(coeffs[nmax])) * abs(q) ** nmax
+    return zc, q, total, estimate
+
+
 def eval_log_qseries(flog: FormalLog, z, nmax: int, precision: int = 53):
     """Partial sum of the log-series at q = exp(2*pi*i*z), plus an estimate.
 
@@ -149,20 +167,7 @@ def eval_log_qseries(flog: FormalLog, z, nmax: int, precision: int = 53):
     """
     num = _Numerics(precision)
     with num.workprec():
-        zc = num.complex_of(z)
-        if not zc.imag > 0:
-            raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
-        if nmax > flog.series.order:
-            raise ValueError(f"nmax={nmax} exceeds formal log order {flog.series.order}")
-        q = num.exp(num.two_pi_i() * zc)
-        total = zc - zc  # typed zero
-        qpow = 1
-        for n in range(1, nmax + 1):
-            qpow = qpow * q
-            c = flog.series.coeffs[n]
-            if c:
-                total = total + num.rational(c) * qpow
-        estimate = abs(num.rational(flog.series.coeffs[nmax])) * abs(q) ** nmax
+        _, _, total, estimate = _qseries(num, z, flog.series.coeffs, nmax)
         return total, estimate
 
 
@@ -170,20 +175,15 @@ def eval_cusp_qseries(flog: FormalLog, z, nmax: int, precision: int = 53):
     """Partial sum of the weight-two series sum a(n) q^n at q = exp(2*pi*i*z)."""
     num = _Numerics(precision)
     with num.workprec():
-        zc = num.complex_of(z)
-        if not zc.imag > 0:
-            raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
-        if nmax > flog.series.order:
-            raise ValueError(f"nmax={nmax} exceeds formal log order {flog.series.order}")
-        q = num.exp(num.two_pi_i() * zc)
-        total = zc - zc
-        qpow = 1
-        for n in range(1, nmax + 1):
-            qpow = qpow * q
-            a_n = flog.an[n - 1]
-            if a_n:
-                total = total + num.rational(a_n) * qpow
-        return total
+        return _qseries(num, z, (0, *flog.an), nmax)[2]
+
+
+def _radius(exp: WpExpansion) -> float:
+    for k in range(exp.order, 1, -1):
+        c = exp.coefficient(k)
+        if c:
+            return (RADIUS_RELATIVE_TOLERANCE / abs(float(c))) ** (1.0 / (2 * k))
+    return float("inf")
 
 
 def reliability_radius(curve: Curve, order: int) -> float:
@@ -194,12 +194,7 @@ def reliability_radius(curve: Curve, order: int) -> float:
     term).  Infinite when every c_k vanishes (g2 = g3 = 0: the series is
     exactly the pole).
     """
-    exp = wp_coefficients(curve, order)
-    for k in range(order, 1, -1):
-        c = exp.coefficient(k)
-        if c:
-            return (RADIUS_RELATIVE_TOLERANCE / abs(float(c))) ** (1.0 / (2 * k))
-    return float("inf")
+    return _radius(wp_coefficients(curve, order))
 
 
 def eval_wp(curve: Curve, w, order: int, precision: int = 53):
@@ -216,13 +211,13 @@ def eval_wp(curve: Curve, w, order: int, precision: int = 53):
         wc = num.complex_of(w)
         if wc == 0:
             raise PoleError("wp has a pole at w = 0")
-        radius = reliability_radius(curve, order)
+        exp = wp_coefficients(curve, order)
+        radius = _radius(exp)
         if not abs(wc) < radius:
             raise OutOfRadiusError(
                 f"|w| = {float(abs(wc)):.6g} outside reliability radius "
                 f"{radius:.6g} at order {order}"
             )
-        exp = wp_coefficients(curve, order)
         inv = 1 / wc
         w2 = wc * wc
         wp_val = inv * inv
@@ -244,14 +239,22 @@ def param_point(
     """Evaluate (alpha, beta) = (wp, wp')(log q-series) and its curve residual."""
     num = _Numerics(precision)
     with num.workprec():
-        zc = num.complex_of(z)
-        w, estimate = eval_log_qseries(flog, zc, nmax, precision)
-        q = num.exp(num.two_pi_i() * zc)
-        alpha, beta = eval_wp(curve, w, order, precision)
-        residual = abs(
-            beta * beta
-            - (4 * alpha**3 - num.rational(curve.g2) * alpha - num.rational(curve.g3))
-        )
+        zc, q, w, estimate = _qseries(num, z, flog.series.coeffs, nmax)
+        # Near the cusp, doubles underflow q (w = 0: the pole) or overflow wp(w) ~ q^-2.
+        try:
+            alpha, beta = eval_wp(curve, w, order, precision)
+            g2, g3 = num.rational(curve.g2), num.rational(curve.g3)
+            residual = abs(beta * beta - (4 * alpha**3 - g2 * alpha - g3))
+            finite = num.mp is not None or all(
+                map(cmath.isfinite, (alpha, beta, residual)))
+        except (OverflowError, PoleError):
+            finite = False
+        if not finite:
+            raise OverflowError(
+                f"Im(z) = {float(zc.imag):.6g} is too close to the cusp for double "
+                "precision: q = exp(2*pi*i*z) underflows or wp(w) overflows; "
+                "use --precision above 53"
+            )
         return ParamResult(zc, q, w, alpha, beta, residual, estimate, precision)
 
 

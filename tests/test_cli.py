@@ -78,12 +78,13 @@ class TestExpand:
         )
         assert code == 2 and out == "" and "order" in err
 
-    def test_bad_rational_is_usage_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "expand", "--g2", "1/0", "--g3", "0", "--order", "4",
-            "--what", "fe",
-        )
-        assert code == 2 and "denominator" in err
+    def test_bad_rational_is_usage_error(self, capsys, tmp_path):
+        argv = ["expand", "--g3", "0", "--order", "4", "--what", "fe"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"g2": "1/0"}))
+        for source in (["--g2", "1/0"], ["--config", str(path)]):
+            code, out, err = run_cli(capsys, *argv, *source)
+            assert code == 2 and out == "" and "g2: zero denominator" in err
 
 
 class TestGrouplaw:
@@ -171,6 +172,15 @@ class TestParam:
         )
         assert code == 1 and out == "" and "radius" in err
 
+    @pytest.mark.parametrize("z", ["0,20", "0,100", "0,1e300"])
+    def test_near_cusp_is_refused_in_double_precision(self, capsys, z):
+        argv = ["param", "--g2", "4", "--g3", "0", "--z", z, "--order", "10"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "Im(z)" in err and "cusp" in err and "--precision" in err
+        code, out, _ = run_cli(capsys, *argv, "--precision", "150")
+        assert code == 0 and "inf" not in out and "nan" not in out
+
     @pytest.mark.parametrize(
         "z,reason",
         [
@@ -181,6 +191,8 @@ class TestParam:
             ("0,inf", "finite"),
             ("1e308,1", "finite"),
             ("0,1e308", "finite"),
+            ("true,1", "finite"),
+            ("1,false", "finite"),
         ],
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -189,8 +201,10 @@ class TestParam:
         if source == "flag":
             argv += ["--z", z]
         else:  # json writes nan and inf as the NaN / Infinity extensions
+            parts = [json.loads(x) if x in ("true", "false") else float(x)
+                     for x in z.split(",")]
             path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"z": [float(x) for x in z.split(",")]}))
+            path.write_text(json.dumps({"z": parts}))
             argv += ["--config", str(path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "z" in err and reason in err

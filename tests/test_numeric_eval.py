@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from ellformal import (
@@ -14,6 +15,7 @@ from ellformal import (
     eval_wp,
     formal_exponential,
     formal_logarithm,
+    numeric_eval,
     param_point,
     reliability_radius,
 )
@@ -36,10 +38,11 @@ class TestLogQSeries:
         assert estimate == 0.0  # a(4) = 0 structurally
 
     def test_lemniscatic_at_i(self, flog_lemniscatic):
-        value, _ = eval_log_qseries(flog_lemniscatic, 1j, 50)
         q = math.exp(-2 * math.pi)
-        assert abs(value - (q - 0.4 * q**5)) < 1e-17
-        assert abs(value - q) / q < 1e-11  # equal to q through ~12 digits
+        for precision in (53, 150):
+            value, _ = eval_log_qseries(flog_lemniscatic, 1j, 50, precision)
+            assert abs(value - (q - 0.4 * q**5)) < 1e-17
+            assert abs(value - q) / q < 1e-11  # equal to q through ~12 digits
 
     def test_cusp_limit(self, flog_lemniscatic):
         value, _ = eval_log_qseries(flog_lemniscatic, 50j, 50)
@@ -120,6 +123,15 @@ class TestParamPoint:
             res = param_point(c, fl, 0.1 + 1.1j, 50, 20)
             assert res.relative_residual < 1e-13
 
+    @pytest.mark.parametrize("z", [20j, 100j, 1e300j])
+    def test_near_cusp_refused_in_double_precision(self, flog_lemniscatic, z):
+        # q underflows (1e300j) or wp(w) ~ q^-2 overflows (20j, 100j)
+        with pytest.raises(OverflowError, match=r"Im\(z\) = .*--precision"):
+            param_point(LEMNISCATIC, flog_lemniscatic, z, 50, 20)
+        res = param_point(LEMNISCATIC, flog_lemniscatic, z, 50, 20, precision=150)
+        fields = (res.q, res.w, res.alpha, res.beta, res.residual)
+        assert res.q != 0 and all(mpmath.isfinite(v) for v in fields)
+
     def test_degenerate_curve_pure_pole_structure(self):
         c = Curve(0, 0)
         fl = formal_logarithm(formal_exponential(c, 4))
@@ -153,9 +165,43 @@ class TestDerivativeCheck:
             for n, a in enumerate(flog_lemniscatic.an[:50], start=1)
             if a
         )
-        got = eval_cusp_qseries(flog_lemniscatic, 1j, 50)
-        assert abs(got - total) < 1e-18
+        for precision in (53, 150):
+            got = eval_cusp_qseries(flog_lemniscatic, 1j, 50, precision)
+            assert abs(got - total) < 1e-18
 
     def test_h_validation(self, flog_lemniscatic):
         with pytest.raises(ValueError):
             derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, 0.0)
+
+
+class TestOneExpansionPerEvaluation:
+    """Each evaluation builds its exact wp expansion once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        build = numeric_eval.wp_coefficients
+
+        def counting(curve, order):
+            counted.append(order)
+            return build(curve, order)
+
+        monkeypatch.setattr(numeric_eval, "wp_coefficients", counting)
+        return counted
+
+    def test_param_point(self, flog_lemniscatic, calls):
+        param_point(LEMNISCATIC, flog_lemniscatic, 0.3 + 0.9j, 50, 20)
+        assert calls == [20]
+
+    def test_eval_wp(self, calls):
+        eval_wp(LEMNISCATIC, 0.1, 20)
+        assert calls == [20]
+
+    def test_refused_param_point(self, flog_lemniscatic, calls):
+        with pytest.raises(OutOfRadiusError):
+            param_point(LEMNISCATIC, flog_lemniscatic, 0.01j, 50, 20)
+        assert calls == [20]
+
+    def test_derivative_check(self, flog_lemniscatic, calls):
+        derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, 1e-4, nmax=50)
+        assert calls == [20, 20, 20]
