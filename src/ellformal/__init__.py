@@ -1,12 +1,14 @@
 """Exact formal-group engine for curves y^2 = 4x^3 - g2*x - g3 over Q.
 
 Pipeline: expand wp and wp' as exact Laurent series from (g2, g3); form
-the formal exponential -2*wp/wp' and revert it into the formal
-logarithm; read candidate L-series coefficients off the logarithm and
-verify them prime by prime against naive point counts; evaluate the
-resulting q-series parametrization numerically and confirm it lands on
-the curve.  Universal Bernoulli numbers, their elliptic analogues, and
-the group law (built two independent ways) come along for free.
+the formal exponential -2*wp/wp', and integrate the invariant
+differential dx/y into the formal logarithm (reverting the exponential
+and composing exp with log stay as checks); read candidate L-series
+coefficients off the logarithm and verify them prime by prime against
+naive point counts; evaluate the resulting q-series parametrization
+numerically and confirm it lands on the curve.  Universal Bernoulli
+numbers, their elliptic analogues, and the group law (built two
+independent ways) come along for free.
 
 All symbolic computation is exact over :class:`fractions.Fraction`;
 floating point enters only in :mod:`ellformal.numeric_eval`.

@@ -2,11 +2,13 @@
 universal Bernoulli numbers, and the group law built two independent ways.
 
 The formal exponential is the series expansion of t = -2x/y along the
-curve, obtained as the Laurent quotient -2*wp/wp'.  Reverting it gives
-the formal logarithm, whose scaled coefficients are the candidate
-L-series coefficients handled downstream.  The group law comes from
-either composition (exp of sum of logs) or from the closed rational
-expression in the chord coordinates (t, s) = (-2x/y, -2/y); the two
+curve, obtained as the Laurent quotient -2*wp/wp'.  The formal logarithm
+integrates the invariant differential dx/y in the chord coordinates
+(t, s) = (-2x/y, -2/y); its scaled coefficients are the candidate
+L-series coefficients handled downstream.  Reverting the exponential
+gives the same logarithm and, like composing exp with log, stays only as
+a check.  The group law comes from either composition (exp of sum of
+logs) or from the closed rational expression in (t, s); the two
 constructions must agree coefficient for coefficient, which is the
 strongest self-check this module has.
 """
@@ -39,10 +41,11 @@ class FormalExp:
 
 @dataclass(frozen=True)
 class FormalLog:
-    """Formal logarithm (compositional inverse of the exponential).
+    """Formal logarithm: the integral of dx/y = (1 + T w'/(2w)) dT, s = T^3 w.
 
     ``an[n-1]`` holds a(n) = n * [T^n] log-series; these are the
-    candidate L-series coefficients.  Odd model, so a(n) = 0 for all
+    candidate L-series coefficients.  Reverting the exponential gives the
+    same series and is kept as a check.  Odd model, so a(n) = 0 for all
     even n.
     """
 
@@ -110,9 +113,16 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
 
 
 def formal_logarithm(fexp: FormalExp) -> FormalLog:
-    """Revert the exponential and read off a(n) = n * [T^n]."""
-    series = fexp.series.reverse()
-    an = tuple(n * series.coeffs[n] for n in range(1, series.order + 1))
+    """Integrate dx/y = (1 + t w'/(2w)) dt through t^order, with s = t^3 w.
+
+    One series division gives a(n) = [t^(n-1)] (2w + t w') / (2w); the
+    log-series coefficient of t^n is a(n) / n.
+    """
+    n = fexp.series.order
+    w = UniSeries(n - 1, s_coordinate(fexp.curve, n + 2).series.coeffs[3:])
+    numer = UniSeries(n - 1, [(k + 2) * c for k, c in enumerate(w.coeffs)])
+    an = (numer / (2 * w)).coeffs
+    series = UniSeries(n, (_ZERO, *(a / k for k, a in enumerate(an, 1))))
     return FormalLog(fexp.curve, series, an)
 
 
@@ -136,25 +146,33 @@ def universal_bernoulli(fexp, order: int):
 
 
 def s_coordinate(curve: Curve, order: int) -> SCoordinate:
-    """Solve s = t^3 - (g2/4) t s^2 - (g3/4) s^3 by fixed-point iteration.
+    """Solve s = t^3 - (g2/4) t s^2 - (g3/4) s^3 one coefficient at a time.
 
-    Starting from s = t^3, each pass gains at least four orders of
-    accuracy, so the loop terminates quickly; the stationarity test is
-    exact.
+    With s = t^3 w the equation reads w = 1 - (g2/4) t^4 w^2 - (g3/4) t^6 w^3,
+    so [t^k] w needs only [t^(k-4)] w^2 and [t^(k-6)] w^3, which running
+    coefficient lists of w^2 and w^3 already hold.
     """
     if order < 3:
         raise ValueError("order must be >= 3")
-    cube = UniSeries.monomial(order, 3)
     qg2 = curve.g2 / 4
     qg3 = curve.g3 / 4
-    s = cube
-    for _ in range(order):
-        ss = s * s
-        update = cube - qg2 * (s.shifted(1) * s) - qg3 * (ss * s)
-        if update == s:
-            return SCoordinate(curve, s)
-        s = update
-    raise RuntimeError("fixed-point iteration failed to stabilize")  # pragma: no cover
+    w, sq, cube = [_ONE], [], []
+    for k in range(1, order - 2):
+        sq.append(_next_product_coeff(w, w))
+        cube.append(_next_product_coeff(w, sq))
+        wk = _ZERO
+        if k >= 4:
+            wk -= qg2 * sq[k - 4]
+        if k >= 6:
+            wk -= qg3 * cube[k - 6]
+        w.append(wk)
+    return SCoordinate(curve, UniSeries(order, (_ZERO,) * 3 + tuple(w)))
+
+
+def _next_product_coeff(a: list, b: list) -> Fraction:
+    """[t^m] of the product of coefficient lists a and b, with m = len(b) - 1."""
+    m = len(b) - 1
+    return sum((a[i] * b[m - i] for i in range(m + 1) if a[i] and b[m - i]), _ZERO)
 
 
 def group_law_exp_log(fexp: FormalExp, flog: FormalLog, order: int) -> GroupLaw:
@@ -297,6 +315,8 @@ def coordinate_pullback(curve: Curve, order: int, flog: FormalLog | None = None)
     arithmetic; no numerics are involved.
     """
     m = order
+    if flog is not None and flog.curve != curve:
+        raise ValueError("formal logarithm belongs to a different curve")
     if flog is None or flog.series.order < m + 1:
         flog = formal_logarithm(formal_exponential(curve, m + 1))
     wp = wp_laurent(curve, max(2, (m + 1) // 2))

@@ -171,6 +171,8 @@ def honda_check(curve: Curve, pmax: int, flog: FormalLog) -> HondaReport:
     records whether a(p) equals the trace on the nose (an empirical
     observation, not something the congruence requires).
     """
+    if flog.curve != curve:
+        raise ValueError("formal logarithm belongs to a different curve")
     if flog.series.order < pmax:
         raise ValueError(
             f"formal log order {flog.series.order} does not cover pmax={pmax}"

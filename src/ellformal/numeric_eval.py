@@ -140,15 +140,21 @@ class DerivativeCheck:
 
 
 def _qseries(num: _Numerics, z, coeffs, nmax: int):
-    """The one q-series loop, run under ``num.workprec()``: returns z, q =
-    exp(2*pi*i*z), sum of coeffs[n] q^n over 1..nmax and |coeffs[nmax] q^nmax|."""
+    """The checked q-series entry, run under ``num.workprec()``: returns z,
+    q = exp(2*pi*i*z) and the :func:`_qsum` pair at that q."""
     zc = num.complex_of(z)
     if not zc.imag > 0:
         raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
     if nmax > len(coeffs) - 1:
         raise ValueError(f"nmax={nmax} exceeds formal log order {len(coeffs) - 1}")
     q = num.exp(num.two_pi_i() * zc)
-    total = zc - zc  # typed zero
+    return (zc, q, *_qsum(num, q, coeffs, nmax))
+
+
+def _qsum(num: _Numerics, q, coeffs, nmax: int):
+    """The one q-series loop: sum of coeffs[n] q^n over 1..nmax and
+    |coeffs[nmax] q^nmax|."""
+    total = q - q  # typed zero
     qpow = 1
     for n in range(1, nmax + 1):
         qpow = qpow * q
@@ -156,7 +162,7 @@ def _qseries(num: _Numerics, z, coeffs, nmax: int):
         if c:
             total = total + num.rational(c) * qpow
     estimate = abs(num.rational(coeffs[nmax])) * abs(q) ** nmax
-    return zc, q, total, estimate
+    return total, estimate
 
 
 def eval_log_qseries(flog: FormalLog, z, nmax: int, precision: int = 53):
@@ -237,6 +243,8 @@ def param_point(
     curve: Curve, flog: FormalLog, z, nmax: int, order: int, precision: int = 53
 ) -> ParamResult:
     """Evaluate (alpha, beta) = (wp, wp')(log q-series) and its curve residual."""
+    if flog.curve != curve:
+        raise ValueError("formal logarithm belongs to a different curve")
     num = _Numerics(precision)
     with num.workprec():
         zc, q, w, estimate = _qseries(num, z, flog.series.coeffs, nmax)
@@ -284,7 +292,7 @@ def derivative_check(
         minus = param_point(curve, flog, zc - hr, nmax, order, precision)
         center = param_point(curve, flog, zc, nmax, order, precision)
         fd = (plus.alpha - minus.alpha) / (2 * hr)
-        cusp = eval_cusp_qseries(flog, zc, nmax, precision)
+        cusp = _qsum(num, center.q, (0, *flog.an), nmax)[0]
         expected = center.beta * num.two_pi_i() * cusp
         scale = abs(expected)
         if scale == 0:

@@ -248,15 +248,11 @@ class UniSeries:
         """Compositional inverse by Lagrange inversion.
 
         Requires self = T + O(T^2).  The coefficient of T^k in the
-        inverse is [T^(k-1)] (T/self)^k / k; when self is odd the
-        computation collapses onto a series in T^2, which roughly
-        halves the working order.
+        inverse is [T^(k-1)] (T/self)^k / k.
         """
         n = self.order
         if n < 1 or self.coeffs[0] != 0 or self.coeffs[1] != 1:
             raise ReversionDomainError("reversion needs f = T + O(T^2)")
-        if all(not c for k, c in enumerate(self.coeffs) if k % 2 == 0):
-            return self._reverse_odd()
         # u = T/f is a unit series of order n-1
         u = UniSeries.one(n - 1) / UniSeries(n - 1, self.coeffs[1:])
         out = [_ZERO] * (n + 1)
@@ -265,23 +261,6 @@ class UniSeries:
         for k in range(2, n + 1):
             power = power * u
             out[k] = power.coeffs[k - 1] / k
-        return UniSeries(n, out)
-
-    def _reverse_odd(self) -> "UniSeries":
-        # f = T * E(T^2): work with v = 1/E in the compressed variable S = T^2.
-        n = self.order
-        m = (n - 1) // 2
-        ev = UniSeries(m, tuple(self.coeffs[2 * j + 1] for j in range(m + 1)))
-        v = UniSeries.one(m) / ev
-        v_sq = v * v
-        out = [_ZERO] * (n + 1)
-        power = v
-        for r in range(m + 1):
-            k = 2 * r + 1
-            if k > n:
-                break
-            out[k] = power.coeffs[r] / k
-            power = power * v_sq
         return UniSeries(n, out)
 
 

@@ -2,10 +2,11 @@
 
 The corpus covers every command and every ``expand --what`` in text and
 json on three curves, ``param`` at 53 and 150 bits, ``classical`` with its
-defaults and with ``--s``, a refusal (exit 1) and the usage-error paths
-(exit 2, empty stdout).  The digest is the first 16 hex digits of the
-sha256 of stdout.  It changes only when a report's bytes do;
-update the table only for a report change that is intended and stated.
+defaults and with ``--s``, ``honda --pmax 199`` on (-7, 13), a refusal
+(exit 1) and the usage-error paths (exit 2, empty stdout).  The digest is
+the first 16 hex digits of the sha256 of stdout.  It changes only when a
+report's bytes do; update the table only for a report change that is
+intended and stated.
 Print the current table with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -42,6 +43,7 @@ def _corpus() -> list[tuple[str, ...]]:
                        f"--format={fmt}"))
     corpus += [
         ("honda", "--g2=4", "--g3=0", "--pmax=20", "--order=23"),
+        ("honda", "--g2=-7", "--g3=13", "--pmax=199", "--format=json"),
         ("param", "--g2=4", "--g3=0", "--z=0.1,0.8", "--order=30", "--nmax=20",
          "--format=json"),
         ("bernoulli", "--g2=1", "--g3=1", "--order=0"),
@@ -155,6 +157,7 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'classical --nmax=100 --format=json': (0, 'dea3af449ae18058'),
     'classical --nmax=100 --s=1 --s=3 --order=8 --format=json': (0, '299fe1bffe964fdd'),
     'honda --g2=4 --g3=0 --pmax=20 --order=23': (0, 'cf1c761f0bbd7aca'),
+    'honda --g2=-7 --g3=13 --pmax=199 --format=json': (0, 'bd825ea0de6cb8f5'),
     'param --g2=4 --g3=0 --z=0.1,0.8 --order=30 --nmax=20 --format=json': (0, 'bc260a8b9d56a717'),
     'bernoulli --g2=1 --g3=1 --order=0': (0, '2c002a5073fb05bb'),
     'param --g2=4 --g3=0 --z=0,0.01 --order=50': (1, 'e3b0c44298fc1c14'),

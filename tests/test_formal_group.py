@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ellformal import formal_group
 from ellformal import (
     BiSeries,
     Curve,
@@ -18,6 +19,8 @@ from ellformal import (
     verify_axioms,
 )
 from conftest import random_curve
+
+NAMED_CURVES = (Curve(4, 0), Curve(-7, 13), Curve(F(-3, 7), F(5, 11)))
 
 
 class TestFormalExponential:
@@ -71,6 +74,43 @@ class TestFormalLogarithm:
         fl = formal_logarithm(formal_exponential(random_curve(rng), 21))
         assert all(fl.a(n) == 0 for n in range(2, 22, 2))
 
+    @pytest.mark.parametrize(
+        "curve", NAMED_CURVES + (Curve(0, 0),), ids=lambda c: f"{c.g2},{c.g3}"
+    )
+    @pytest.mark.parametrize("order", (1, 2, 3, 12, 61))
+    def test_matches_reversion_of_exponential(self, curve, order):
+        fexp = formal_exponential(curve, order)
+        flog = formal_logarithm(fexp)
+        reverted = fexp.series.reverse()
+        assert flog.series == reverted
+        assert all(reverted.coeffs[k] == 0 for k in range(0, order + 1, 2))
+        assert all(
+            flog.an[n - 1] == n * flog.series.coeffs[n] for n in range(1, order + 1)
+        )
+
+
+class TestOneLogRoute:
+    """The log is read off the invariant differential, not by reversion."""
+
+    def test_counts(self, monkeypatch):
+        counted = []
+        revert = UniSeries.reverse
+        solve = formal_group.s_coordinate
+
+        def counting_reverse(self):
+            counted.append("reverse")
+            return revert(self)
+
+        def counting_s(curve, order):
+            counted.append("s_coordinate")
+            return solve(curve, order)
+
+        monkeypatch.setattr(UniSeries, "reverse", counting_reverse)
+        monkeypatch.setattr(formal_group, "s_coordinate", counting_s)
+        fexp = formal_exponential(Curve(-7, 13), 97)
+        formal_logarithm(fexp)
+        assert counted == ["s_coordinate"]
+
 
 class TestUniversalBernoulli:
     def test_constant_term(self, rng):
@@ -113,11 +153,12 @@ class TestSCoordinate:
             assert all(s.coeffs[k] == 0 for k in (0, 1, 2, 4, 5, 6, 8, 10))
 
     def test_satisfies_fixed_point_equation(self, rng):
-        c = random_curve(rng)
-        s = s_coordinate(c, 25).series
-        cube = UniSeries.monomial(25, 3)
-        rhs = cube - (c.g2 / 4) * (s.shifted(1) * s) - (c.g3 / 4) * (s * s * s)
-        assert s == rhs
+        cases = [(random_curve(rng), 25)] + [(c, 60) for c in NAMED_CURVES]
+        for c, order in cases:
+            s = s_coordinate(c, order).series
+            cube = UniSeries.monomial(order, 3)
+            rhs = cube - (c.g2 / 4) * (s.shifted(1) * s) - (c.g3 / 4) * (s * s * s)
+            assert s == rhs
 
     def test_consistency_with_wp_prime_pullback(self, rng):
         # s(t) = -2 / wp'(log-series(t)) is the y-side pullback identity
@@ -228,3 +269,8 @@ class TestPullbackIdentities:
     def test_additive(self):
         pb = coordinate_pullback(Curve(0, 0), 12)
         assert pb.holds
+
+    def test_log_of_other_curve_rejected(self):
+        flog = formal_logarithm(formal_exponential(Curve(4, 0), 8))
+        with pytest.raises(ValueError, match="different curve"):
+            coordinate_pullback(Curve(-7, 13), 6, flog)

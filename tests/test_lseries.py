@@ -159,6 +159,11 @@ class TestHondaCheck:
         with pytest.raises(ValueError):
             honda_check(c, 20, fl)
 
+    def test_log_of_other_curve_rejected(self):
+        fl = formal_logarithm(formal_exponential(Curve(4, 0), 20))
+        with pytest.raises(ValueError, match="different curve"):
+            honda_check(Curve(-7, 13), 20, fl)
+
 
 class TestClassicalDemo:
     def test_reversion_gives_alternating_coefficients(self):

@@ -132,6 +132,10 @@ class TestParamPoint:
         fields = (res.q, res.w, res.alpha, res.beta, res.residual)
         assert res.q != 0 and all(mpmath.isfinite(v) for v in fields)
 
+    def test_log_of_other_curve_rejected(self, flog_lemniscatic):
+        with pytest.raises(ValueError, match="different curve"):
+            param_point(Curve(-7, 13), flog_lemniscatic, 1j, 50, 20)
+
     def test_degenerate_curve_pure_pole_structure(self):
         c = Curve(0, 0)
         fl = formal_logarithm(formal_exponential(c, 4))

@@ -128,21 +128,6 @@ class TestReverse:
             assert g.compose(f) == t
             assert g.reverse() == f
 
-    def test_odd_fast_path_matches_general(self, rng):
-        for _ in range(8):
-            n = 2 * rng.randint(1, 6) + 1  # odd, so n + 1 below is an even index
-            coeffs = [F(0)] * (n + 1)
-            coeffs[1] = F(1)
-            for k in range(3, n + 1, 2):
-                coeffs[k] = random_rational(rng)
-            odd = UniSeries(n, coeffs)
-            # the twin's nonzero even-index tail coefficient forces the
-            # general path; reversion through T^n only sees coeffs up to T^n
-            padded = UniSeries(n + 1, list(coeffs) + [F(1)])
-            got = odd.reverse()
-            assert got == padded.reverse().truncate(n)
-            assert all(got.coeffs[k] == 0 for k in range(0, n + 1, 2))
-
     def test_determinism(self, rng):
         f = random_unit_series(rng, 10)
         assert f.reverse() == f.reverse()
