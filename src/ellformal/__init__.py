@@ -1,14 +1,15 @@
 """Exact formal-group engine for curves y^2 = 4x^3 - g2*x - g3 over Q.
 
-Pipeline: expand wp and wp' as exact Laurent series from (g2, g3); form
-the formal exponential -2*wp/wp', and integrate the invariant
-differential dx/y into the formal logarithm (reverting the exponential
-and composing exp with log stay as checks); read candidate L-series
-coefficients off the logarithm and verify them prime by prime against
-naive point counts; evaluate the resulting q-series parametrization
-numerically and confirm it lands on the curve.  Universal Bernoulli
-numbers, their elliptic analogues, and the group law (built two
-independent ways) come along for free.
+Pipeline: from (g2, g3), two flows that do not read each other.  wp ->
+exp expands wp and wp' as exact Laurent series and forms the formal
+exponential -2*wp/wp'; s -> log solves the chart coordinate s = -2/y and
+integrates the invariant differential dx/y into the formal logarithm
+(reverting the exponential and composing exp with log stay as checks).
+Candidate L-series coefficients are read off the logarithm and verified
+prime by prime against naive point counts; the q-series parametrization
+is evaluated numerically and confirmed to land on the curve.  Universal
+Bernoulli numbers, their elliptic analogues, and the group law (built
+two independent ways) come along for free.
 
 All symbolic computation is exact over :class:`fractions.Fraction`;
 floating point enters only in :mod:`ellformal.numeric_eval`.
@@ -60,7 +61,6 @@ from .lseries import (
     UnsupportedPrimeError,
     classical_demo,
     count_points,
-    extract_an,
     honda_check,
     primes_upto,
     reduce_curve,
@@ -123,7 +123,6 @@ __all__ = [
     "eval_cusp_qseries",
     "eval_log_qseries",
     "eval_wp",
-    "extract_an",
     "formal_exponential",
     "formal_logarithm",
     "group_law_closed_form",

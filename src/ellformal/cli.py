@@ -217,12 +217,10 @@ def _run_expand(config: RunConfig) -> tuple[bool, dict]:
     what, order = config.what, config.order
     if what == "fe":
         body = {"series": _series_doc(formal_exponential(curve, order).series)}
-    elif what == "fl":
-        flog = formal_logarithm(formal_exponential(curve, order))
-        body = {"series": _series_doc(flog.series)}
-    elif what == "an":
-        flog = formal_logarithm(formal_exponential(curve, order))
-        body = {"an": [str(a) for a in flog.an]}
+    elif what in ("fl", "an"):
+        flog = formal_logarithm(curve, order)
+        body = ({"series": _series_doc(flog.series)} if what == "fl"
+                else {"an": [str(a) for a in flog.an]})
     elif what == "wp":
         body = {"laurent": _laurent_doc(wp_laurent(curve, order))}
     elif what == "wpp":
@@ -235,7 +233,7 @@ def _run_expand(config: RunConfig) -> tuple[bool, dict]:
 def _run_grouplaw(config: RunConfig) -> tuple[bool, dict]:
     curve = Curve(config.g2, config.g3)
     fexp = formal_exponential(curve, config.order)
-    flog = formal_logarithm(fexp)
+    flog = formal_logarithm(curve, config.order)
     law_exp = group_law_exp_log(fexp, flog, config.order)
     law_closed = group_law_closed_form(curve, config.order)
     agree = law_exp.series == law_closed.series
@@ -256,7 +254,7 @@ def _run_grouplaw(config: RunConfig) -> tuple[bool, dict]:
 
 def _run_honda(config: RunConfig) -> tuple[bool, dict]:
     curve = Curve(config.g2, config.g3)
-    flog = formal_logarithm(formal_exponential(curve, config.order))
+    flog = formal_logarithm(curve, config.order)
     report = honda_check(curve, config.pmax, flog)
     entries = []
     for e in report.entries:
@@ -305,7 +303,7 @@ def _run_bernoulli(config: RunConfig) -> tuple[bool, dict]:
 
 def _run_param(config: RunConfig) -> tuple[bool, dict]:
     curve = Curve(config.g2, config.g3)
-    flog = formal_logarithm(formal_exponential(curve, config.order))
+    flog = formal_logarithm(curve, config.order)
     result = param_point(
         curve, flog, config.z, config.nmax, config.order, config.precision
     )

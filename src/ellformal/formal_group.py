@@ -1,16 +1,15 @@
 """Formal group of a curve y^2 = 4x^3 - g2*x - g3: exponential, logarithm,
 universal Bernoulli numbers, and the group law built two independent ways.
 
-The formal exponential is the series expansion of t = -2x/y along the
-curve, obtained as the Laurent quotient -2*wp/wp'.  The formal logarithm
-integrates the invariant differential dx/y in the chord coordinates
-(t, s) = (-2x/y, -2/y); its scaled coefficients are the candidate
-L-series coefficients handled downstream.  Reverting the exponential
-gives the same logarithm and, like composing exp with log, stays only as
-a check.  The group law comes from either composition (exp of sum of
-logs) or from the closed rational expression in (t, s); the two
-constructions must agree coefficient for coefficient, which is the
-strongest self-check this module has.
+Two data flows, neither reading the other: wp -> exp, the Laurent
+quotient -2*wp/wp' (the series of t = -2x/y along the curve), and s -> log,
+the integral of dx/y in the chord coordinates (t, s) = (-2x/y, -2/y); the
+log's scaled coefficients are the candidate L-series coefficients handled
+downstream.  Reverting the exponential gives the same logarithm and, like
+composing exp with log, stays only as a check.  The group law comes from
+either composition (exp of sum of logs) or from the closed rational
+expression in (t, s); the two constructions must agree coefficient for
+coefficient, which is the strongest self-check this module has.
 """
 
 from __future__ import annotations
@@ -112,18 +111,28 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
     return FormalExp(curve, UniSeries(order, (_ZERO,) + quot.coeffs[:order]))
 
 
-def formal_logarithm(fexp: FormalExp) -> FormalLog:
-    """Integrate dx/y = (1 + t w'/(2w)) dt through t^order, with s = t^3 w.
+def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
+    """Integrate dx/y through t^order, from s solved through t^(order + 2)."""
+    # formal_logarithm(fexp) reads (fexp.curve, fexp.series.order); that form
+    # stays only while perfbench/workloads.py calls it (ROADMAP item 1).
+    if isinstance(curve, FormalExp):
+        curve, order = curve.curve, curve.series.order
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    s = s_coordinate(curve, order + 2).series
+    return _log_from_w(curve, UniSeries(order - 1, s.coeffs[3:]))
+
+
+def _log_from_w(curve: Curve, w: UniSeries) -> FormalLog:
+    """dx/y = (1 + t w'/(2w)) dt with s = t^3 w, through t^(w.order + 1).
 
     One series division gives a(n) = [t^(n-1)] (2w + t w') / (2w); the
     log-series coefficient of t^n is a(n) / n.
     """
-    n = fexp.series.order
-    w = UniSeries(n - 1, s_coordinate(fexp.curve, n + 2).series.coeffs[3:])
-    numer = UniSeries(n - 1, [(k + 2) * c for k, c in enumerate(w.coeffs)])
+    numer = UniSeries(w.order, [(k + 2) * c for k, c in enumerate(w.coeffs)])
     an = (numer / (2 * w)).coeffs
-    series = UniSeries(n, (_ZERO, *(a / k for k, a in enumerate(an, 1))))
-    return FormalLog(fexp.curve, series, an)
+    series = UniSeries(w.order + 1, (_ZERO, *(a / k for k, a in enumerate(an, 1))))
+    return FormalLog(curve, series, an)
 
 
 def universal_bernoulli(fexp, order: int):
@@ -306,30 +315,28 @@ class PullbackIdentities:
         return self.x_pullback == self.x_coords and self.y_pullback == self.y_coords
 
 
-def coordinate_pullback(curve: Curve, order: int, flog: FormalLog | None = None) -> PullbackIdentities:
+def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     """Bind the wp expansion, the formal log and the (t, s) chart together.
 
-    Computes wp(log-series) and wp'(log-series) by valuation bookkeeping
-    (log = t * u with u a unit) and compares with t/s and -2/s
-    (s = t^3 * w with w a unit).  Everything is exact truncated-series
-    arithmetic; no numerics are involved.
+    One s = t^3 w, solved through t^(order + 3), gives both the log and the
+    chart side t/s, -2/s.  wp(log-series) and wp'(log-series) come by
+    valuation bookkeeping (log = t * u with u a unit).  All exact.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     m = order
-    if flog is not None and flog.curve != curve:
-        raise ValueError("formal logarithm belongs to a different curve")
-    if flog is None or flog.series.order < m + 1:
-        flog = formal_logarithm(formal_exponential(curve, m + 1))
+    w = UniSeries(m, s_coordinate(curve, m + 3).series.coeffs[3:])
+    log = _log_from_w(curve, w).series
     wp = wp_laurent(curve, max(2, (m + 1) // 2))
     wpp = wp.differentiate()
 
-    log_m = flog.series.truncate(m)
-    unit = UniSeries(m, flog.series.coeffs[1 : m + 2])
+    log_m = log.truncate(m)
+    unit = UniSeries(m, log.coeffs[1 : m + 2])
     unit_inv = UniSeries.one(m) / unit
     ui2 = unit_inv * unit_inv
 
     x_pullback = ui2 * wp.body.truncate(m).compose(log_m)
     y_pullback = ui2 * unit_inv * wpp.body.truncate(m).compose(log_m)
 
-    s = s_coordinate(curve, m + 3).series
-    w_inv = UniSeries.one(m) / UniSeries(m, s.coeffs[3 : m + 4])
+    w_inv = UniSeries.one(m) / w
     return PullbackIdentities(m, x_pullback, w_inv, y_pullback, -2 * w_inv)

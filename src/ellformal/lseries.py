@@ -109,18 +109,6 @@ class HondaReport:
         return sum(1 for e in self.entries if e.skipped)
 
 
-def extract_an(flog, nmax: int) -> list[Fraction]:
-    """a(n) = n * [T^n] for 1 <= n <= nmax.
-
-    Accepts a :class:`FormalLog` or any bare series with enough order
-    (useful for the classical log(1+T) degeneration).
-    """
-    series = flog.series if isinstance(flog, FormalLog) else flog
-    if nmax > series.order:
-        raise ValueError(f"nmax={nmax} exceeds series order {series.order}")
-    return [n * series.coeffs[n] for n in range(1, nmax + 1)]
-
-
 def reduce_curve(curve: Curve, p: int) -> ReducedCurve:
     """Residues A = -g2/4, B = -g3/4 mod p with a good-reduction check.
 
@@ -252,7 +240,7 @@ def classical_demo(nmax: int, s_values, series_order: int = 16) -> ClassicalRepo
         [0] + [Fraction(1, math.factorial(k)) for k in range(1, series_order + 1)],
     )
     log_series = exp_minus_one.reverse()
-    an = tuple(extract_an(log_series, series_order))
+    an = tuple(n * log_series.coeffs[n] for n in range(1, series_order + 1))
     alternating = all(an[n - 1] == (-1) ** (n - 1) for n in range(1, series_order + 1))
 
     sums = []

@@ -54,7 +54,7 @@ def test_criterion_01_degenerate_curve_exactness():
     t0 = time.perf_counter()
     curve = Curve(0, 0)
     fexp = formal_exponential(curve, 30)
-    flog = formal_logarithm(fexp)
+    flog = formal_logarithm(curve, 30)
     identity = UniSeries.identity(30)
     additive = BiSeries.variable(30, 1) + BiSeries.variable(30, 2)
     ok = (
@@ -104,7 +104,7 @@ def test_criterion_04_exp_log_roundtrip():
     bad = []
     for curve in _curves(20):
         fexp = formal_exponential(curve, 40)
-        flog = formal_logarithm(fexp)
+        flog = formal_logarithm(curve, 40)
         if (
             fexp.series.compose(flog.series) != identity
             or flog.series.compose(fexp.series) != identity
@@ -120,7 +120,7 @@ def test_criterion_05_constructor_equivalence_and_axioms():
     mismatches, axiom_failures = [], []
     for curve in _curves(10):
         fexp = formal_exponential(curve, 10)
-        flog = formal_logarithm(fexp)
+        flog = formal_logarithm(curve, 10)
         law = group_law_exp_log(fexp, flog, 10)
         if law.series != group_law_closed_form(curve, 10).series:
             mismatches.append(curve)
@@ -147,7 +147,7 @@ def test_criterion_06_coordinate_pullbacks():
 def test_criterion_07_honda_congruences():
     t0 = time.perf_counter()
     lemniscatic = Curve(4, 0)
-    flog = formal_logarithm(formal_exponential(lemniscatic, 97))
+    flog = formal_logarithm(lemniscatic, 97)
     report = honda_check(lemniscatic, 97, flog)
     by_p = {entry.p: entry for entry in report.entries}
     spot = (
@@ -160,7 +160,7 @@ def test_criterion_07_honda_congruences():
         e for e in report.entries if e.congruent is False
     ]
     for curve in _curves(10, seed=SEED + 7):
-        r = honda_check(curve, 50, formal_logarithm(formal_exponential(curve, 50)))
+        r = honda_check(curve, 50, formal_logarithm(curve, 50))
         failures.extend(e for e in r.entries if e.congruent is False)
     elapsed = time.perf_counter() - t0
     ok = spot and not failures and elapsed < 30.0
@@ -187,7 +187,7 @@ def test_criterion_08_bernoulli_cross_relations():
 def test_criterion_09_parametrization_residual_and_derivative():
     t0 = time.perf_counter()
     curve = Curve(4, 0)
-    flog = formal_logarithm(formal_exponential(curve, 60))
+    flog = formal_logarithm(curve, 60)
     residuals = {
         z: param_point(curve, flog, z, 50, 20).residual for z in (1j, 0.3 + 0.9j)
     }
@@ -221,7 +221,7 @@ def test_criterion_09_companion_residual_is_rounding_floor():
     """
     t0 = time.perf_counter()
     curve = Curve(4, 0)
-    flog = formal_logarithm(formal_exponential(curve, 60))
+    flog = formal_logarithm(curve, 60)
     relative_ok = all(
         param_point(curve, flog, z, 50, 20).relative_residual < 1e-13
         for z in (1j, 0.3 + 0.9j)

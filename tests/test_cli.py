@@ -117,9 +117,9 @@ class TestHonda:
     def test_pmax_above_point_count_cap_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, source
     ):
-        monkeypatch.setattr(
-            "ellformal.cli.formal_exponential", lambda *a: pytest.fail("series built")
-        )
+        for name in ("formal_exponential", "formal_logarithm"):
+            monkeypatch.setattr(f"ellformal.cli.{name}",
+                                lambda *a: pytest.fail("series built"))
         argv = ["honda", "--g2", "4", "--g3", "0"]
         if source == "flag":
             argv += ["--pmax", "1000003"]

@@ -7,12 +7,9 @@ from ellformal import (
     Curve,
     ReducedCurve,
     ReductionSkip,
-    UniSeries,
     UnsupportedPrimeError,
     classical_demo,
     count_points,
-    extract_an,
-    formal_exponential,
     formal_logarithm,
     honda_check,
     primes_upto,
@@ -35,27 +32,6 @@ class TestPrimes:
     def test_sieve(self):
         assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_upto(1) == []
-
-
-class TestExtractAn:
-    def test_leading_normalization(self, rng):
-        fl = formal_logarithm(formal_exponential(random_curve(rng), 6))
-        assert extract_an(fl, 1) == [1]
-
-    def test_lemniscatic_values(self):
-        fl = formal_logarithm(formal_exponential(Curve(4, 0), 10))
-        an = extract_an(fl, 10)
-        assert an[4] == -2 and an[6] == 0
-        assert all(an[n - 1] == 0 for n in range(2, 11, 2))
-
-    def test_classical_log_series(self):
-        log1p = UniSeries(8, [0] + [F((-1) ** (k - 1), k) for k in range(1, 9)])
-        assert extract_an(log1p, 8) == [(-1) ** (n - 1) for n in range(1, 9)]
-
-    def test_order_guard(self):
-        fl = formal_logarithm(formal_exponential(Curve(4, 0), 5))
-        with pytest.raises(ValueError):
-            extract_an(fl, 6)
 
 
 class TestReduceCurve:
@@ -121,7 +97,7 @@ class TestCountPoints:
 class TestHondaCheck:
     def test_lemniscatic_spot_values(self):
         c = Curve(4, 0)
-        fl = formal_logarithm(formal_exponential(c, 23))
+        fl = formal_logarithm(c, 23)
         report = honda_check(c, 20, fl)
         assert [e.p for e in report.entries] == [5, 7, 11, 13, 17, 19]
         assert report.all_congruent
@@ -132,14 +108,14 @@ class TestHondaCheck:
     def test_randomized_curves(self, rng):
         for _ in range(5):
             c = random_curve(rng)
-            fl = formal_logarithm(formal_exponential(c, 30))
+            fl = formal_logarithm(c, 30)
             report = honda_check(c, 30, fl)
             bad = [e for e in report.entries if e.congruent is False]
             assert not bad, (c, bad)
 
     def test_entries_sorted_and_unique(self, rng):
         c = random_curve(rng)
-        fl = formal_logarithm(formal_exponential(c, 30))
+        fl = formal_logarithm(c, 30)
         report = honda_check(c, 30, fl)
         ps = [e.p for e in report.entries]
         assert ps == sorted(set(ps))
@@ -147,7 +123,7 @@ class TestHondaCheck:
 
     def test_all_skipped_for_singular_model(self):
         c = Curve(0, 0)
-        fl = formal_logarithm(formal_exponential(c, 12))
+        fl = formal_logarithm(c, 12)
         report = honda_check(c, 12, fl)
         assert report.n_checked == 0
         assert all(e.skipped_reason == "bad reduction" for e in report.entries)
@@ -155,12 +131,12 @@ class TestHondaCheck:
 
     def test_order_guard(self):
         c = Curve(4, 0)
-        fl = formal_logarithm(formal_exponential(c, 10))
+        fl = formal_logarithm(c, 10)
         with pytest.raises(ValueError):
             honda_check(c, 20, fl)
 
     def test_log_of_other_curve_rejected(self):
-        fl = formal_logarithm(formal_exponential(Curve(4, 0), 20))
+        fl = formal_logarithm(Curve(4, 0), 20)
         with pytest.raises(ValueError, match="different curve"):
             honda_check(Curve(-7, 13), 20, fl)
 

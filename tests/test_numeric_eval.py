@@ -13,7 +13,6 @@ from ellformal import (
     eval_cusp_qseries,
     eval_log_qseries,
     eval_wp,
-    formal_exponential,
     formal_logarithm,
     numeric_eval,
     param_point,
@@ -26,12 +25,12 @@ LEMNISCATIC = Curve(4, 0)
 
 @pytest.fixture(scope="module")
 def flog_lemniscatic():
-    return formal_logarithm(formal_exponential(LEMNISCATIC, 60))
+    return formal_logarithm(LEMNISCATIC, 60)
 
 
 class TestLogQSeries:
     def test_additive_curve_single_term(self):
-        fl = formal_logarithm(formal_exponential(Curve(0, 0), 4))
+        fl = formal_logarithm(Curve(0, 0), 4)
         value, estimate = eval_log_qseries(fl, 1j, 4)
         q = math.exp(-2 * math.pi)
         assert abs(value - q) < 1e-18
@@ -119,7 +118,7 @@ class TestParamPoint:
     def test_randomized_curves_land_on_curve(self, rng):
         for _ in range(5):
             c = random_curve(rng)
-            fl = formal_logarithm(formal_exponential(c, 50))
+            fl = formal_logarithm(c, 50)
             res = param_point(c, fl, 0.1 + 1.1j, 50, 20)
             assert res.relative_residual < 1e-13
 
@@ -138,7 +137,7 @@ class TestParamPoint:
 
     def test_degenerate_curve_pure_pole_structure(self):
         c = Curve(0, 0)
-        fl = formal_logarithm(formal_exponential(c, 4))
+        fl = formal_logarithm(c, 4)
         res = param_point(c, fl, 1j, 4, 5)
         assert abs(res.alpha - 1 / res.w**2) < 1e-20
         assert abs(res.beta + 2 / res.w**3) < 1e-14
@@ -158,7 +157,7 @@ class TestDerivativeCheck:
     def test_degenerate_curve(self):
         # alpha = w^-2 so alpha' = -2 w^-3 w' and the identity still holds
         c = Curve(0, 0)
-        fl = formal_logarithm(formal_exponential(c, 8))
+        fl = formal_logarithm(c, 8)
         report = derivative_check(c, fl, 1j, 1e-4, nmax=8)
         assert report.relative_deviation < 1e-6
 
