@@ -117,6 +117,8 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
     # stays only while perfbench/workloads.py calls it (ROADMAP item 1).
     if isinstance(curve, FormalExp):
         curve, order = curve.curve, curve.series.order
+    elif order is None:
+        raise TypeError("formal_logarithm(curve, order) needs an order")
     if order < 1:
         raise ValueError("order must be >= 1")
     s = s_coordinate(curve, order + 2).series
@@ -227,53 +229,35 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
 
 # -- axiom verification ----------------------------------------------------
 #
-# Associativity needs three variables; we expand both F(t1, F(t2, t3)) and
-# F(F(t1, t2), t3) in a dense trivariate ring truncated by total degree.
-# Trivariate polynomials are dicts {(i, j, k): Fraction} with zero entries
-# pruned.
+# In each side of associativity one argument is a bare variable, so both are
+# scalar combinations of the bivariate powers F^0 .. F^n:
+#   F(t1, F(t2, t3)): the t1^i slice is sum_j f_ij F(t2, t3)^j,
+#   F(F(t1, t2), t3): the t3^j slice is sum_i f_ij F(t1, t2)^i.
+# Both sides are expanded in full, truncated by total degree, and compared.
 
 
-def _tri_mul(a: dict, b: dict, order: int) -> dict:
+def _power_combination(weights, powers: list, room: int) -> dict:
+    """sum_j weights[j] * powers[j] through total degree ``room``, as {(a, b): c}."""
     out: dict = {}
-    for (i1, j1, k1), ca in a.items():
-        room = order - i1 - j1 - k1
-        for (i2, j2, k2), cb in b.items():
-            if i2 + j2 + k2 <= room:
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-    return {k: v for k, v in out.items() if v}
+    for w, p in zip(weights, powers):
+        if w:
+            for a, b, c in p.terms():
+                if a + b <= room:
+                    out[a, b] = out.get((a, b), _ZERO) + w * c
+    return {ab: c for ab, c in out.items() if c}
 
 
-def _tri_add_scaled(acc: dict, coeff: Fraction, p: dict) -> None:
-    for key, v in p.items():
-        prev = acc.get(key)
-        acc[key] = coeff * v if prev is None else prev + coeff * v
-
-
-def _tri_from_bi(f: BiSeries, var1: int, var2: int) -> dict:
-    out = {}
-    for i, j, c in f.terms():
-        key = [0, 0, 0]
-        key[var1] = i
-        key[var2] = j
-        out[tuple(key)] = c
-    return out
-
-
-def _bi_eval_tri(f: BiSeries, a: dict, b: dict, order: int) -> dict:
-    """f(a, b) for trivariate arguments with zero constant term."""
-    powers_b = [{(0, 0, 0): _ONE}]
-    for _ in range(order):
-        powers_b.append(_tri_mul(powers_b[-1], b, order))
-    result: dict = {}
-    for i in range(order, -1, -1):
-        result = _tri_mul(result, a, order) if result else {}
-        for j, c in enumerate(f.rows[i]):
-            if c:
-                _tri_add_scaled(result, c, powers_b[j])
-        result = {k: v for k, v in result.items() if v}
-    return result
+def _associativity_sides(series: BiSeries) -> tuple:
+    """F(t1, F(t2, t3)) and F(F(t1, t2), t3) as {(e1, e2, e3): nonzero coefficient}."""
+    n = series.order
+    powers = [BiSeries.constant(n, 1), series]
+    while len(powers) <= n:
+        powers.append(powers[-1] * series)
+    lhs, rhs = {}, {}
+    for x, (row, col) in enumerate(zip(series.rows, series.swap().rows)):
+        lhs.update(((x, a, b), c) for (a, b), c in _power_combination(row, powers, n - x).items())
+        rhs.update(((a, b, x), c) for (a, b), c in _power_combination(col, powers, n - x).items())
+    return lhs, rhs
 
 
 def verify_axioms(law) -> AxiomReport:
@@ -287,11 +271,7 @@ def verify_axioms(law) -> AxiomReport:
     expected = UniSeries(n, (_ZERO, _ONE) if n >= 1 else (_ZERO,))
     neutral = series.at_t2_zero() == expected
     commutative = series == series.swap()
-
-    t1 = {(1, 0, 0): _ONE}
-    t3 = {(0, 0, 1): _ONE}
-    lhs = _bi_eval_tri(series, t1, _tri_from_bi(series, 1, 2), n)
-    rhs = _bi_eval_tri(series, _tri_from_bi(series, 0, 1), t3, n)
+    lhs, rhs = _associativity_sides(series)
     return AxiomReport(n, neutral, commutative, lhs == rhs)
 
 

@@ -18,6 +18,7 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -231,17 +232,31 @@ class UniSeries:
         )
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
-        """Substitute ``inner`` (constant term zero) into self, Horner style."""
+        """Substitute ``inner`` (constant term zero) into self.
+
+        Baby-step/giant-step (Brent and Kung, J. ACM 25, 1978): each block of
+        k = isqrt(n) + 1 outer coefficients is a scalar combination of the
+        powers inner^0 .. inner^(k-1), and Horner runs over the blocks in
+        inner^k: about 2*sqrt(n) series products instead of n.
+        """
         self._check_order(inner)
         if inner.coeffs[0] != 0:
             raise CompositionDomainError("inner series must have zero constant term")
         n = self.order
-        result = UniSeries(n, (self.coeffs[n],))
-        for k in range(n - 1, -1, -1):
-            result = result * inner
-            ck = self.coeffs[k]
-            if ck:
-                result = result + UniSeries(n, (ck,))
+        k = math.isqrt(n) + 1
+        powers = [UniSeries.one(n), inner]
+        while len(powers) <= k:
+            powers.append(powers[-1] * inner)
+        result = None
+        for start in range(k * (n // k), -1, -k):
+            block = [_ZERO] * (n + 1)
+            for c, p in zip(self.coeffs[start : start + k], powers):
+                if c:
+                    for i, a in enumerate(p.coeffs):
+                        if a:
+                            block[i] += c * a
+            block = UniSeries(n, block)
+            result = block if result is None else result * powers[k] + block
         return result
 
     def reverse(self) -> "UniSeries":

@@ -19,7 +19,7 @@ from ellformal import (
     universal_bernoulli,
     verify_axioms,
 )
-from conftest import random_curve
+from conftest import random_curve, random_rational
 
 NAMED_CURVES = (Curve(4, 0), Curve(-7, 13), Curve(F(-3, 7), F(5, 11)))
 
@@ -98,6 +98,10 @@ class TestFormalLogarithm:
         fl = formal_logarithm(Curve(4, 0), 5)
         with pytest.raises(IndexError):
             fl.a(6)
+
+    def test_curve_without_order_refused(self):
+        with pytest.raises(TypeError, match=r"formal_logarithm\(curve, order\) needs an order"):
+            formal_logarithm(Curve(4, 0))
 
     @pytest.mark.parametrize("curve", NAMED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
     def test_exponential_form_reads_curve_and_order(self, curve):
@@ -273,12 +277,83 @@ class TestAxioms:
         assert not report.associative
         assert not report.passed
 
+    def test_neutral_commutative_corruption_fails_associativity_only(self):
+        c = Curve(4, 0)
+        law = group_law_exp_log(formal_exponential(c, 9), formal_logarithm(c, 9), 9)
+        rows = [list(row) for row in law.series.rows]
+        rows[3][2] += 1
+        rows[2][3] += 1
+        report = verify_axioms(GroupLaw(c, BiSeries(9, rows), "exp-log"))
+        assert report.neutral and report.commutative
+        assert not report.associative
+
+    @pytest.mark.parametrize("curve", NAMED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
+    def test_sides_match_trivariate_reference(self, curve):
+        lhs, rhs = _sides_checked_against_reference(group_law_closed_form(curve, 10).series)
+        assert lhs == rhs
+
+    def test_sides_match_trivariate_reference_on_dense_series(self, rng):
+        # the curve laws are odd, so their even-degree terms (the top degree
+        # at degree 10 among them) vanish; a dense series fills every degree
+        n = 8
+        law = BiSeries(n, [[random_rational(rng) if i + j else 0 for j in range(n - i + 1)]
+                           for i in range(n + 1)])
+        lhs, rhs = _sides_checked_against_reference(law)
+        assert lhs != rhs
+
+    def test_product_count_at_degree_18(self, monkeypatch):
+        law = group_law_closed_form(Curve(-7, 13), 18)
+        mul, calls = BiSeries.__mul__, []
+
+        def counting(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(BiSeries, "__mul__", counting)
+        assert verify_axioms(law).passed
+        assert len(calls) <= 18  # the powers F^2 .. F^18
+
     def test_asymmetric_series_fails_commutativity(self):
         rows = [[0, 1], [1]]
         rows[0][1] = 1
         b = BiSeries(2, ((0, 1, 1), (1, 0), (0,)))
         report = verify_axioms(b)
         assert not report.commutative
+
+
+def _tri_mul(a: dict, b: dict, n: int) -> dict:
+    out = {}
+    for (i1, j1, k1), ca in a.items():
+        for (i2, j2, k2), cb in b.items():
+            if i1 + j1 + k1 + i2 + j2 + k2 <= n:
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _tri_evaluate(law: BiSeries, x: dict, y: dict) -> dict:
+    """Reference: law(x, y) for trivariate dicts, every monomial multiplied out."""
+    n = law.order
+    xs, ys = [{(0, 0, 0): F(1)}], [{(0, 0, 0): F(1)}]
+    for _ in range(n):
+        xs.append(_tri_mul(xs[-1], x, n))
+        ys.append(_tri_mul(ys[-1], y, n))
+    out = {}
+    for i, j, c in law.terms():
+        for key, v in _tri_mul(xs[i], ys[j], n).items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _sides_checked_against_reference(law: BiSeries) -> tuple:
+    """Both associativity sides, each asserted equal to the trivariate reference."""
+    t1, t3 = {(1, 0, 0): F(1)}, {(0, 0, 1): F(1)}
+    f12 = {(i, j, 0): c for i, j, c in law.terms()}
+    f23 = {(0, i, j): c for i, j, c in law.terms()}
+    lhs, rhs = formal_group._associativity_sides(law)
+    assert lhs == _tri_evaluate(law, t1, f23)
+    assert rhs == _tri_evaluate(law, f12, t3)
+    return lhs, rhs
 
 
 class TestFormalInverse:

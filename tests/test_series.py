@@ -98,6 +98,53 @@ class TestCompose:
         with pytest.raises(CompositionDomainError):
             UniSeries.identity(3).compose(UniSeries.one(3))
 
+    def test_order_mismatch_rejected(self):
+        with pytest.raises(OrderMismatchError):
+            UniSeries.identity(3).compose(UniSeries.identity(4))
+        with pytest.raises(CompositionDomainError):  # domain checked at equal orders
+            UniSeries(0, (5,)).compose(UniSeries(0, (1,)))
+
+    @pytest.mark.parametrize("n", [*range(21), 35, 36, 37])
+    @pytest.mark.parametrize("valuation", (1, 2))
+    def test_matches_horner(self, rng, n, valuation):
+        # k = isqrt(n) + 1 changes at n = 36, so 35..37 straddle a block size
+        outer = UniSeries(n, [random_rational(rng) for _ in range(n + 1)])
+        inner = UniSeries(n, [
+            0 if k < valuation else (random_rational(rng) or 1) for k in range(n + 1)
+        ])
+        assert outer.compose(inner) == _horner_compose(outer, inner)
+
+    @pytest.mark.parametrize("n", (0, 1, 7, 36, 37))
+    def test_zero_and_sparse_outer_match_horner(self, rng, n):
+        inner = UniSeries(n, [0] + [random_rational(rng) for _ in range(n)])
+        zero = UniSeries.zero(n)
+        assert zero.compose(inner) == zero == _horner_compose(zero, inner)
+        sparse = UniSeries(n, [random_rational(rng) if k % 5 == 3 else 0 for k in range(n + 1)])
+        assert sparse.compose(inner) == _horner_compose(sparse, inner)
+
+    def test_product_count_at_order_60(self, rng, monkeypatch):
+        outer = UniSeries(60, [random_rational(rng) for _ in range(61)])
+        inner = random_unit_series(rng, 60)
+        mul, calls = UniSeries.__mul__, []
+
+        def counting(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(UniSeries, "__mul__", counting)
+        outer.compose(inner)
+        # baby-step/giant-step: 7 powers and 7 giant steps; Horner made 60
+        assert len(calls) <= 16
+
+
+def _horner_compose(outer: UniSeries, inner: UniSeries) -> UniSeries:
+    """Reference composition: n full products, Horner style."""
+    n = outer.order
+    result = UniSeries(n, (outer.coeffs[n],))
+    for k in range(n - 1, -1, -1):
+        result = result * inner + UniSeries(n, (outer.coeffs[k],))
+    return result
+
 
 class TestReverse:
     def test_identity(self):
