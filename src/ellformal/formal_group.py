@@ -21,6 +21,7 @@ from fractions import Fraction
 from .series import (
     BiSeries,
     UniSeries,
+    _combination,
     bi_substitute,
     divided_difference,
 )
@@ -203,28 +204,24 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
 
     With m the divided difference of s(t) and b = s(t2) - t2*m (an exact
     rearrangement of the chord intercept that avoids dividing by
-    t1 - t2), the law is
+    t1 - t2), the law is t1 + t2 - b*G(m) with
 
-        t1 + t2 - b*m * (2 g2 + 3 g3 m) / (4 - g2 m^2 - g3 m^3).
+        G(x) = x (2 g2 + 3 g3 x) / (4 - g2 x^2 - g3 x^3),
 
-    The denominator has constant term 4, so it inverts in the truncated
-    ring unconditionally.
+    one univariate division (the denominator has constant term 4).  Since
+    m = t1^2 + t1 t2 + t2^2 + ..., m^k starts at total degree 2k, so G is
+    needed only through x^(order // 2).
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     s = s_coordinate(curve, order + 1).series
     m = divided_difference(s)
-    b = BiSeries.from_uni(s, order, 2) - BiSeries.variable(order, 2) * m
-    m2 = m * m
-    numer = BiSeries.constant(order, 2 * curve.g2) + 3 * curve.g3 * m
-    denom = (
-        BiSeries.constant(order, 4) - curve.g2 * m2 - curve.g3 * (m2 * m)
-    )
-    correction = b * m * numer * denom.reciprocal()
-    series = (
-        BiSeries.variable(order, 1) + BiSeries.variable(order, 2) - correction
-    )
-    return GroupLaw(curve, series, "buchstaber-bunkova")
+    t1, t2 = BiSeries.variable(order, 1), BiSeries.variable(order, 2)
+    b = BiSeries.from_uni(s, order, 2) - t2 * m
+    h = order // 2
+    g = UniSeries(h, (0, 2 * curve.g2, 3 * curve.g3)[: h + 1])
+    g /= UniSeries(h, (4, 0, -curve.g2, -curve.g3)[: h + 1])
+    return GroupLaw(curve, t1 + t2 - b * bi_substitute(g, m), "buchstaber-bunkova")
 
 
 # -- axiom verification ----------------------------------------------------
@@ -236,17 +233,6 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
 # Both sides are expanded in full, truncated by total degree, and compared.
 
 
-def _power_combination(weights, powers: list, room: int) -> dict:
-    """sum_j weights[j] * powers[j] through total degree ``room``, as {(a, b): c}."""
-    out: dict = {}
-    for w, p in zip(weights, powers):
-        if w:
-            for a, b, c in p.terms():
-                if a + b <= room:
-                    out[a, b] = out.get((a, b), _ZERO) + w * c
-    return {ab: c for ab, c in out.items() if c}
-
-
 def _associativity_sides(series: BiSeries) -> tuple:
     """F(t1, F(t2, t3)) and F(F(t1, t2), t3) as {(e1, e2, e3): nonzero coefficient}."""
     n = series.order
@@ -255,8 +241,8 @@ def _associativity_sides(series: BiSeries) -> tuple:
         powers.append(powers[-1] * series)
     lhs, rhs = {}, {}
     for x, (row, col) in enumerate(zip(series.rows, series.swap().rows)):
-        lhs.update(((x, a, b), c) for (a, b), c in _power_combination(row, powers, n - x).items())
-        rhs.update(((a, b, x), c) for (a, b), c in _power_combination(col, powers, n - x).items())
+        lhs.update(((x, a, b), c) for a, b, c in _combination(row, powers, n - x).terms())
+        rhs.update(((a, b, x), c) for a, b, c in _combination(col, powers, n - x).terms())
     return lhs, rhs
 
 

@@ -12,6 +12,9 @@ Three containers live in this module:
   canonically normalized so the body has a nonzero constant term.
 * :class:`BiSeries`    -- dense bivariate series truncated by total degree.
 
+``UniSeries.compose`` and :func:`bi_substitute` share one baby-step/giant-step
+substitution routine, ``_substitute``.
+
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 """
@@ -232,32 +235,11 @@ class UniSeries:
         )
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
-        """Substitute ``inner`` (constant term zero) into self.
-
-        Baby-step/giant-step (Brent and Kung, J. ACM 25, 1978): each block of
-        k = isqrt(n) + 1 outer coefficients is a scalar combination of the
-        powers inner^0 .. inner^(k-1), and Horner runs over the blocks in
-        inner^k: about 2*sqrt(n) series products instead of n.
-        """
+        """Substitute ``inner`` (constant term zero) into self, by ``_substitute``."""
         self._check_order(inner)
         if inner.coeffs[0] != 0:
             raise CompositionDomainError("inner series must have zero constant term")
-        n = self.order
-        k = math.isqrt(n) + 1
-        powers = [UniSeries.one(n), inner]
-        while len(powers) <= k:
-            powers.append(powers[-1] * inner)
-        result = None
-        for start in range(k * (n // k), -1, -k):
-            block = [_ZERO] * (n + 1)
-            for c, p in zip(self.coeffs[start : start + k], powers):
-                if c:
-                    for i, a in enumerate(p.coeffs):
-                        if a:
-                            block[i] += c * a
-            block = UniSeries(n, block)
-            result = block if result is None else result * powers[k] + block
-        return result
+        return _substitute(self.coeffs, inner, UniSeries.one(self.order))
 
     def reverse(self) -> "UniSeries":
         """Compositional inverse by Lagrange inversion.
@@ -400,12 +382,13 @@ class BiSeries:
 
     @classmethod
     def from_uni(cls, f: UniSeries, order: int, which: int) -> "BiSeries":
-        """Embed f(t1) or f(t2), truncating at total degree ``order``."""
-        top = min(f.order, order)
+        """Embed f(t1) or f(t2), truncating at total degree ``order <= f.order``."""
+        if f.order < order:
+            raise OrderMismatchError(f"order-{f.order} series cannot fill total degree {order}")
         if which == 1:
-            return cls(order, tuple((f.coeffs[i],) for i in range(top + 1)))
+            return cls(order, tuple((c,) for c in f.coeffs[: order + 1]))
         if which == 2:
-            return cls(order, (tuple(f.coeffs[: top + 1]),))
+            return cls(order, (f.coeffs[: order + 1],))
         raise ValueError("which must be 1 or 2")
 
     # -- access -------------------------------------------------------
@@ -536,15 +519,49 @@ def divided_difference(f: UniSeries) -> BiSeries:
 
 
 def bi_substitute(outer: UniSeries, inner: BiSeries) -> BiSeries:
-    """Evaluate ``outer`` at a bivariate argument with zero constant term."""
+    """outer(inner) by ``_substitute``; ``inner`` has zero constant term.
+
+    With v the lowest total degree in ``inner``, the result is exact only if
+    (outer.order + 1) * v > inner.order; otherwise :class:`OrderMismatchError`.
+    """
     if inner.rows[0][0] != 0:
         raise CompositionDomainError("inner series must have zero constant term")
     n = inner.order
-    top = min(outer.order, n)
-    result = BiSeries.constant(n, outer.coeffs[top])
-    for k in range(top - 1, -1, -1):
-        result = result * inner
-        ck = outer.coeffs[k]
-        if ck:
-            result = result + BiSeries.constant(n, ck)
+    v = min((i + j for i, j, _ in inner.terms()), default=n + 1)
+    if (outer.order + 1) * v <= n:
+        raise OrderMismatchError(f"outer order {outer.order} too low for total degree {n}")
+    return _substitute(outer.coeffs[: n // v + 1], inner, BiSeries.constant(n, 1))
+
+
+def _substitute(coeffs, inner, one):
+    """sum_j coeffs[j] * inner^j for a UniSeries or BiSeries ``inner``; one = inner^0.
+
+    Baby-step/giant-step (Brent and Kung, J. ACM 25, 1978): with k = isqrt(n) + 1,
+    each block of k coefficients is a ``_combination`` of inner^0 .. inner^(k-1),
+    and Horner runs over the blocks in inner^k: about 2*sqrt(n) products, not n.
+    """
+    n = len(coeffs) - 1
+    k = math.isqrt(n) + 1
+    powers = [one, inner]
+    while len(powers) <= min(k, n):
+        powers.append(powers[-1] * inner)
+    result = None
+    for start in range(k * (n // k), -1, -k):
+        block = _combination(coeffs[start : start + k], powers)
+        result = block if result is None else result * powers[k] + block
     return result
+
+
+def _combination(weights, series, top=None):
+    """sum_j weights[j] * series[j] (all UniSeries or all BiSeries of one order)
+    through total degree ``top``, by default that order; no product is formed."""
+    uni = isinstance(series[0], UniSeries)
+    n = series[0].order if top is None else top
+    out = [[_ZERO] * (n - i + 1) for i in range(1 if uni else n + 1)]
+    for w, p in zip(weights, series):
+        if w:
+            for acc, row in zip(out, (p.coeffs,) if uni else p.rows):
+                for j, a in enumerate(row[: len(acc)]):
+                    if a:
+                        acc[j] += w * a
+    return UniSeries(n, out[0]) if uni else BiSeries(n, out)

@@ -11,6 +11,7 @@ from ellformal import (
     GroupLaw,
     UniSeries,
     coordinate_pullback,
+    divided_difference,
     formal_exponential,
     formal_logarithm,
     group_law_closed_form,
@@ -244,12 +245,45 @@ class TestGroupLaws:
                 == group_law_closed_form(c, 9).series
             )
 
+    @pytest.mark.parametrize("order", (2, 3, 4, 5, 6, 9, 18))
+    @pytest.mark.parametrize("curve", (*NAMED_CURVES, Curve(0, 0), Curve(1, 1)),
+                             ids=lambda c: f"{c.g2},{c.g3}")
+    def test_closed_form_matches_reciprocal_formula(self, curve, order):
+        # at orders 2..5, G(x) is cut below x^3 (order // 2 < 3)
+        assert group_law_closed_form(curve, order).series == _closed_form_by_reciprocal(curve, order)
+
+    def test_closed_form_products_at_degree_18(self, monkeypatch):
+        mul, calls, reciprocals = BiSeries.__mul__, [], []
+
+        def counting(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(BiSeries, "__mul__", counting)
+        monkeypatch.setattr(BiSeries, "reciprocal", lambda d: reciprocals.append(d))
+        group_law_closed_form(Curve(-7, 13), 18)
+        # t2*m, 3 powers and 2 giant steps of m, b*G(m); the reciprocal route made 16
+        assert not reciprocals
+        assert len(calls) <= 8
+
     def test_provenances(self):
         c = Curve(1, 1)
         fe = formal_exponential(c, 5)
         fl = formal_logarithm(c, 5)
         assert group_law_exp_log(fe, fl, 5).provenance == "exp-log"
         assert group_law_closed_form(c, 5).provenance == "buchstaber-bunkova"
+
+
+def _closed_form_by_reciprocal(curve: Curve, order: int) -> BiSeries:
+    """Reference: t1 + t2 - b*m*(2 g2 + 3 g3 m) * (4 - g2 m^2 - g3 m^3)^(-1)."""
+    s = s_coordinate(curve, order + 1).series
+    m = divided_difference(s)
+    b = BiSeries.from_uni(s, order, 2) - BiSeries.variable(order, 2) * m
+    m2 = m * m
+    numer = BiSeries.constant(order, 2 * curve.g2) + 3 * curve.g3 * m
+    denom = BiSeries.constant(order, 4) - curve.g2 * m2 - curve.g3 * (m2 * m)
+    correction = b * m * numer * denom.reciprocal()
+    return BiSeries.variable(order, 1) + BiSeries.variable(order, 2) - correction
 
 
 class TestAxioms:

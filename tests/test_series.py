@@ -304,3 +304,88 @@ class TestBiSubstitute:
     def test_rejects_nonzero_constant(self):
         with pytest.raises(CompositionDomainError):
             bi_substitute(UniSeries.identity(2), BiSeries.constant(2, 1))
+
+    @pytest.mark.parametrize("n", [*range(13), 15, 16, 17])
+    @pytest.mark.parametrize("valuation", (1, 2))
+    def test_matches_horner(self, rng, n, valuation):
+        # k = isqrt(n) + 1 changes at n = 16; the outer series is cut to order
+        # n + 3, n and n // valuation (below n when valuation is 2, still exact)
+        inner = _random_bi(rng, n, valuation)
+        outer = UniSeries(n + 3, [random_rational(rng) for _ in range(n + 4)])
+        expected = _horner_bi_substitute(outer, inner)
+        for order in (n + 3, n, n // valuation):
+            assert bi_substitute(outer.truncate(order), inner) == expected
+
+    @pytest.mark.parametrize("n", (0, 1, 7, 16, 17))
+    def test_zero_and_sparse_outer_match_horner(self, rng, n):
+        inner = _random_bi(rng, n, 1)
+        zero = UniSeries.zero(n)
+        assert bi_substitute(zero, inner) == BiSeries.zero(n) == _horner_bi_substitute(zero, inner)
+        sparse = UniSeries(n, [random_rational(rng) if k % 5 == 3 else 0 for k in range(n + 1)])
+        assert bi_substitute(sparse, inner) == _horner_bi_substitute(sparse, inner)
+
+    def test_product_count_at_degree_18(self, rng, monkeypatch):
+        outer = UniSeries(18, [random_rational(rng) for _ in range(19)])
+        inner = _random_bi(rng, 18, 1)
+        mul, calls = BiSeries.__mul__, []
+
+        def counting(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(BiSeries, "__mul__", counting)
+        bi_substitute(outer, inner)
+        # baby-step/giant-step: 4 powers and 3 giant steps; Horner made 18
+        assert len(calls) <= 8
+
+    def test_outer_order_too_low_refused(self):
+        # T^2, T^3 of outer are unknown and would land at total degree 2 and 3
+        lin = BiSeries.variable(3, 1) + BiSeries.variable(3, 2)
+        with pytest.raises(OrderMismatchError):
+            bi_substitute(UniSeries(1, (0, 1)), lin)
+        # valuation 2: outer order 1 leaves degree 4 unknown, order 2 does not
+        lin4 = BiSeries.variable(4, 1) + BiSeries.variable(4, 2)
+        sq4 = lin4 * lin4
+        with pytest.raises(OrderMismatchError):
+            bi_substitute(UniSeries(1, (0, 1)), sq4)
+        assert bi_substitute(UniSeries(2, (0, 1)), sq4) == sq4
+
+
+class TestFromUni:
+    def test_embeds_either_variable(self):
+        f = UniSeries(3, (1, 2, 3, 4))
+        assert BiSeries.from_uni(f, 2, 1) == BiSeries(2, ((1,), (2,), (3,)))
+        assert BiSeries.from_uni(f, 2, 2) == BiSeries(2, ((1, 2, 3),))
+
+    def test_short_series_refused(self):
+        f = UniSeries(2, (1, 2, 3))
+        for which in (1, 2):
+            with pytest.raises(OrderMismatchError):
+                BiSeries.from_uni(f, 3, which)
+
+
+def _random_bi(rng, n: int, valuation: int) -> BiSeries:
+    """A random polynomial with terms from total degree ``valuation`` to ``valuation + 3``.
+
+    Its powers still fill every degree of the window; small entries and few
+    terms keep the degree-17 Horner reference cheap.
+    """
+    rows = [[random_rational(rng, 2) if 0 <= i + j - valuation <= 3 else 0
+             for j in range(n - i + 1)]
+            for i in range(n + 1)]
+    if valuation <= n:
+        rows[valuation][0] = rows[valuation][0] or F(1)
+    return BiSeries(n, rows)
+
+
+def _horner_bi_substitute(outer: UniSeries, inner: BiSeries) -> BiSeries:
+    """Reference substitution: one full product per outer coefficient, Horner style."""
+    n = inner.order
+    top = min(outer.order, n)
+    result = BiSeries.constant(n, outer.coeffs[top])
+    for k in range(top - 1, -1, -1):
+        result = result * inner
+        ck = outer.coeffs[k]
+        if ck:
+            result = result + BiSeries.constant(n, ck)
+    return result
