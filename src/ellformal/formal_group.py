@@ -217,7 +217,8 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     s = s_coordinate(curve, order + 1).series
     m = divided_difference(s)
     t1, t2 = BiSeries.variable(order, 1), BiSeries.variable(order, 2)
-    b = BiSeries.from_uni(s, order, 2) - t2 * m
+    t2m = BiSeries(order, ((_ZERO,) + row[:-1] for row in m.rows))  # m shifted one place in t2
+    b = BiSeries.from_uni(s, order, 2) - t2m
     h = order // 2
     g = UniSeries(h, (0, 2 * curve.g2, 3 * curve.g3)[: h + 1])
     g /= UniSeries(h, (4, 0, -curve.g2, -curve.g3)[: h + 1])

@@ -12,8 +12,14 @@ Three containers live in this module:
   canonically normalized so the body has a nonzero constant term.
 * :class:`BiSeries`    -- dense bivariate series truncated by total degree.
 
+``UniSeries`` and ``BiSeries`` share the private ring core ``_Series``: an
+immutable tuple of Fraction rows truncated at ``order`` (one row, or the
+triangle i + j <= N), whose ``+``, ``-``, negation, scalar scaling, ``==``,
+``is_zero``, ``zero``, order check and immutability guard are written once,
+row by row, over the hooks ``_rows()`` and ``_from_rows(order, rows)``.
+Products, division, composition and reversion stay on each class;
 ``UniSeries.compose`` and :func:`bi_substitute` share one baby-step/giant-step
-substitution routine, ``_substitute``.
+routine, ``_substitute``.
 
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -22,6 +28,7 @@ threads; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -52,6 +59,14 @@ def _coerce(value) -> Fraction:
     return Fraction(value)
 
 
+def _row(values, length: int) -> tuple:
+    """``values`` as Fractions, zero-padded to ``length`` entries."""
+    row = tuple(_coerce(c) for c in values)
+    if len(row) > length:
+        raise ValueError(f"got {len(row)} coefficients where at most {length} fit")
+    return row + (_ZERO,) * (length - len(row))
+
+
 def _poly_str(coeffs, var: str, shift: int = 0) -> str:
     parts = []
     for k, c in enumerate(coeffs):
@@ -73,14 +88,64 @@ def _poly_str(coeffs, var: str, shift: int = 0) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class UniSeries:
+class _Series:
+    """Ring core: Fraction rows truncated at ``order``, combined row by row.
+
+    A subclass gives ``_rows()``, its rows as a tuple of tuples, and the
+    classmethod ``_from_rows(order, rows)``, its inverse.  Binary operations
+    take two series of one type and one order (:class:`OrderMismatchError`
+    otherwise), so that truncation windows never silently disagree.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, order: int):
+        return cls(order)
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self._rows()))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.order == other.order and self._rows() == other._rows()
+
+    def _check_order(self, other) -> None:
+        if self.order != other.order:
+            raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
+
+    def _map(self, op):
+        return self._from_rows(self.order, tuple(tuple(map(op, row)) for row in self._rows()))
+
+    def _zip(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_order(other)
+        rows = zip(self._rows(), other._rows())
+        return self._from_rows(self.order, tuple(tuple(map(op, ra, rb)) for ra, rb in rows))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def _scale(self, c):
+        return self._map(lambda a: a * c)
+
+
+class UniSeries(_Series):
     """Univariate power series truncated at a fixed order.
 
     ``coeffs[k]`` is the coefficient of T^k for 0 <= k <= order; the
-    tuple always has length ``order + 1``.  Binary operations require
-    both operands to carry the same order (raising
-    :class:`OrderMismatchError` otherwise) so that truncation windows
-    never silently disagree.
+    tuple always has length ``order + 1``.
     """
 
     __slots__ = ("order", "coeffs")
@@ -88,25 +153,17 @@ class UniSeries:
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = tuple(_coerce(c) for c in coeffs)
-        if len(cs) > order + 1:
-            raise ValueError(
-                f"got {len(cs)} coefficients for order {order} "
-                f"(expected at most {order + 1})"
-            )
-        if len(cs) < order + 1:
-            cs = cs + (_ZERO,) * (order + 1 - len(cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", _row(coeffs, order + 1))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UniSeries is immutable")
-
-    # -- constructors ------------------------------------------------
+    def _rows(self) -> tuple:
+        return (self.coeffs,)
 
     @classmethod
-    def zero(cls, order: int) -> "UniSeries":
-        return cls(order)
+    def _from_rows(cls, order: int, rows) -> "UniSeries":
+        return cls(order, rows[0])
+
+    # -- constructors ------------------------------------------------
 
     @classmethod
     def one(cls, order: int) -> "UniSeries":
@@ -132,9 +189,6 @@ class UniSeries:
             raise IndexError(f"coefficient T^{k} outside order-{self.order} window")
         return self.coeffs[k]
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def truncate(self, order: int) -> "UniSeries":
         """Drop coefficients above ``order`` (which must not exceed self.order)."""
         if order > self.order:
@@ -149,36 +203,10 @@ class UniSeries:
             return self
         return UniSeries(self.order, (_ZERO,) * k + self.coeffs[: self.order + 1 - k])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}: {_poly_str(self.coeffs, 'T')})"
 
     # -- ring operations ----------------------------------------------
-
-    def _check_order(self, other: "UniSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        self._check_order(other)
-        return UniSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        self._check_order(other)
-        return UniSeries(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return UniSeries(self.order, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, UniSeries):
@@ -194,18 +222,16 @@ class UniSeries:
                         out[i + j] += a * b
             return UniSeries(n, out)
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return UniSeries(self.order, tuple(a * c for a in self.coeffs))
+            return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if c == 0:
+            if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return UniSeries(self.order, tuple(a / c for a in self.coeffs))
+            return self._scale(Fraction(1, other))
         if not isinstance(other, UniSeries):
             return NotImplemented
         self._check_order(other)
@@ -239,7 +265,7 @@ class UniSeries:
         self._check_order(inner)
         if inner.coeffs[0] != 0:
             raise CompositionDomainError("inner series must have zero constant term")
-        return _substitute(self.coeffs, inner, UniSeries.one(self.order))
+        return _substitute(self.coeffs, inner)
 
     def reverse(self) -> "UniSeries":
         """Compositional inverse by Lagrange inversion.
@@ -328,7 +354,7 @@ class LaurentSeries:
         )
 
 
-class BiSeries:
+class BiSeries(_Series):
     """Bivariate series truncated by total degree.
 
     ``rows[i][j]`` is the coefficient of ``t1^i t2^j`` for ``i + j <= order``;
@@ -341,29 +367,21 @@ class BiSeries:
     def __init__(self, order: int, rows: Iterable[Iterable] = ()):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        built = []
-        rows = list(rows)
+        rows = tuple(rows)
         if len(rows) > order + 1:
             raise ValueError("more rows than the total degree admits")
-        for i in range(order + 1):
-            want = order - i + 1
-            row = tuple(_coerce(c) for c in rows[i]) if i < len(rows) else ()
-            if len(row) > want:
-                raise ValueError(f"row {i} longer than total degree {order} admits")
-            if len(row) < want:
-                row = row + (_ZERO,) * (want - len(row))
-            built.append(row)
+        rows += ((),) * (order + 1 - len(rows))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", tuple(built))
+        object.__setattr__(self, "rows", tuple(_row(r, order - i + 1) for i, r in enumerate(rows)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    # -- constructors ------------------------------------------------
+    def _rows(self) -> tuple:
+        return self.rows
 
     @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls(order)
+    def _from_rows(cls, order: int, rows) -> "BiSeries":
+        return cls(order, rows)
+
+    # -- constructors ------------------------------------------------
 
     @classmethod
     def constant(cls, order: int, value) -> "BiSeries":
@@ -408,51 +426,15 @@ class BiSeries:
                 if c:
                     yield i, j, c
 
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.order == other.order and self.rows == other.rows
-
     def __repr__(self) -> str:
         nz = sum(1 for _ in self.terms())
         return f"BiSeries(order={self.order}, {nz} nonzero terms)"
 
     # -- ring operations ----------------------------------------------
 
-    def _check_order(self, other: "BiSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        self._check_order(other)
-        return BiSeries(
-            self.order,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        self._check_order(other)
-        return BiSeries(
-            self.order,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
-
-    def __neg__(self):
-        return BiSeries(self.order, tuple(tuple(-c for c in row) for row in self.rows))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return BiSeries(self.order, tuple(tuple(a * c for a in row) for row in self.rows))
+            return self._scale(other)
         if not isinstance(other, BiSeries):
             return NotImplemented
         self._check_order(other)
@@ -530,11 +512,11 @@ def bi_substitute(outer: UniSeries, inner: BiSeries) -> BiSeries:
     v = min((i + j for i, j, _ in inner.terms()), default=n + 1)
     if (outer.order + 1) * v <= n:
         raise OrderMismatchError(f"outer order {outer.order} too low for total degree {n}")
-    return _substitute(outer.coeffs[: n // v + 1], inner, BiSeries.constant(n, 1))
+    return _substitute(outer.coeffs[: n // v + 1], inner)
 
 
-def _substitute(coeffs, inner, one):
-    """sum_j coeffs[j] * inner^j for a UniSeries or BiSeries ``inner``; one = inner^0.
+def _substitute(coeffs, inner):
+    """sum_j coeffs[j] * inner^j for a UniSeries or BiSeries ``inner``.
 
     Baby-step/giant-step (Brent and Kung, J. ACM 25, 1978): with k = isqrt(n) + 1,
     each block of k coefficients is a ``_combination`` of inner^0 .. inner^(k-1),
@@ -542,7 +524,7 @@ def _substitute(coeffs, inner, one):
     """
     n = len(coeffs) - 1
     k = math.isqrt(n) + 1
-    powers = [one, inner]
+    powers = [inner._from_rows(inner.order, ((_ONE,),)), inner]
     while len(powers) <= min(k, n):
         powers.append(powers[-1] * inner)
     result = None
@@ -553,15 +535,14 @@ def _substitute(coeffs, inner, one):
 
 
 def _combination(weights, series, top=None):
-    """sum_j weights[j] * series[j] (all UniSeries or all BiSeries of one order)
-    through total degree ``top``, by default that order; no product is formed."""
-    uni = isinstance(series[0], UniSeries)
+    """sum_j weights[j] * series[j] (series of one type and one order) through
+    total degree ``top``, by default that order; no product is formed."""
     n = series[0].order if top is None else top
-    out = [[_ZERO] * (n - i + 1) for i in range(1 if uni else n + 1)]
+    out = [[_ZERO] * (n - i + 1) for i in range(min(len(series[0]._rows()), n + 1))]
     for w, p in zip(weights, series):
         if w:
-            for acc, row in zip(out, (p.coeffs,) if uni else p.rows):
+            for acc, row in zip(out, p._rows()):
                 for j, a in enumerate(row[: len(acc)]):
                     if a:
                         acc[j] += w * a
-    return UniSeries(n, out[0]) if uni else BiSeries(n, out)
+    return series[0]._from_rows(n, out)

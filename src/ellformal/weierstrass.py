@@ -121,7 +121,7 @@ def differential_equation_residual(curve: Curve, order: int) -> UniSeries:
     master correctness check for the coefficient recursion.
     """
     wp = wp_laurent(curve, order)
-    wpp = wp_prime_laurent(curve, order)
+    wpp = wp.differentiate()
     n = wp.body.order
     p = wp.body                       # z^2 * wp
     q = wpp.body                      # z^3 * wp' (valuation is -3 by construction)
@@ -140,16 +140,21 @@ def eisenstein_g(curve: Curve, k: int) -> Fraction:
     """
     if k < 4:
         raise ValueError("Eisenstein values need weight k >= 4")
-    if k % 2:
-        return _ZERO
-    half = k // 2
-    return math.factorial(k - 2) * wp_coefficients(curve, half).coefficient(half) / 2
+    return _eisenstein(wp_coefficients(curve, k // 2), k)
 
 
 def bernoulli_hurwitz(curve: Curve, k: int) -> Fraction:
     """Elliptic Bernoulli analogue: 2k * G_k for even k >= 4, zero for odd."""
     if k < 4:
         raise ValueError("Bernoulli-Hurwitz numbers need k >= 4")
-    if k % 2:
-        return _ZERO
-    return 2 * k * eisenstein_g(curve, k)
+    return _bernoulli_hurwitz(wp_coefficients(curve, k // 2), k)
+
+
+def _eisenstein(wp: WpExpansion, k: int) -> Fraction:
+    """G_k read off an expansion through c_(k//2): zero for odd k."""
+    return _ZERO if k % 2 else math.factorial(k - 2) * wp.coefficient(k // 2) / 2
+
+
+def _bernoulli_hurwitz(wp: WpExpansion, k: int) -> Fraction:
+    """2k * G_k read off an expansion through c_(k//2)."""
+    return 2 * k * _eisenstein(wp, k)

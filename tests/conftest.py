@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from ellformal import Curve, UniSeries
 
@@ -28,3 +29,11 @@ def random_unit_series(rng: random.Random, order: int) -> UniSeries:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)
+
+
+# Property tests draw the same examples on every run, with no time limit per
+# example and no example database on disk.
+settings.register_profile(
+    "ellformal", derandomize=True, deadline=None, max_examples=25, database=None
+)
+settings.load_profile("ellformal")

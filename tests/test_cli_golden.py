@@ -3,12 +3,12 @@
 The corpus covers every command and every ``expand --what`` in text and
 json on three curves, ``param`` at 53 and 150 bits, ``classical`` with its
 defaults and with ``--s``, ``honda --pmax 199`` on (-7, 13), the log and
-a(n) to order 120 on (-3/7, 5/11), ``param`` at order 60 and 150 bits on
-(-7, 13), ``grouplaw`` at order 18 on (-7, 13) and (-3/7, 5/11), a refusal
-(exit 1) and the usage-error paths (exit 2, empty stdout).  The digest is
-the first 16 hex digits of the sha256 of stdout.  It changes only when a
-report's bytes do; update the table only for a report change that is
-intended and stated.
+a(n) to order 120 on (-3/7, 5/11), ``bernoulli`` at order 60 and ``param``
+at order 60 and 150 bits on (-7, 13), ``grouplaw`` at order 18 on (-7, 13)
+and (-3/7, 5/11), a refusal (exit 1) and the usage-error paths (exit 2,
+empty stdout).  The digest is the first 16 hex digits of the sha256 of
+stdout.  It changes only when a report's bytes do; update the table only
+for a report change that is intended and stated.
 Print the current table with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -53,6 +53,7 @@ def _corpus() -> list[tuple[str, ...]]:
         ("param", "--g2=4", "--g3=0", "--z=0.1,0.8", "--order=30", "--nmax=20",
          "--format=json"),
         ("bernoulli", "--g2=1", "--g3=1", "--order=0"),
+        ("bernoulli", "--g2=-7", "--g3=13", "--order=60", "--format=json"),
         ("grouplaw", "--g2=-7", "--g3=13", "--order=18", "--format=json"),
         ("grouplaw", "--g2=-3/7", "--g3=5/11", "--order=18", "--format=json"),
         # refusal: exit 1
@@ -171,6 +172,7 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'param --g2=-7 --g3=13 --z=0.1,0.8 --order=60 --precision=150 --format=json': (0, 'b243178f0f69910c'),
     'param --g2=4 --g3=0 --z=0.1,0.8 --order=30 --nmax=20 --format=json': (0, 'bc260a8b9d56a717'),
     'bernoulli --g2=1 --g3=1 --order=0': (0, '2c002a5073fb05bb'),
+    'bernoulli --g2=-7 --g3=13 --order=60 --format=json': (0, 'fa7c7e55d4e30438'),
     'grouplaw --g2=-7 --g3=13 --order=18 --format=json': (0, '3c37780a28c20c30'),
     'grouplaw --g2=-3/7 --g3=5/11 --order=18 --format=json': (0, 'd0f9cfed43631338'),
     'param --g2=4 --g3=0 --z=0,0.01 --order=50': (1, 'e3b0c44298fc1c14'),

@@ -262,9 +262,10 @@ class TestGroupLaws:
         monkeypatch.setattr(BiSeries, "__mul__", counting)
         monkeypatch.setattr(BiSeries, "reciprocal", lambda d: reciprocals.append(d))
         group_law_closed_form(Curve(-7, 13), 18)
-        # t2*m, 3 powers and 2 giant steps of m, b*G(m); the reciprocal route made 16
+        # 3 powers and 2 giant steps of m, then b*G(m); t2*m is a shift of m's rows,
+        # not a product; the reciprocal route made 16
         assert not reciprocals
-        assert len(calls) <= 8
+        assert len(calls) <= 6
 
     def test_provenances(self):
         c = Curve(1, 1)

@@ -1,0 +1,80 @@
+"""Ring laws of UniSeries and BiSeries, as properties over random series.
+
+Orders run 0..5 and coefficients are small rationals, so each example is
+cheap; the profile in ``conftest.py`` fixes the examples drawn.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from ellformal import BiSeries, UniSeries
+
+SCALAR = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=5))
+BOTH = pytest.mark.parametrize("cls", (UniSeries, BiSeries), ids=("uni", "bi"))
+
+
+def _series(cls, order: int):
+    """Numerators in -9..9 over denominators 1, 2, 3 in turn (one draw per
+    series keeps generation cheap), laid out as one row or the triangle."""
+    size = order + 1 if cls is UniSeries else (order + 1) * (order + 2) // 2
+    flat = st.lists(st.integers(-9, 9), min_size=size, max_size=size).map(
+        lambda ns: [Fraction(n, 1 + i % 3) for i, n in enumerate(ns)]
+    )
+    if cls is UniSeries:
+        return flat.map(lambda cs: UniSeries(order, cs))
+
+    def triangle(cs):
+        it = iter(cs)
+        return BiSeries(order, [[next(it) for _ in range(order - i + 1)] for i in range(order + 1)])
+
+    return flat.map(triangle)
+
+
+def _draw(data, cls, count: int) -> list:
+    """``count`` series of one random order."""
+    order = data.draw(st.integers(0, 5), label="order")
+    return [data.draw(_series(cls, order)) for _ in range(count)]
+
+
+@BOTH
+@given(data=st.data())
+def test_addition_commutes_and_associates(cls, data):
+    a, b, c = _draw(data, cls, 3)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+
+
+@BOTH
+@given(data=st.data())
+def test_subtraction_and_negation(cls, data):
+    a, b = _draw(data, cls, 2)
+    assert (a - a).is_zero() and a - a == cls.zero(a.order)
+    assert -(-a) == a
+    assert a - b == a + (-b)
+
+
+@BOTH
+@given(data=st.data(), c=SCALAR, d=SCALAR)
+def test_scalars_distribute(cls, data, c, d):
+    a, b = _draw(data, cls, 2)
+    assert c * (a + b) == c * a + c * b
+    assert (a + b) * c == a * c + b * c
+    assert (c + d) * a == c * a + d * a
+
+
+@BOTH
+@given(data=st.data())
+def test_products_distribute(cls, data):
+    a, b, c = _draw(data, cls, 3)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@given(data=st.data())
+def test_division_undoes_a_unit_product(data):
+    # BiSeries has no division operator; division is a UniSeries law only
+    a, b = _draw(data, UniSeries, 2)
+    assume(b[0] != 0)
+    assert (a * b) / b == a

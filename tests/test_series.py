@@ -16,6 +16,24 @@ from ellformal import (
 )
 from conftest import random_rational, random_unit_series
 
+BOTH = pytest.mark.parametrize("cls", (UniSeries, BiSeries), ids=("uni", "bi"))
+
+
+def _rows(s) -> tuple:
+    return (s.coeffs,) if isinstance(s, UniSeries) else s.rows
+
+
+def _zipped(a, b, op) -> tuple:
+    """The rows of a and b combined entry by entry."""
+    return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(_rows(a), _rows(b)))
+
+
+def _sample(cls, order: int, rng):
+    """A dense random UniSeries or BiSeries of the given order, not zero."""
+    rows = [[random_rational(rng) for _ in range(order - i + 1)] for i in range(order + 1)]
+    rows[0][0] = F(1)
+    return UniSeries(order, rows[0]) if cls is UniSeries else BiSeries(order, rows)
+
 
 class TestRingOps:
     def test_monomial_product(self):
@@ -54,6 +72,70 @@ class TestRingOps:
         s = UniSeries(2, (1, 2, 3))
         with pytest.raises(AttributeError):
             s.order = 5
+
+    # -- the shared ring core, on both series types ---------------------
+
+    @BOTH
+    def test_subtraction_and_negation(self, rng, cls):
+        a, b = _sample(cls, 4, rng), _sample(cls, 4, rng)
+        assert _rows(a - b) == _zipped(a, b, lambda x, y: x - y)
+        assert _rows(-a) == _zipped(a, a, lambda x, _: -x)
+        assert a - b == a + (-b)
+        assert -(-a) == a
+
+    @BOTH
+    @pytest.mark.parametrize("c", (3, F(-2, 5), 0))
+    def test_scalar_on_both_sides(self, rng, cls, c):
+        a = _sample(cls, 3, rng)
+        assert c * a == a * c
+        assert _rows(c * a) == _zipped(a, a, lambda x, _: c * x)
+        assert all(type(x) is F for row in _rows(c * a) for x in row)
+
+    @BOTH
+    def test_order_mismatch_on_add_and_sub(self, cls):
+        with pytest.raises(OrderMismatchError):
+            cls.zero(3) + cls.zero(4)
+        with pytest.raises(OrderMismatchError):
+            cls.zero(3) - cls.zero(4)
+
+    @BOTH
+    def test_immutability_error_names_the_type(self, cls):
+        s = cls.zero(2)
+        for name in ("order", "anything"):
+            with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+                setattr(s, name, 5)
+
+    @BOTH
+    def test_is_zero_and_zero(self, rng, cls):
+        z = cls.zero(3)
+        assert z.order == 3 and z.is_zero() and z == cls(3)
+        a = _sample(cls, 3, rng)
+        assert not a.is_zero() and (a - a).is_zero() and a - a == z
+        last = UniSeries.monomial(3, 3) if cls is UniSeries else BiSeries(3, ((), (), (), (1,)))
+        assert not last.is_zero() and last != z
+        assert cls.zero(3) != cls.zero(4)
+
+    @pytest.mark.parametrize("build", (
+        lambda: UniSeries(1, (1, 2, 3)),
+        lambda: UniSeries(-1),
+        lambda: BiSeries(1, ((1,), (2,), (3,))),
+        lambda: BiSeries(2, ((1,), (1, 2, 3))),
+        lambda: BiSeries(-1),
+    ), ids=("uni-too-long", "uni-negative-order", "bi-too-many-rows", "bi-row-too-long",
+            "bi-negative-order"))
+    def test_constructor_refusals(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_types_do_not_mix(self):
+        assert (UniSeries(2) == BiSeries(2)) is False
+        assert UniSeries(2) != BiSeries(2)
+        assert UniSeries(0, (1,)) != BiSeries.constant(0, 1)  # the same rows, other types
+        assert UniSeries(2) != 0 and BiSeries(2) != "0"
+        with pytest.raises(TypeError):
+            UniSeries(2) + BiSeries(2)
+        with pytest.raises(TypeError):
+            BiSeries(2) - UniSeries(2)
 
 
 class TestDivision:

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
+import ellformal
+from ellformal import cli, weierstrass
 from ellformal import (
     Curve,
     bernoulli_hurwitz,
@@ -139,3 +142,33 @@ class TestEisensteinAndHurwitz:
         for k in (4, 6, 8, 10, 12, 14, 16):
             expected = math.factorial(k - 2) * exp.coefficient(k // 2) / 2
             assert eisenstein_g(c, k) == expected
+
+
+class TestOneExpansion:
+    """A command or check that reads wp through c_n expands it once."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        counted, original = [], weierstrass.wp_coefficients
+
+        def counting(*args):
+            counted.append(args)
+            return original(*args)
+
+        for binding in (ellformal, cli, weierstrass):  # every binding, as the benchmark's spans
+            if vars(binding).get("wp_coefficients") is original:
+                monkeypatch.setattr(binding, "wp_coefficients", counting)
+        return counted
+
+    def test_residual_expands_once(self, expansions):
+        assert differential_equation_residual(Curve(-7, 13), 20).is_zero()
+        assert len(expansions) == 1
+
+    def test_bernoulli_command_expands_at_most_twice(self, expansions, capsys):
+        argv = ["bernoulli", "--g2=-7", "--g3=13", "--order=40", "--format=json"]
+        assert cli.main(argv) == 0
+        assert len(expansions) <= 2  # the exponential's and the one for every 2k*G_k
+        values = json.loads(capsys.readouterr().out)["bernoulli_hurwitz"]
+        curve = Curve(-7, 13)
+        assert [v["k"] for v in values] == list(range(4, 41))
+        assert all(F(v["value"]) == bernoulli_hurwitz(curve, v["k"]) for v in values)
