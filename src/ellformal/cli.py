@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .formal_group import (
+    _exponential,
     formal_exponential,
     formal_logarithm,
     group_law_closed_form,
@@ -39,7 +40,7 @@ from .formal_group import (
     universal_bernoulli,
     verify_axioms,
 )
-from .lseries import POINT_COUNT_CAP, classical_demo, honda_check
+from .lseries import classical_demo, honda_check
 from .numeric_eval import param_point
 from .series import BiSeries, LaurentSeries, UniSeries
 from .weierstrass import Curve, _bernoulli_hurwitz, wp_coefficients, wp_laurent, wp_prime_laurent
@@ -74,6 +75,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 _WHAT_MIN_ORDER = {"fe": 1, "fl": 1, "wp": 2, "wpp": 2, "s": 3, "an": 1}
+
+# Largest honda --pmax and --order: the order-2000 log takes about 45 s on
+# (-3/7, 5/11), the slowest curve of the test corpus, on a 2-vCPU x86 host.
+HONDA_ORDER_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -279,9 +284,8 @@ def _run_honda(config: RunConfig) -> tuple[bool, dict]:
 def _run_bernoulli(config: RunConfig) -> tuple[bool, dict]:
     curve = Curve(config.g2, config.g3)
     order = config.order
-    fexp = formal_exponential(curve, order + 1)
-    universal = universal_bernoulli(fexp, order)
-    wp = wp_coefficients(curve, max(2, order // 2))
+    wp = wp_coefficients(curve, max(2, (order + 2) // 2))  # one expansion for both
+    universal = universal_bernoulli(_exponential(wp, order + 1), order)
     bh = {k: _bernoulli_hurwitz(wp, k) for k in range(4, order + 1)}
     body: dict = {
         "universal": [str(b) for b in universal],
@@ -369,7 +373,7 @@ _COMMANDS = {
         "congruence a(p) = p+1-#E(F_p) mod p for good primes",
         ("g2", "g3", "pmax", "order", "format"), _run_honda,
         defaults={"order": "pmax"},
-        bounds={"pmax": (5, POINT_COUNT_CAP), "order": ("pmax", None)},
+        bounds={"pmax": (5, HONDA_ORDER_CAP), "order": ("pmax", HONDA_ORDER_CAP)},
     ),
     "bernoulli": _Command(
         "universal and elliptic Bernoulli numbers",

@@ -3,9 +3,13 @@ universal Bernoulli numbers, and the group law built two independent ways.
 
 Two data flows, neither reading the other: wp -> exp, the Laurent
 quotient -2*wp/wp' (the series of t = -2x/y along the curve), and s -> log,
-the integral of dx/y in the chord coordinates (t, s) = (-2x/y, -2/y); the
-log's scaled coefficients are the candidate L-series coefficients handled
-downstream.  Reverting the exponential gives the same logarithm and, like
+the integral of dx/y in the chord coordinates (t, s) = (-2x/y, -2/y).  The
+second runs in integers: with A = -g2/4, B = -g3/4 and u = lcm(den A,
+den B), the curve scaled by weight (a, b) = (u^4 A, u^6 B) gives integer
+W(t) = w(u t), s = t^3 w, and integer u^(n-1) a(n), read off the invariant
+differential dt / (1 - 2A t^4 w - 3B t^6 w^2) with no division; both turn
+into Fractions once, at the end.  The a(n) are the candidate L-series
+coefficients handled downstream.  Reverting the exponential gives the same logarithm and, like
 composing exp with log, stays only as a check.  The group law comes from
 either composition (exp of sum of logs) or from the closed rational
 expression in (t, s); the two constructions must agree coefficient for
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .series import (
     BiSeries,
@@ -25,7 +30,7 @@ from .series import (
     bi_substitute,
     divided_difference,
 )
-from .weierstrass import Curve, wp_laurent
+from .weierstrass import Curve, WpExpansion, _laurent, wp_coefficients, wp_laurent
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -41,12 +46,14 @@ class FormalExp:
 
 @dataclass(frozen=True)
 class FormalLog:
-    """Formal logarithm: the integral of dx/y = (1 + T w'/(2w)) dT, s = T^3 w.
+    """Formal logarithm: the integral of dx/y = dT / (1 - 2A T^4 w - 3B T^6 w^2).
 
-    ``an[n-1]`` holds a(n) = n * [T^n] log-series; these are the
-    candidate L-series coefficients.  Reverting the exponential gives the
-    same series and is kept as a check.  Odd model, so a(n) = 0 for all
-    even n.
+    Here A = -g2/4, B = -g3/4 and s = T^3 w.  ``an[n-1]`` holds
+    a(n) = n * [T^n] log-series; these are the candidate L-series
+    coefficients.  They are computed as the integers u^(n-1) a(n) of the
+    curve scaled by weight u (see :func:`_integer_core`) and divided by
+    u^(n-1) once.  Reverting the exponential gives the same series and is
+    kept as a check.  Odd model, so a(n) = 0 for all even n.
     """
 
     curve: Curve
@@ -63,7 +70,9 @@ class FormalLog:
 class SCoordinate:
     """Expansion of s = -2/y in powers of t = -2x/y along the curve.
 
-    Satisfies s = t^3 - (g2/4) t s^2 - (g3/4) s^3 with s = t^3 + O(t^4).
+    Satisfies s = t^3 - (g2/4) t s^2 - (g3/4) s^3 with s = t^3 + O(t^4);
+    [t^(3+k)] s = W_k / u^k with W the integer solution of the weight-scaled
+    curve (see :func:`_integer_core`).
     """
 
     curve: Curve
@@ -105,15 +114,18 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    half = max(2, (order + 1) // 2)
-    wp = wp_laurent(curve, half)
-    wpp = wp.differentiate()
-    quot = (-2 * wp.body) / wpp.body
-    return FormalExp(curve, UniSeries(order, (_ZERO,) + quot.coeffs[:order]))
+    return _exponential(wp_coefficients(curve, max(2, (order + 1) // 2)), order)
+
+
+def _exponential(wp: WpExpansion, order: int) -> FormalExp:
+    """The exponential through T^order, from wp through c_((order + 1) // 2)."""
+    laurent = _laurent(wp)
+    quot = (-2 * laurent.body) / laurent.differentiate().body
+    return FormalExp(wp.curve, UniSeries(order, (_ZERO,) + quot.coeffs[:order]))
 
 
 def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
-    """Integrate dx/y through t^order, from s solved through t^(order + 2)."""
+    """Integrate the invariant differential through t^order, in integers."""
     # formal_logarithm(fexp) reads (fexp.curve, fexp.series.order); that form
     # stays only while perfbench/workloads.py calls it (ROADMAP item 1).
     if isinstance(curve, FormalExp):
@@ -122,19 +134,14 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
         raise TypeError("formal_logarithm(curve, order) needs an order")
     if order < 1:
         raise ValueError("order must be >= 1")
-    s = s_coordinate(curve, order + 2).series
-    return _log_from_w(curve, UniSeries(order - 1, s.coeffs[3:]))
+    u, _, an = _integer_core(curve, (order + 1) // 2)
+    return _log_from_core(curve, u, an, order)
 
 
-def _log_from_w(curve: Curve, w: UniSeries) -> FormalLog:
-    """dx/y = (1 + t w'/(2w)) dt with s = t^3 w, through t^(w.order + 1).
-
-    One series division gives a(n) = [t^(n-1)] (2w + t w') / (2w); the
-    log-series coefficient of t^n is a(n) / n.
-    """
-    numer = UniSeries(w.order, [(k + 2) * c for k, c in enumerate(w.coeffs)])
-    an = (numer / (2 * w)).coeffs
-    series = UniSeries(w.order + 1, (_ZERO, *(a / k for k, a in enumerate(an, 1))))
+def _log_from_core(curve: Curve, u: int, scaled: list, order: int) -> FormalLog:
+    """The log through t^order from the core's scaled a(1), a(3), ..."""
+    an = tuple(_unscale(u, scaled, order))
+    series = UniSeries(order, (_ZERO, *(a / n for n, a in enumerate(an, 1))))
     return FormalLog(curve, series, an)
 
 
@@ -158,33 +165,51 @@ def universal_bernoulli(fexp, order: int):
 
 
 def s_coordinate(curve: Curve, order: int) -> SCoordinate:
-    """Solve s = t^3 - (g2/4) t s^2 - (g3/4) s^3 one coefficient at a time.
-
-    With s = t^3 w the equation reads w = 1 - (g2/4) t^4 w^2 - (g3/4) t^6 w^3,
-    so [t^k] w needs only [t^(k-4)] w^2 and [t^(k-6)] w^3, which running
-    coefficient lists of w^2 and w^3 already hold.
-    """
+    """s = t^3 w through t^order, from the integer w of the core."""
     if order < 3:
         raise ValueError("order must be >= 3")
-    qg2 = curve.g2 / 4
-    qg3 = curve.g3 / 4
-    w, sq, cube = [_ONE], [], []
-    for k in range(1, order - 2):
-        sq.append(_next_product_coeff(w, w))
-        cube.append(_next_product_coeff(w, sq))
-        wk = _ZERO
-        if k >= 4:
-            wk -= qg2 * sq[k - 4]
-        if k >= 6:
-            wk -= qg3 * cube[k - 6]
-        w.append(wk)
-    return SCoordinate(curve, UniSeries(order, (_ZERO,) * 3 + tuple(w)))
+    u, w, _ = _integer_core(curve, (order - 1) // 2, log=False)
+    return SCoordinate(curve, UniSeries(order, _unscale(u, w, order + 1, first=3)))
 
 
-def _next_product_coeff(a: list, b: list) -> Fraction:
-    """[t^m] of the product of coefficient lists a and b, with m = len(b) - 1."""
-    m = len(b) - 1
-    return sum((a[i] * b[m - i] for i in range(m + 1) if a[i] and b[m - i]), _ZERO)
+def _integer_core(curve: Curve, terms: int, log: bool = True) -> tuple:
+    """(u, W, N): W[i] = u^(2i) [t^(2i)] w and N[i] = u^(2i) a(2i + 1), i < terms.
+
+    With A = -g2/4, B = -g3/4 and u = lcm(den A, den B) (no factoring), the
+    weights a = u^4 A and b = u^6 B are integers, and W(t) = w(u t) solves
+    W = 1 + a t^4 W^2 + b t^6 W^3 in integers.  W is even in t, so only even
+    exponents are kept: [t^(2i)] W needs [t^(2i-4)] W^2 and [t^(2i-6)] W^3,
+    which running lists of W^2 and W^3 already hold.  The invariant
+    differential dt / (1 - 2A t^4 w - 3B t^6 w^2) scales the same way, so N
+    holds the coefficients of 1 / (1 - 2a t^4 W - 3b t^6 W^2), an integer
+    series with constant term 1, inverted with no division.  With log False
+    only W is solved and N is [1].
+    """
+    qa, qb = -curve.g2 / 4, -curve.g3 / 4
+    u = math.lcm(qa.denominator, qb.denominator)
+    a = qa.numerator * (u // qa.denominator) * u**3
+    b = qb.numerator * (u // qb.denominator) * u**5
+    w, sq, cube = [1], [], []
+    an, e = [1], []  # e[i-1] = [t^(2i)] of 2a t^4 W + 3b t^6 W^2
+    for i in range(1, terms):
+        h = i // 2  # (W^2)_(i-1): the products W_j W_(i-1-j), j < h, count twice
+        sq.append(2 * sum(map(mul, w[:h], w[: i - 1 - h : -1])) + (w[h] ** 2 if i % 2 else 0))
+        cube.append(sum(map(mul, w, reversed(sq))))
+        w.append((a * sq[i - 2] if i >= 2 else 0) + (b * cube[i - 3] if i >= 3 else 0))
+        if log:
+            e.append((2 * a * w[i - 2] if i >= 2 else 0) + (3 * b * sq[i - 3] if i >= 3 else 0))
+            an.append(sum(map(mul, e, reversed(an))))
+    return u, w, an
+
+
+def _unscale(u: int, values: list, length: int, first: int = 0) -> list:
+    """values[i] / u^(2i) at index first + 2i of ``length`` Fractions, zeros between."""
+    out = [_ZERO] * length
+    u2, scale = u * u, 1
+    for i, v in enumerate(values):
+        out[first + 2 * i] = Fraction(v, scale)
+        scale *= u2
+    return out
 
 
 def group_law_exp_log(fexp: FormalExp, flog: FormalLog, order: int) -> GroupLaw:
@@ -285,15 +310,17 @@ class PullbackIdentities:
 def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     """Bind the wp expansion, the formal log and the (t, s) chart together.
 
-    One s = t^3 w, solved through t^(order + 3), gives both the log and the
-    chart side t/s, -2/s.  wp(log-series) and wp'(log-series) come by
-    valuation bookkeeping (log = t * u with u a unit).  All exact.
+    One run of the integer core gives w through t^order and the log through
+    t^(order + 1): the chart side t/s, -2/s and the log from one solve.
+    wp(log-series) and wp'(log-series) come by valuation bookkeeping
+    (log = t * v with v a unit).  All exact.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     m = order
-    w = UniSeries(m, s_coordinate(curve, m + 3).series.coeffs[3:])
-    log = _log_from_w(curve, w).series
+    u, w, an = _integer_core(curve, m // 2 + 1)
+    w = UniSeries(m, _unscale(u, w, m + 1))
+    log = _log_from_core(curve, u, an, m + 1).series
     wp = wp_laurent(curve, max(2, (m + 1) // 2))
     wpp = wp.differentiate()
 

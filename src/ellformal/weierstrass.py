@@ -100,12 +100,15 @@ def wp_laurent(curve: Curve, order: int) -> LaurentSeries:
 
     The body has order 2*order; entry 2k holds c_k (exponent 2k - 2).
     """
-    exp = wp_coefficients(curve, order)
-    body = [_ZERO] * (2 * order + 1)
+    return _laurent(wp_coefficients(curve, order))
+
+
+def _laurent(exp: WpExpansion) -> LaurentSeries:
+    """wp as a Laurent series through z^(2*exp.order - 2), from its c_k."""
+    body = [_ZERO] * (2 * exp.order + 1)
     body[0] = Fraction(1)
-    for k in range(2, order + 1):
-        body[2 * k] = exp.coefficient(k)
-    return LaurentSeries(-2, UniSeries(2 * order, body))
+    body[4::2] = exp.c
+    return LaurentSeries(-2, UniSeries(2 * exp.order, body))
 
 
 def wp_prime_laurent(curve: Curve, order: int) -> LaurentSeries:

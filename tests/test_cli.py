@@ -15,6 +15,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _forbid_series(monkeypatch):
+    """Fail the test if any formal exponential or logarithm gets built."""
+    for target in ("ellformal.cli.formal_exponential", "ellformal.cli.formal_logarithm",
+                   "ellformal.formal_group._integer_core"):
+        monkeypatch.setattr(target, lambda *a, **k: pytest.fail("series built"))
+
+
 class TestParseRational:
     @pytest.mark.parametrize(
         "text,expected",
@@ -117,9 +124,7 @@ class TestHonda:
     def test_pmax_above_point_count_cap_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, source
     ):
-        for name in ("formal_exponential", "formal_logarithm"):
-            monkeypatch.setattr(f"ellformal.cli.{name}",
-                                lambda *a: pytest.fail("series built"))
+        _forbid_series(monkeypatch)
         argv = ["honda", "--g2", "4", "--g3", "0"]
         if source == "flag":
             argv += ["--pmax", "1000003"]
@@ -129,7 +134,23 @@ class TestHonda:
             argv += ["--config", str(path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert "--pmax" in err and "1000000" in err
+        assert err == "error: honda needs 5 <= --pmax <= 2000\n"
+
+    @pytest.mark.parametrize("flags", (("--pmax", "2001"), ("--pmax", "999983"),
+                                       ("--pmax", "1999", "--order", "2001")), ids=" ".join)
+    def test_log_order_above_cap_refused_before_any_series(self, capsys, monkeypatch, flags):
+        _forbid_series(monkeypatch)
+        code, out, err = run_cli(capsys, "honda", "--g2", "4", "--g3", "0", *flags)
+        assert code == 2 and out == ""
+        assert "--pmax" in err and "2000" in err
+
+    def test_cap_is_reachable(self, capsys):
+        code, out, _ = run_cli(capsys, "honda", "--g2", "4", "--g3", "0", "--pmax", "2000",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_congruent"] is True
+        assert doc["n_checked"] == 301  # every prime 5 <= p <= 2000 is good for (4, 0)
 
     def test_order_defaults_to_pmax(self, capsys):
         code, out, _ = run_cli(

@@ -2,13 +2,15 @@
 
 The corpus covers every command and every ``expand --what`` in text and
 json on three curves, ``param`` at 53 and 150 bits, ``classical`` with its
-defaults and with ``--s``, ``honda --pmax 199`` on (-7, 13), the log and
-a(n) to order 120 on (-3/7, 5/11), ``bernoulli`` at order 60 and ``param``
-at order 60 and 150 bits on (-7, 13), ``grouplaw`` at order 18 on (-7, 13)
-and (-3/7, 5/11), a refusal (exit 1) and the usage-error paths (exit 2,
-empty stdout).  The digest is the first 16 hex digits of the sha256 of
-stdout.  It changes only when a report's bytes do; update the table only
-for a report change that is intended and stated.
+defaults and with ``--s``, ``honda --pmax 199`` on (-7, 13) and
+(-3/7, 5/11), the log and a(n) to order 120 on (-3/7, 5/11), s and a(n)
+to order 60 on (5/6, -7/9) (its weight u = 72 has the primes 2 and 3),
+``bernoulli`` at order 60 and ``param`` at order 60 and 150 bits on
+(-7, 13), ``grouplaw`` at order 18 on (-7, 13) and (-3/7, 5/11), a
+refusal (exit 1) and the usage-error paths (exit 2, empty stdout).  The
+digest is the first 16 hex digits of the sha256 of stdout.  It changes
+only when a report's bytes do; update the table only for a report change
+that is intended and stated.
 Print the current table with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -46,6 +48,9 @@ def _corpus() -> list[tuple[str, ...]]:
     corpus += [
         ("honda", "--g2=4", "--g3=0", "--pmax=20", "--order=23"),
         ("honda", "--g2=-7", "--g3=13", "--pmax=199", "--format=json"),
+        ("honda", "--g2=-3/7", "--g3=5/11", "--pmax=199", "--format=json"),
+        ("expand", "--g2=5/6", "--g3=-7/9", "--order=60", "--what=s", "--format=json"),
+        ("expand", "--g2=5/6", "--g3=-7/9", "--order=60", "--what=an", "--format=json"),
         ("expand", "--g2=-3/7", "--g3=5/11", "--order=120", "--what=fl", "--format=json"),
         ("expand", "--g2=-3/7", "--g3=5/11", "--order=120", "--what=an", "--format=json"),
         ("param", "--g2=-7", "--g3=13", "--z=0.1,0.8", "--order=60", "--precision=150",
@@ -167,6 +172,9 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'classical --nmax=100 --s=1 --s=3 --order=8 --format=json': (0, '299fe1bffe964fdd'),
     'honda --g2=4 --g3=0 --pmax=20 --order=23': (0, 'cf1c761f0bbd7aca'),
     'honda --g2=-7 --g3=13 --pmax=199 --format=json': (0, 'bd825ea0de6cb8f5'),
+    'honda --g2=-3/7 --g3=5/11 --pmax=199 --format=json': (0, '9915fed14a681919'),
+    'expand --g2=5/6 --g3=-7/9 --order=60 --what=s --format=json': (0, '56b334b8403f6eaa'),
+    'expand --g2=5/6 --g3=-7/9 --order=60 --what=an --format=json': (0, '6f9f993fc748c51f'),
     'expand --g2=-3/7 --g3=5/11 --order=120 --what=fl --format=json': (0, '04186b49334c8b08'),
     'expand --g2=-3/7 --g3=5/11 --order=120 --what=an --format=json': (0, '2044a7006610ccb2'),
     'param --g2=-7 --g3=13 --z=0.1,0.8 --order=60 --precision=150 --format=json': (0, 'b243178f0f69910c'),

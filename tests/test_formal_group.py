@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ellformal
 from ellformal import cli, formal_group, numeric_eval, weierstrass
@@ -112,21 +113,23 @@ class TestFormalLogarithm:
 
 
 class TestOneLogRoute:
-    """The log is read off the invariant differential, not by reversion, and
-    nothing that needs only the log builds the exponential or its wp."""
+    """The log is read off the invariant differential by one integer core,
+    not by reversion or a series division, and nothing that needs only the
+    log builds the exponential or its wp."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counted = []
         bindings = (ellformal, cli, formal_group, numeric_eval, weierstrass, UniSeries)
-        for home, name in ((UniSeries, "reverse"), (formal_group, "s_coordinate"),
+        for home, name in ((UniSeries, "reverse"), (UniSeries, "__truediv__"),
+                           (formal_group, "s_coordinate"), (formal_group, "_integer_core"),
                            (formal_group, "formal_exponential"),
                            (weierstrass, "wp_coefficients")):
             original = vars(home)[name]
 
-            def counting(*args, name=name, original=original):
+            def counting(*args, name=name, original=original, **kwargs):
                 counted.append(name)
-                return original(*args)
+                return original(*args, **kwargs)
 
             for binding in bindings:  # every binding, as the benchmark's spans
                 if vars(binding).get(name) is original:
@@ -135,14 +138,18 @@ class TestOneLogRoute:
 
     def test_counts(self, calls):
         formal_logarithm(Curve(-7, 13), 97)
-        assert calls == ["s_coordinate"]
+        assert calls == ["_integer_core"]  # no s_coordinate, no series division
+
+    def test_s_coordinate_runs_the_core(self, calls):
+        formal_group.s_coordinate(Curve(-7, 13), 40)
+        assert calls == ["s_coordinate", "_integer_core"]
 
     @pytest.mark.parametrize("argv,expected", (
-        (("honda", "--g2=-7", "--g3=13", "--pmax=97"), ("s_coordinate",)),
-        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=an"), ("s_coordinate",)),
-        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=fl"), ("s_coordinate",)),
+        (("honda", "--g2=-7", "--g3=13", "--pmax=97"), ("_integer_core",)),
+        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=an"), ("_integer_core",)),
+        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=fl"), ("_integer_core",)),
         (("param", "--g2=-7", "--g3=13", "--z=0.1,0.8", "--order=30"),
-         ("s_coordinate", "wp_coefficients")),  # wp for the point, not for an exp
+         ("_integer_core", "wp_coefficients")),  # wp for the point, not for an exp
     ), ids=" ".join)
     def test_log_commands_build_no_exponential(self, calls, capsys, argv, expected):
         assert cli.main(list(argv)) == 0
@@ -150,7 +157,70 @@ class TestOneLogRoute:
 
     def test_pullback_solves_s_once(self, calls):
         coordinate_pullback(Curve(-7, 13), 40)
-        assert calls == ["s_coordinate", "wp_coefficients"]
+        # the two divisions invert the chart's w and the log's unit, not the log
+        assert calls == ["_integer_core", "wp_coefficients", "__truediv__", "__truediv__"]
+
+
+# Curve families for the integer-core property: CM (g3 = 0 or g2 = 0),
+# generic integer, rational with denominators built from 2, 3, 5, 7 (so the
+# weight u picks up each), and singular (g2 = 3c^2, g3 = c^3, c = 0 included).
+_INTEGER = st.integers(-60, 60)
+_RATIONAL = st.builds(F, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 5, 7, 35)))
+_CURVES = st.one_of(
+    st.builds(Curve, _RATIONAL, st.just(0)),
+    st.builds(Curve, st.just(0), _RATIONAL),
+    st.builds(Curve, _INTEGER, _INTEGER),
+    st.builds(Curve, _RATIONAL, _RATIONAL),
+    _RATIONAL.map(lambda c: Curve(3 * c * c, c**3)),
+)
+
+
+class TestIntegerCore:
+    """The weight-scaled integer route against the Fraction recurrence it
+    replaced; reversion of the exponential stays the independent check."""
+
+    @given(curve=_CURVES, order=st.integers(1, 40))
+    @example(curve=Curve(0, 0), order=40)  # singular examples drawn on every run
+    @example(curve=Curve(3, 1), order=40)
+    @example(curve=Curve(F(4, 3), F(-8, 27)), order=40)
+    def test_log_and_s_match_fraction_recurrence(self, curve, order):
+        s = s_coordinate(curve, order + 2)
+        assert s.series == _s_by_fraction_recurrence(curve, order + 2)
+        flog = formal_logarithm(curve, order)
+        assert flog.an == _an_by_division(s.series, order)
+        assert flog.series.coeffs == (0, *(a / n for n, a in enumerate(flog.an, 1)))
+
+    @pytest.mark.parametrize("g2,g3,u", ((4, 0, 1), (-7, 13, 4), (F(-3, 7), F(5, 11), 308),
+                                         (F(5, 6), F(-7, 9), 72), (0, 0, 1)))
+    def test_scaled_values_are_integers(self, g2, g3, u):
+        got_u, w, an = formal_group._integer_core(Curve(g2, g3), 30)
+        assert got_u == u
+        assert all(type(v) is int for v in w + an)
+        flog = formal_logarithm(Curve(g2, g3), 59)
+        assert [flog.a(2 * i + 1) * u ** (2 * i) for i in range(30)] == an
+
+
+def _s_by_fraction_recurrence(curve: Curve, order: int) -> UniSeries:
+    """Reference: s = t^3 w with w = 1 - (g2/4) t^4 w^2 - (g3/4) t^6 w^3 solved
+    one Fraction coefficient at a time over running lists of w^2 and w^3."""
+    w, sq, cube = [F(1)], [], []
+    for k in range(1, order - 2):
+        sq.append(sum(w[i] * w[k - 1 - i] for i in range(k)))
+        cube.append(sum(w[i] * sq[k - 1 - i] for i in range(k)))
+        wk = F(0)
+        if k >= 4:
+            wk -= curve.g2 / 4 * sq[k - 4]
+        if k >= 6:
+            wk -= curve.g3 / 4 * cube[k - 6]
+        w.append(wk)
+    return UniSeries(order, (0, 0, 0, *w))
+
+
+def _an_by_division(s: UniSeries, order: int) -> tuple:
+    """Reference: a(n) = [t^(n-1)] (2w + t w') / (2w) with s = t^3 w."""
+    w = UniSeries(order - 1, s.coeffs[3 : order + 3])
+    numer = UniSeries(order - 1, [(k + 2) * c for k, c in enumerate(w.coeffs)])
+    return (numer / (2 * w)).coeffs
 
 
 class TestUniversalBernoulli:
