@@ -22,6 +22,7 @@ and config-file values pass the same parsers and bounds before any work.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -400,6 +401,7 @@ COMMANDS = tuple(_COMMANDS)
 # -- flag / config resolution -------------------------------------------------
 
 
+@functools.cache  # built on the first call, once per process: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellformal",

@@ -13,7 +13,12 @@ coefficients handled downstream.  Reverting the exponential gives the same logar
 composing exp with log, stays only as a check.  The group law comes from
 either composition (exp of sum of logs) or from the closed rational
 expression in (t, s); the two constructions must agree coefficient for
-coefficient, which is the strongest self-check this module has.
+coefficient, which is the strongest self-check this module has.  The
+closed form and the axiom check run on the same weight-scaled curve: its
+law F~(t1, t2) = F(u t1, u t2) / u has integer coefficients (the law of
+s = t^3 + a t s^2 + b s^3 lies in Z[a, b]), so the closed form is built
+in integers and unscaled once, and the axioms are checked on the integer
+conjugate of a curve's law, which passes each axiom exactly when F does.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from .series import (
     BiSeries,
     UniSeries,
     _combination,
+    _div,
     bi_substitute,
     divided_difference,
 )
 from .weierstrass import Curve, WpExpansion, _laurent, wp_coefficients, wp_laurent
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -185,10 +190,7 @@ def _integer_core(curve: Curve, terms: int, log: bool = True) -> tuple:
     series with constant term 1, inverted with no division.  With log False
     only W is solved and N is [1].
     """
-    qa, qb = -curve.g2 / 4, -curve.g3 / 4
-    u = math.lcm(qa.denominator, qb.denominator)
-    a = qa.numerator * (u // qa.denominator) * u**3
-    b = qb.numerator * (u // qb.denominator) * u**5
+    u, a, b = _weights(curve)
     w, sq, cube = [1], [], []
     an, e = [1], []  # e[i-1] = [t^(2i)] of 2a t^4 W + 3b t^6 W^2
     for i in range(1, terms):
@@ -200,6 +202,16 @@ def _integer_core(curve: Curve, terms: int, log: bool = True) -> tuple:
             e.append((2 * a * w[i - 2] if i >= 2 else 0) + (3 * b * sq[i - 3] if i >= 3 else 0))
             an.append(sum(map(mul, e, reversed(an))))
     return u, w, an
+
+
+def _weights(curve: Curve) -> tuple:
+    """(u, a, b): u = lcm(den A, den B) for A = -g2/4, B = -g3/4 (no factoring)
+    and the integer weights a = u^4 A, b = u^6 B of the curve scaled by u."""
+    qa, qb = -curve.g2 / 4, -curve.g3 / 4
+    u = math.lcm(qa.denominator, qb.denominator)
+    a = qa.numerator * (u // qa.denominator) * u**3
+    b = qb.numerator * (u // qb.denominator) * u**5
+    return u, a, b
 
 
 def _unscale(u: int, values: list, length: int, first: int = 0) -> list:
@@ -225,29 +237,57 @@ def group_law_exp_log(fexp: FormalExp, flog: FormalLog, order: int) -> GroupLaw:
 
 
 def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
-    """F(t1, t2) from the closed chord-coordinate expression.
+    """F(t1, t2) from the closed chord-coordinate expression, in integers.
 
-    With m the divided difference of s(t) and b = s(t2) - t2*m (an exact
-    rearrangement of the chord intercept that avoids dividing by
-    t1 - t2), the law is t1 + t2 - b*G(m) with
+    The chart map (t, s) -> (u t, u^3 s) is linear, so it carries the chord
+    construction on the curve scaled by weight u (see :func:`_weights`),
+    s = t^3 + a t s^2 + b s^3, onto that of the curve itself: the scaled law
+    is F~(t1, t2) = F(u t1, u t2) / u.  Its s~ = t^3 W comes straight from
+    the integer W of :func:`_integer_core`.  With m the divided difference
+    of s~ and c = s~(t2) - t2*m (an exact rearrangement of the chord
+    intercept that avoids dividing by t1 - t2), F~ = t1 + t2 - c*G(m) with
 
-        G(x) = x (2 g2 + 3 g3 x) / (4 - g2 x^2 - g3 x^3),
+        G(x) = -x (2a + 3b x) / (1 + a x^2 + b x^3),
 
-    one univariate division (the denominator has constant term 4).  Since
-    m = t1^2 + t1 t2 + t2^2 + ..., m^k starts at total degree 2k, so G is
-    needed only through x^(order // 2).
+    one univariate division by a unit denominator, so every step stays in
+    integers.  Since m = t1^2 + t1 t2 + t2^2 + ..., m^k starts at total
+    degree 2k, so G is needed only through x^(order // 2).  The coefficient
+    (i, j) of F is that of F~ over u^(i + j - 1), divided once, at the end.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    s = s_coordinate(curve, order + 1).series
+    u, a, b = _weights(curve)
+    s = [0] * (order + 2)
+    s[3::2] = _integer_core(curve, order // 2, log=False)[1]
+    s = UniSeries(order + 1, s)
     m = divided_difference(s)
     t1, t2 = BiSeries.variable(order, 1), BiSeries.variable(order, 2)
-    t2m = BiSeries(order, ((_ZERO,) + row[:-1] for row in m.rows))  # m shifted one place in t2
-    b = BiSeries.from_uni(s, order, 2) - t2m
+    t2m = BiSeries(order, ((0,) + row[:-1] for row in m.rows))  # m shifted one place in t2
+    c = BiSeries.from_uni(s, order, 2) - t2m
     h = order // 2
-    g = UniSeries(h, (0, 2 * curve.g2, 3 * curve.g3)[: h + 1])
-    g /= UniSeries(h, (4, 0, -curve.g2, -curve.g3)[: h + 1])
-    return GroupLaw(curve, t1 + t2 - b * bi_substitute(g, m), "buchstaber-bunkova")
+    g = UniSeries(h, (0, -2 * a, -3 * b)[: h + 1]) / UniSeries(h, (1, 0, a, b)[: h + 1])
+    scaled = t1 + t2 - c * bi_substitute(g, m)
+    return GroupLaw(curve, _conjugate(scaled, Fraction(1, u)), "buchstaber-bunkova")
+
+
+def _conjugate(series: BiSeries, v) -> BiSeries:
+    """F(v t1, v t2) / v: coefficient (i, j) times v^(i + j - 1), an int where integral.
+
+    An exact change of variable: v = u takes a curve's law to the integer law
+    of the curve scaled by weight u, and v = 1/u takes it back.
+    """
+    scale = [_div(1, v)]
+    for _ in range(series.order):
+        scale.append(scale[-1] * v)
+    return BiSeries(series.order, (
+        [_integral(x * scale[i + j]) for j, x in enumerate(row)]
+        for i, row in enumerate(series.rows)
+    ))
+
+
+def _integral(x):
+    """An int or Fraction x, as an int when it is one."""
+    return x.numerator if x.denominator == 1 else x
 
 
 # -- axiom verification ----------------------------------------------------
@@ -275,12 +315,21 @@ def _associativity_sides(series: BiSeries) -> tuple:
 def verify_axioms(law) -> AxiomReport:
     """Check neutrality, commutativity and associativity coefficient-wise.
 
-    Accepts a :class:`GroupLaw` or a bare :class:`BiSeries`.  Failures
-    are reported, never raised.
+    Accepts a :class:`GroupLaw` or a bare :class:`BiSeries`.  A GroupLaw is
+    checked on its conjugate F(u t1, u t2) / u by its curve's weight u (see
+    :func:`_weights`), whose coefficients are integers when F is that
+    curve's law, so the bivariate powers run on ints.  Conjugation is an
+    exact change of variable: it keeps t1 + t2 as the linear part and maps
+    a neutral, commutative or associative law to one, and back, so the
+    verdicts are those of F.  A bare BiSeries is checked as given.
+    Failures are reported, never raised.
     """
-    series = law.series if isinstance(law, GroupLaw) else law
+    if isinstance(law, GroupLaw):
+        series = _conjugate(law.series, _weights(law.curve)[0])
+    else:
+        series = law
     n = series.order
-    expected = UniSeries(n, (_ZERO, _ONE) if n >= 1 else (_ZERO,))
+    expected = UniSeries(n, (0, 1)[: n + 1])
     neutral = series.at_t2_zero() == expected
     commutative = series == series.swap()
     lhs, rhs = _associativity_sides(series)

@@ -2,8 +2,11 @@
 
 Every series tracks coefficients up to a fixed truncation order N and all
 arithmetic stays inside that window, so results are exact as elements of
-Q[[T]] / T^(N+1).  Coefficients are :class:`fractions.Fraction` throughout;
-nothing here ever touches floating point.
+Q[[T]] / T^(N+1).  A coefficient is an ``int`` or a
+:class:`fractions.Fraction`, never a float: integer rows stay integer through
+``+``, ``-``, products, composition and division by a series whose constant
+term is 1 (a quotient that is not integral becomes a Fraction), so the same
+kernels serve Z[[T]] and Q[[T]].
 
 Three containers live in this module:
 
@@ -13,7 +16,7 @@ Three containers live in this module:
 * :class:`BiSeries`    -- dense bivariate series truncated by total degree.
 
 ``UniSeries`` and ``BiSeries`` share the private ring core ``_Series``: an
-immutable tuple of Fraction rows truncated at ``order`` (one row, or the
+immutable tuple of int-or-Fraction rows truncated at ``order`` (one row, or the
 triangle i + j <= N), whose ``+``, ``-``, negation, scalar scaling, ``==``,
 ``is_zero``, ``zero``, order check and immutability guard are written once,
 row by row, over the hooks ``_rows()`` and ``_from_rows(order, rows)``.
@@ -49,22 +52,30 @@ class ReversionDomainError(ValueError):
     """Reverting a series that is not T + O(T^2)."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value):
+    """An exact coefficient: an int or Fraction as it is, a bool as its int
+    (1, not True), anything else through Fraction."""
+    kind = type(value)
+    if kind is int or kind is Fraction:
         return value
-    return Fraction(value)
+    return int(value) if isinstance(value, int) else Fraction(value)
+
+
+def _div(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction (never the
+    float that int / int gives)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def _row(values, length: int) -> tuple:
-    """``values`` as Fractions, zero-padded to ``length`` entries."""
-    row = tuple(_coerce(c) for c in values)
+    """``values`` as exact coefficients, zero-padded to ``length`` entries."""
+    row = tuple(map(_coerce, values))
     if len(row) > length:
         raise ValueError(f"got {len(row)} coefficients where at most {length} fit")
-    return row + (_ZERO,) * (length - len(row))
+    return row + (0,) * (length - len(row))
 
 
 def _poly_str(coeffs, var: str, shift: int = 0) -> str:
@@ -89,7 +100,7 @@ def _poly_str(coeffs, var: str, shift: int = 0) -> str:
 
 
 class _Series:
-    """Ring core: Fraction rows truncated at ``order``, combined row by row.
+    """Ring core: int-or-Fraction rows truncated at ``order``, combined row by row.
 
     A subclass gives ``_rows()``, its rows as a tuple of tuples, and the
     classmethod ``_from_rows(order, rows)``, its inverse.  Binary operations
@@ -167,24 +178,24 @@ class UniSeries(_Series):
 
     @classmethod
     def one(cls, order: int) -> "UniSeries":
-        return cls(order, (_ONE,))
+        return cls(order, (1,))
 
     @classmethod
     def identity(cls, order: int) -> "UniSeries":
         """The series T."""
         if order < 1:
             raise ValueError("identity needs order >= 1")
-        return cls(order, (_ZERO, _ONE))
+        return cls(order, (0, 1))
 
     @classmethod
     def monomial(cls, order: int, power: int, coeff=1) -> "UniSeries":
         if not 0 <= power <= order:
             raise ValueError("monomial power outside truncation window")
-        return cls(order, (_ZERO,) * power + (_coerce(coeff),))
+        return cls(order, (0,) * power + (coeff,))
 
     # -- basic access ------------------------------------------------
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient T^{k} outside order-{self.order} window")
         return self.coeffs[k]
@@ -201,7 +212,7 @@ class UniSeries(_Series):
             raise ValueError("shift must be >= 0")
         if k == 0:
             return self
-        return UniSeries(self.order, (_ZERO,) * k + self.coeffs[: self.order + 1 - k])
+        return UniSeries(self.order, (0,) * k + self.coeffs[: self.order + 1 - k])
 
     def __repr__(self) -> str:
         return f"UniSeries(order={self.order}: {_poly_str(self.coeffs, 'T')})"
@@ -212,7 +223,7 @@ class UniSeries(_Series):
         if isinstance(other, UniSeries):
             self._check_order(other)
             n = self.order
-            out = [_ZERO] * (n + 1)
+            out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
@@ -231,7 +242,8 @@ class UniSeries(_Series):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return self._scale(Fraction(1, other))
+            other = _coerce(other)
+            return self._map(lambda a: _div(a, other))
         if not isinstance(other, UniSeries):
             return NotImplemented
         self._check_order(other)
@@ -239,14 +251,14 @@ class UniSeries(_Series):
         if b0 == 0:
             raise NonUnitDivisorError("divisor has zero constant term")
         n = self.order
-        q: list[Fraction] = []
+        q: list = []
         for k in range(n + 1):
             acc = self.coeffs[k]
             for j in range(1, k + 1):
                 b = other.coeffs[j]
                 if b:
                     acc -= q[k - j] * b
-            q.append(acc / b0)
+            q.append(_div(acc, b0))
         return UniSeries(n, q)
 
     # -- calculus / structural operations ------------------------------
@@ -278,12 +290,12 @@ class UniSeries(_Series):
             raise ReversionDomainError("reversion needs f = T + O(T^2)")
         # u = T/f is a unit series of order n-1
         u = UniSeries.one(n - 1) / UniSeries(n - 1, self.coeffs[1:])
-        out = [_ZERO] * (n + 1)
+        out = [0] * (n + 1)
         power = u
         out[1] = power.coeffs[0]
         for k in range(2, n + 1):
             power = power * u
-            out[k] = power.coeffs[k - 1] / k
+            out[k] = _div(power.coeffs[k - 1], k)
         return UniSeries(n, out)
 
 
@@ -325,14 +337,14 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         return self.body.is_zero()
 
-    def coefficient(self, exponent: int) -> Fraction:
+    def coefficient(self, exponent: int) -> int | Fraction:
         """Coefficient of T^exponent; exponents above the window are unknown."""
         if exponent > self.top_exponent:
             raise IndexError(
                 f"exponent {exponent} above tracked window (top {self.top_exponent})"
             )
         if exponent < self.valuation:
-            return _ZERO
+            return 0
         return self.body.coeffs[exponent - self.valuation]
 
     def differentiate(self) -> "LaurentSeries":
@@ -385,7 +397,7 @@ class BiSeries(_Series):
 
     @classmethod
     def constant(cls, order: int, value) -> "BiSeries":
-        return cls(order, ((_coerce(value),),))
+        return cls(order, ((value,),))
 
     @classmethod
     def variable(cls, order: int, which: int) -> "BiSeries":
@@ -393,9 +405,9 @@ class BiSeries(_Series):
         if order < 1:
             raise ValueError("variable needs order >= 1")
         if which == 1:
-            return cls(order, ((), (_ONE,)))
+            return cls(order, ((), (1,)))
         if which == 2:
-            return cls(order, ((_ZERO, _ONE),))
+            return cls(order, ((0, 1),))
         raise ValueError("which must be 1 or 2")
 
     @classmethod
@@ -411,15 +423,15 @@ class BiSeries(_Series):
 
     # -- access -------------------------------------------------------
 
-    def get(self, i: int, j: int) -> Fraction:
+    def get(self, i: int, j: int) -> int | Fraction:
         if i < 0 or j < 0 or i + j > self.order:
             raise IndexError(f"t1^{i} t2^{j} outside total degree {self.order}")
         return self.rows[i][j]
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij) -> int | Fraction:
         return self.get(*ij)
 
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
+    def terms(self) -> Iterator[tuple[int, int, int | Fraction]]:
         """Yield (i, j, coefficient) for nonzero entries, lexicographic in (i, j)."""
         for i, row in enumerate(self.rows):
             for j, c in enumerate(row):
@@ -439,7 +451,7 @@ class BiSeries(_Series):
             return NotImplemented
         self._check_order(other)
         n = self.order
-        out = [[_ZERO] * (n - i + 1) for i in range(n + 1)]
+        out = [[0] * (n - i + 1) for i in range(n + 1)]
         for i1, row1 in enumerate(self.rows):
             for j1, a in enumerate(row1):
                 if not a:
@@ -461,7 +473,7 @@ class BiSeries(_Series):
         if c == 0:
             raise NonUnitDivisorError("bivariate divisor has zero constant term")
         n = self.order
-        inv = BiSeries.constant(n, 1 / c)
+        inv = BiSeries.constant(n, _div(1, c))
         two = BiSeries.constant(n, 2)
         correct = 1
         while correct <= n:
@@ -491,7 +503,7 @@ def divided_difference(f: UniSeries) -> BiSeries:
     result is truncated at total degree ``f.order - 1``.
     """
     n = max(f.order - 1, 0)
-    out = [[_ZERO] * (n - i + 1) for i in range(n + 1)]
+    out = [[0] * (n - i + 1) for i in range(n + 1)]
     for k, c in enumerate(f.coeffs):
         if k == 0 or not c:
             continue
@@ -524,7 +536,7 @@ def _substitute(coeffs, inner):
     """
     n = len(coeffs) - 1
     k = math.isqrt(n) + 1
-    powers = [inner._from_rows(inner.order, ((_ONE,),)), inner]
+    powers = [inner._from_rows(inner.order, ((1,),)), inner]
     while len(powers) <= min(k, n):
         powers.append(powers[-1] * inner)
     result = None
@@ -538,7 +550,7 @@ def _combination(weights, series, top=None):
     """sum_j weights[j] * series[j] (series of one type and one order) through
     total degree ``top``, by default that order; no product is formed."""
     n = series[0].order if top is None else top
-    out = [[_ZERO] * (n - i + 1) for i in range(min(len(series[0]._rows()), n + 1))]
+    out = [[0] * (n - i + 1) for i in range(min(len(series[0]._rows()), n + 1))]
     for w, p in zip(weights, series):
         if w:
             for acc, row in zip(out, p._rows()):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ellformal import RationalParseError, parse_rational
+from ellformal import RationalParseError, cli, parse_rational
 from ellformal.cli import main
 
 
@@ -292,6 +293,29 @@ class TestConfigFile:
         path.write_text(json.dumps(json.loads(out)["config"]))
         code2, out2, _ = run_cli(capsys, "expand", "--config", str(path))
         assert code2 == 0 and out2 == out
+
+
+class TestOneParser:
+    """The argparse tree is built on the first call and reused after it."""
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        init, built = argparse.ArgumentParser.__init__, []
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        assert run_cli(capsys, "classical", "--nmax=10")[0] == 0
+        assert run_cli(capsys, "honda", "--g2=4", "--g3=0", "--pmax=13")[0] == 0
+        assert built.count("ellformal") == 1
+
+    def test_appended_values_do_not_leak(self, capsys):
+        code, first, _ = run_cli(capsys, "classical", "--nmax=10", "--s=3", "--format=json")
+        assert code == 0 and [row["s"] for row in json.loads(first)["eta"]] == [3]
+        code, second, _ = run_cli(capsys, "classical", "--nmax=10", "--format=json")
+        assert code == 0 and [row["s"] for row in json.loads(second)["eta"]] == [1, 2]
 
 
 class TestDeterminismAndExitCodes:

@@ -6,7 +6,8 @@ defaults and with ``--s``, ``honda --pmax 199`` on (-7, 13) and
 (-3/7, 5/11), the log and a(n) to order 120 on (-3/7, 5/11), s and a(n)
 to order 60 on (5/6, -7/9) (its weight u = 72 has the primes 2 and 3),
 ``bernoulli`` at order 60 and ``param`` at order 60 and 150 bits on
-(-7, 13), ``grouplaw`` at order 18 on (-7, 13) and (-3/7, 5/11), a
+(-7, 13), ``grouplaw`` at order 18 on (-7, 13) and (-3/7, 5/11) and at
+order 13 on (5/6, -7/9) (u = 72) and (-3/7, 5/11) in text, a
 refusal (exit 1) and the usage-error paths (exit 2, empty stdout).  The
 digest is the first 16 hex digits of the sha256 of stdout.  It changes
 only when a report's bytes do; update the table only for a report change
@@ -61,6 +62,8 @@ def _corpus() -> list[tuple[str, ...]]:
         ("bernoulli", "--g2=-7", "--g3=13", "--order=60", "--format=json"),
         ("grouplaw", "--g2=-7", "--g3=13", "--order=18", "--format=json"),
         ("grouplaw", "--g2=-3/7", "--g3=5/11", "--order=18", "--format=json"),
+        ("grouplaw", "--g2=5/6", "--g3=-7/9", "--order=13", "--format=json"),
+        ("grouplaw", "--g2=-3/7", "--g3=5/11", "--order=13", "--format=text"),
         # refusal: exit 1
         ("param", "--g2=4", "--g3=0", "--z=0,0.01", "--order=50"),
         # usage errors: exit 2
@@ -183,6 +186,8 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'bernoulli --g2=-7 --g3=13 --order=60 --format=json': (0, 'fa7c7e55d4e30438'),
     'grouplaw --g2=-7 --g3=13 --order=18 --format=json': (0, '3c37780a28c20c30'),
     'grouplaw --g2=-3/7 --g3=5/11 --order=18 --format=json': (0, 'd0f9cfed43631338'),
+    'grouplaw --g2=5/6 --g3=-7/9 --order=13 --format=json': (0, '4a363da02f5cde10'),
+    'grouplaw --g2=-3/7 --g3=5/11 --order=13 --format=text': (0, '6026eecb1ff9efd3'),
     'param --g2=4 --g3=0 --z=0,0.01 --order=50': (1, 'e3b0c44298fc1c14'),
     'expand --g3=0 --order=4 --what=fe': (2, 'e3b0c44298fc1c14'),
     'expand --g2=4 --g3=0 --order=2 --what=s': (2, 'e3b0c44298fc1c14'),

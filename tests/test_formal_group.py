@@ -24,6 +24,8 @@ from ellformal import (
 from conftest import random_curve, random_rational
 
 NAMED_CURVES = (Curve(4, 0), Curve(-7, 13), Curve(F(-3, 7), F(5, 11)))
+# weights u = 1, 4, 308 and 72 (the primes 2 and 3)
+WEIGHTED_CURVES = (*NAMED_CURVES, Curve(F(5, 6), F(-7, 9)))
 
 
 class TestFormalExponential:
@@ -337,12 +339,45 @@ class TestGroupLaws:
         assert not reciprocals
         assert len(calls) <= 6
 
+    @pytest.mark.parametrize("curve", WEIGHTED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
+    def test_closed_form_runs_on_integers(self, curve, monkeypatch):
+        reference = _law_by_exp_log(curve, 18)
+        operands = _record_operands(monkeypatch, BiSeries, "__mul__")
+        divisions = _record_operands(monkeypatch, UniSeries, "__truediv__")
+        assert group_law_closed_form(curve, 18).series == reference
+        # F~ = F(u t1, u t2) / u is built from integer s~ and G~ and unscaled once
+        assert len(operands) <= 6 and len(divisions) == 1
+        assert all(_integer_rows(x) for pair in operands + divisions for x in pair)
+
     def test_provenances(self):
         c = Curve(1, 1)
         fe = formal_exponential(c, 5)
         fl = formal_logarithm(c, 5)
         assert group_law_exp_log(fe, fl, 5).provenance == "exp-log"
         assert group_law_closed_form(c, 5).provenance == "buchstaber-bunkova"
+
+
+def _law_by_exp_log(curve: Curve, order: int) -> BiSeries:
+    return group_law_exp_log(formal_exponential(curve, order),
+                             formal_logarithm(curve, order), order).series
+
+
+def _record_operands(monkeypatch, cls, name: str) -> list:
+    """Patch cls.name to record its (self, other) pairs; returns the record."""
+    original, calls = vars(cls)[name], []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
+def _integer_rows(x) -> bool:
+    """True for a series whose every entry, padding included, is an int."""
+    rows = x.rows if isinstance(x, BiSeries) else (x.coeffs,)
+    return all(type(c) is int for row in rows for c in row)
 
 
 def _closed_form_by_reciprocal(curve: Curve, order: int) -> BiSeries:
@@ -418,6 +453,16 @@ class TestAxioms:
         assert verify_axioms(law).passed
         assert len(calls) <= 18  # the powers F^2 .. F^18
 
+    @pytest.mark.parametrize("curve", WEIGHTED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
+    def test_axiom_products_run_on_integers(self, curve, monkeypatch):
+        law = GroupLaw(curve, _law_by_exp_log(curve, 18), "exp-log")
+        assert not _integer_rows(law.series)
+        operands = _record_operands(monkeypatch, BiSeries, "__mul__")
+        assert verify_axioms(law).passed
+        # conjugated by the weight u, the Fraction law is an integer one
+        assert 0 < len(operands) <= 18
+        assert all(_integer_rows(x) for pair in operands for x in pair)
+
     def test_asymmetric_series_fails_commutativity(self):
         rows = [[0, 1], [1]]
         rows[0][1] = 1
@@ -459,6 +504,47 @@ def _sides_checked_against_reference(law: BiSeries) -> tuple:
     assert lhs == _tri_evaluate(law, t1, f23)
     assert rhs == _tri_evaluate(law, f12, t3)
     return lhs, rhs
+
+
+class TestIntegerLaw:
+    """The closed form built on the weight-scaled integer law, and the axioms
+    checked on the conjugate, against the Fraction routes they replaced."""
+
+    @given(curve=_CURVES, order=st.integers(2, 12))
+    @example(curve=Curve(0, 0), order=12)  # singular examples drawn on every run
+    @example(curve=Curve(3, 1), order=12)
+    @example(curve=Curve(F(4, 3), F(-8, 27)), order=12)
+    def test_closed_form_matches_fraction_routes(self, curve, order):
+        law = group_law_closed_form(curve, order).series
+        assert law == _closed_form_by_reciprocal(curve, order)
+        assert law == _law_by_exp_log(curve, order)
+        u = formal_group._weights(curve)[0]
+        assert _integer_rows(formal_group._conjugate(law, u))  # F(u t1, u t2) / u
+
+    @given(curve=_CURVES, order=st.integers(2, 12), data=st.data())
+    def test_axioms_match_fraction_check(self, curve, order, data):
+        law = GroupLaw(curve, _law_by_exp_log(curve, order), "exp-log")
+        report = verify_axioms(law)
+        assert report.passed and report == _axioms_by_fraction(law.series)
+        i = data.draw(st.integers(0, order), label="i")
+        j = data.draw(st.integers(0, order - i), label="j")
+        delta = data.draw(st.sampled_from((1, -1, F(1, 2), F(-5, 7), F(3, 308))), label="delta")
+        rows = [list(row) for row in law.series.rows]
+        rows[i][j] += delta
+        corrupted = GroupLaw(curve, BiSeries(order, rows), "exp-log")
+        report = verify_axioms(corrupted)
+        assert report == _axioms_by_fraction(corrupted.series)
+        if i != j:  # the law was symmetric
+            assert not report.commutative and not report.passed
+
+
+def _axioms_by_fraction(series: BiSeries) -> formal_group.AxiomReport:
+    """Reference: the axioms checked on the law as given, in its own
+    (Fraction) coefficients, with no conjugation."""
+    n = series.order
+    neutral = series.at_t2_zero() == UniSeries(n, (0, 1)[: n + 1])
+    lhs, rhs = formal_group._associativity_sides(series)
+    return formal_group.AxiomReport(n, neutral, series == series.swap(), lhs == rhs)
 
 
 class TestFormalInverse:

@@ -138,6 +138,54 @@ class TestRingOps:
             BiSeries(2) - UniSeries(2)
 
 
+class TestExactCoefficients:
+    """Integer rows stay integer where the value is one; a coefficient is
+    always an int or a Fraction, never a float or a bool."""
+
+    A = UniSeries(4, (1, 2, 3, 4, 5))
+
+    @staticmethod
+    def _exact(series) -> bool:
+        return all(type(c) in (int, F) for row in _rows(series) for c in row)
+
+    def test_integer_rows_stay_integer(self):
+        a, t = self.A, UniSeries.identity(4)
+        for s in (a + a, a - a, -a, 3 * a, a * a, a.compose(t * t), UniSeries.zero(4)):
+            assert all(type(c) is int for c in s.coeffs)
+        m = divided_difference(a)
+        assert all(type(c) is int for row in (m * m).rows for c in row)
+
+    def test_division_by_series_with_constant_term_4(self):
+        d = UniSeries(4, (4, 1))
+        q = self.A / d
+        assert self._exact(q) and q.coeffs[0] == F(1, 4)
+        assert q * d == self.A
+
+    def test_division_by_unit_series_stays_integer(self):
+        d = UniSeries(4, (1, -3, 0, 2))
+        q = self.A / d
+        assert all(type(c) is int for c in q.coeffs)
+        assert q * d == self.A
+
+    def test_division_by_scalar_2(self):
+        q = self.A / 2
+        assert q.coeffs == (F(1, 2), 1, F(3, 2), 2, F(5, 2))
+        assert [type(c) for c in q.coeffs] == [F, int, F, int, F]
+        assert self._exact(self.A / F(2, 3)) and self._exact(self.A / True)
+
+    def test_reverse_of_integer_series(self):
+        g = UniSeries(4, (0, 1, 1)).reverse()
+        assert g.coeffs == (0, 1, -1, 2, -5) and all(type(c) is int for c in g.coeffs)
+        assert self._exact(UniSeries(4, (0, 1, 0, 1)).reverse())
+
+    def test_bool_becomes_int(self):
+        s = UniSeries(2, (True, False, True))
+        assert [type(c) for c in s.coeffs] == [int, int, int]
+        assert repr(s) == "UniSeries(order=2: 1 + T^2)"
+        assert type(BiSeries.constant(1, True).get(0, 0)) is int
+        assert type(UniSeries.monomial(2, 1, True)[1]) is int
+
+
 class TestDivision:
     def test_geometric_series(self):
         assert UniSeries.one(3) / UniSeries(3, (1, -1)) == UniSeries(3, (1, 1, 1, 1))
