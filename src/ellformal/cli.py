@@ -81,6 +81,11 @@ _WHAT_MIN_ORDER = {"fe": 1, "fl": 1, "wp": 2, "wpp": 2, "s": 3, "an": 1}
 # (-3/7, 5/11), the slowest curve of the test corpus, on a 2-vCPU x86 host.
 HONDA_ORDER_CAP = 2000
 
+# Largest grouplaw --order: order 78 takes about 59 s on (-3/7, 5/11), the
+# slowest curve of the test corpus, on a 2-vCPU x86 host (order 80, 68 s);
+# the cost grows roughly as order^5.
+GROUPLAW_ORDER_CAP = 78
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -368,7 +373,7 @@ _COMMANDS = {
     "grouplaw": _Command(
         "build the group law both ways and verify axioms",
         ("g2", "g3", "order", "format"), _run_grouplaw,
-        bounds={"order": (2, None)},
+        bounds={"order": (2, GROUPLAW_ORDER_CAP)},
     ),
     "honda": _Command(
         "congruence a(p) = p+1-#E(F_p) mod p for good primes",

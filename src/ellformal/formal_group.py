@@ -19,6 +19,10 @@ law F~(t1, t2) = F(u t1, u t2) / u has integer coefficients (the law of
 s = t^3 + a t s^2 + b s^3 lies in Z[a, b]), so the closed form is built
 in integers and unscaled once, and the axioms are checked on the integer
 conjugate of a curve's law, which passes each axiom exactly when F does.
+The pullback identities wp(log t) = t/s and wp'(log t) = -2/s, which bind
+the wp expansion to the chart, run on that scaled curve too: every side is
+even in t, so both compositions run in T = t^2, on int series over one
+common denominator, and the four sides are unscaled once.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .series import (
     bi_substitute,
     divided_difference,
 )
-from .weierstrass import Curve, WpExpansion, _laurent, wp_coefficients, wp_laurent
+from .weierstrass import Curve, WpExpansion, _laurent, wp_coefficients
 
 _ZERO = Fraction(0)
 
@@ -342,7 +346,10 @@ class PullbackIdentities:
 
     x = wp(log(t)) must equal t/s(t) and y = wp'(log(t)) must equal
     -2/s(t); the fields hold the pole-cleared bodies of each side
-    (valuation -2 for x, -3 for y), all tracked through t^order.
+    (valuation -2 for x, -3 for y), all tracked through t^order.  All four
+    are even in t: :func:`coordinate_pullback` computes them in T = t^2 on
+    the weight-scaled curve, in integers, and spreads them back to dense
+    t-series once, at the end.
     """
 
     order: int
@@ -359,27 +366,46 @@ class PullbackIdentities:
 def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     """Bind the wp expansion, the formal log and the (t, s) chart together.
 
-    One run of the integer core gives w through t^order and the log through
-    t^(order + 1): the chart side t/s, -2/s and the log from one solve.
-    wp(log-series) and wp'(log-series) come by valuation bookkeeping
-    (log = t * v with v a unit).  All exact.
+    With log = t v (v a unit), t^2 wp(log) = v^-2 p(log^2) and
+    t^3 wp'(log) = v^-3 q(log^2), where p(Z) = 1 + sum c_k Z^k and
+    q(Z) = -2 + sum (2k - 2) c_k Z^k; the chart side is 1/w and -2/w.
+    Every one of these is even in t, so it is computed in T = t^2 through
+    T^h, h = order // 2, with log^2 = T v^2.  On the curve scaled by weight
+    u (t = u tau, see :func:`_integer_core`) w becomes the integer W and
+    v the series v~ = sum u^(2i) a(2i + 1) / (2i + 1) T^i, so with
+    D = lcm(1, 3, ..., 2h + 1) the series M = D v~ and I = T M^2 are
+    integers.  Giving p and q the coefficients Q c~_k D^(2(h - k)), with
+    c~_k = u^(2k) c_k and Q the lcm of their denominators, makes both
+    compositions with I integer ones, equal to Q D^(2h) p(T v~^2) and
+    Q D^(2h) q(T v~^2).  One exact division each (by Q D^(2h - 2) M^2,
+    by Q D^(2h - 3) M^3 and, for the chart, by W) gives the scaled bodies,
+    which are unscaled by u^(2i) once, at the end.  All exact.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    m = order
-    u, w, an = _integer_core(curve, m // 2 + 1)
-    w = UniSeries(m, _unscale(u, w, m + 1))
-    log = _log_from_core(curve, u, an, m + 1).series
-    wp = wp_laurent(curve, max(2, (m + 1) // 2))
-    wpp = wp.differentiate()
+    h = order // 2
+    u, w, an = _integer_core(curve, h + 1)
+    c = wp_coefficients(curve, max(2, h)).c[: max(h - 1, 0)]  # c_2 .. c_h
+    scaled = [ck * u ** (2 * k) for k, ck in enumerate(c, 2)]
+    q = math.lcm(*(ck.denominator for ck in scaled))
+    d = math.lcm(*range(1, 2 * h + 2, 2))
+    d2 = d * d
+    m = UniSeries(h, [a * (d // (2 * i + 1)) for i, a in enumerate(an)])  # M = D v~
+    m2 = m * m
+    inner = m2.shifted(1)  # I = T M^2
+    p = [q * d2**h, 0] + [ck.numerator * (q // ck.denominator) * d2 ** (h - k)
+                          for k, ck in enumerate(scaled, 2)]
+    p = p[: h + 1]
+    x = UniSeries(h, p).compose(inner)
+    y = UniSeries(h, [(2 * k - 2) * ck for k, ck in enumerate(p)]).compose(inner)
+    # D^(2h - 2) and D^(2h - 3) as p[0] = Q D^(2h) over D^2 and D^3 moved onto
+    # the numerators, so that no power of D is negative at h <= 1
+    x = d2 * x / (p[0] * m2)
+    y = d2 * d * y / (p[0] * m2 * m)
+    chart = UniSeries.one(h) / UniSeries(h, w)
 
-    log_m = log.truncate(m)
-    unit = UniSeries(m, log.coeffs[1 : m + 2])
-    unit_inv = UniSeries.one(m) / unit
-    ui2 = unit_inv * unit_inv
+    def spread(series: UniSeries) -> UniSeries:
+        return UniSeries(order, _unscale(u, series.coeffs, order + 1))
 
-    x_pullback = ui2 * wp.body.truncate(m).compose(log_m)
-    y_pullback = ui2 * unit_inv * wpp.body.truncate(m).compose(log_m)
-
-    w_inv = UniSeries.one(m) / w
-    return PullbackIdentities(m, x_pullback, w_inv, y_pullback, -2 * w_inv)
+    x_coords = spread(chart)
+    return PullbackIdentities(order, spread(x), x_coords, spread(y), -2 * x_coords)

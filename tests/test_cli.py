@@ -108,6 +108,27 @@ class TestGrouplaw:
         terms = {(t["i"], t["j"]): t["c"] for t in doc["law"]["terms"]}
         assert terms[(1, 0)] == "1" and terms[(0, 1)] == "1"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_order_above_cap_refused_before_any_series(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        _forbid_series(monkeypatch)
+        order = cli.GROUPLAW_ORDER_CAP + 1
+        argv = ["grouplaw", "--g2=-3/7", "--g3=5/11"]
+        if source == "flag":
+            argv.append(f"--order={order}")
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"order": order}))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: grouplaw needs 2 <= --order <= {cli.GROUPLAW_ORDER_CAP}\n"
+
+    def test_cap_is_accepted(self):
+        argv = ["grouplaw", "--g2=-3/7", "--g3=5/11", f"--order={cli.GROUPLAW_ORDER_CAP}"]
+        assert cli.resolve_config(argv).order == cli.GROUPLAW_ORDER_CAP
+
 
 class TestHonda:
     def test_expected_primes_and_exit(self, capsys):

@@ -159,8 +159,9 @@ class TestOneLogRoute:
 
     def test_pullback_solves_s_once(self, calls):
         coordinate_pullback(Curve(-7, 13), 40)
-        # the two divisions invert the chart's w and the log's unit, not the log
-        assert calls == ["_integer_core", "wp_coefficients", "__truediv__", "__truediv__"]
+        # the three exact divisions are by the scaled unit's square and cube and
+        # by the chart's W, not by the log
+        assert calls == ["_integer_core", "wp_coefficients"] + ["__truediv__"] * 3
 
 
 # Curve families for the integer-core property: CM (g3 = 0 or g2 = 0),
@@ -223,6 +224,15 @@ def _an_by_division(s: UniSeries, order: int) -> tuple:
     w = UniSeries(order - 1, s.coeffs[3 : order + 3])
     numer = UniSeries(order - 1, [(k + 2) * c for k, c in enumerate(w.coeffs)])
     return (numer / (2 * w)).coeffs
+
+
+class TestExpLogInverse:
+    @given(curve=_CURVES, order=st.integers(1, 24))
+    def test_exp_and_log_compose_to_identity(self, curve, order):
+        fexp, flog = formal_exponential(curve, order), formal_logarithm(curve, order)
+        t = UniSeries.identity(order)
+        assert fexp.series.compose(flog.series) == t
+        assert flog.series.compose(fexp.series) == t
 
 
 class TestUniversalBernoulli:
@@ -562,6 +572,9 @@ class TestFormalInverse:
 
 
 class TestPullbackIdentities:
+    """The pullback in T = t^2 on the weight-scaled curve, in integers, against
+    the Fraction composition it replaced, and against corrupted inputs."""
+
     def test_randomized(self, rng):
         for _ in range(4):
             pb = coordinate_pullback(random_curve(rng), 18)
@@ -575,3 +588,68 @@ class TestPullbackIdentities:
     def test_negative_order_refused(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             coordinate_pullback(Curve(-7, 13), -1)
+
+    @given(curve=_CURVES, order=st.integers(0, 30))
+    @example(curve=Curve(4, 0), order=60)
+    @example(curve=Curve(-7, 13), order=60)
+    @example(curve=Curve(F(-3, 7), F(5, 11)), order=60)
+    @example(curve=Curve(F(5, 6), F(-7, 9)), order=0)
+    @example(curve=Curve(F(5, 6), F(-7, 9)), order=1)
+    @example(curve=Curve(F(5, 6), F(-7, 9)), order=2)
+    @example(curve=Curve(F(5, 6), F(-7, 9)), order=3)
+    def test_matches_fraction_pullback(self, curve, order):
+        pb = coordinate_pullback(curve, order)
+        assert pb == _pullback_by_fraction(curve, order)
+        assert pb.holds
+
+    @pytest.mark.parametrize("curve", WEIGHTED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
+    def test_compositions_run_on_integers(self, curve, monkeypatch):
+        operands = _record_operands(monkeypatch, UniSeries, "compose")
+        assert coordinate_pullback(curve, 60).holds
+        # one composition for wp and one for wp', each in T = t^2 through T^30
+        assert [(outer.order, inner.order) for outer, inner in operands] == [(30, 30)] * 2
+        assert all(_integer_rows(x) for pair in operands for x in pair)
+
+    @pytest.mark.parametrize("k", (2, 5, 15))
+    def test_perturbed_wp_coefficient_fails(self, k, monkeypatch):
+        original = formal_group.wp_coefficients
+
+        def perturbed(curve, order):
+            wp = original(curve, order)
+            c = list(wp.c)
+            c[k - 2] += F(1, 7)
+            return weierstrass.WpExpansion(curve, order, tuple(c))
+
+        monkeypatch.setattr(formal_group, "wp_coefficients", perturbed)
+        pb = coordinate_pullback(Curve(F(-3, 7), F(5, 11)), 30)
+        assert not pb.holds
+        assert pb.x_pullback != pb.x_coords and pb.y_pullback != pb.y_coords
+
+    @pytest.mark.parametrize("i", (1, 4, 15))
+    def test_perturbed_scaled_an_fails(self, i, monkeypatch):
+        original = formal_group._integer_core
+
+        def perturbed(curve, terms, log=True):
+            u, w, an = original(curve, terms, log)
+            an[i] += 1  # u^(2i) a(2i + 1)
+            return u, w, an
+
+        monkeypatch.setattr(formal_group, "_integer_core", perturbed)
+        assert not coordinate_pullback(Curve(-7, 13), 30).holds
+
+
+def _pullback_by_fraction(curve: Curve, order: int) -> formal_group.PullbackIdentities:
+    """Reference: wp(log) and wp'(log) composed in t over Fractions, with the
+    log's unit v cleared by v^-2 and v^-3, against 1/w and -2/w."""
+    m = order
+    w = UniSeries(m, s_coordinate(curve, m + 3).series.coeffs[3 : m + 4])
+    log = formal_logarithm(curve, m + 1).series
+    wp = weierstrass.wp_laurent(curve, max(2, (m + 1) // 2))
+    wpp = wp.differentiate()
+    log_m = log.truncate(m)
+    unit_inv = UniSeries.one(m) / UniSeries(m, log.coeffs[1 : m + 2])
+    ui2 = unit_inv * unit_inv
+    x_pullback = ui2 * wp.body.truncate(m).compose(log_m)
+    y_pullback = ui2 * unit_inv * wpp.body.truncate(m).compose(log_m)
+    w_inv = UniSeries.one(m) / w
+    return formal_group.PullbackIdentities(m, x_pullback, w_inv, y_pullback, -2 * w_inv)
