@@ -86,6 +86,13 @@ HONDA_ORDER_CAP = 2000
 # the cost grows roughly as order^5.
 GROUPLAW_ORDER_CAP = 78
 
+# Largest param --order and --precision, each measured with the other small,
+# on (-3/7, 5/11) and the same host: order 1040 / 1050 at 53 bits take 53 / 63 s,
+# most of it the wp expansion; 290000 / 300000 bits at order 40 take 54 / 61 s.
+# Both at once cost far more (order 120 at 290000 bits: 85 s).
+PARAM_ORDER_CAP = 1040
+PARAM_PRECISION_CAP = 290000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -390,7 +397,8 @@ _COMMANDS = {
         "numeric parametrization point and curve residual",
         ("g2", "g3", "z", "order", "nmax", "precision", "format"), _run_param,
         defaults={"nmax": "order", "precision": 53},
-        bounds={"order": (2, None), "nmax": (1, "order"), "precision": (1, None)},
+        bounds={"order": (2, PARAM_ORDER_CAP), "nmax": (1, "order"),
+                "precision": (1, PARAM_PRECISION_CAP)},
     ),
     "classical": _Command(
         "exp(T)-1 degeneration: log(1+T) and eta partial sums",

@@ -5,12 +5,16 @@ point w in a small disk around the origin, then evaluates the truncated
 wp Laurent expansion there: alpha(z) = wp(w), beta(z) = wp'(w).  The
 pair must land on y^2 = 4x^3 - g2*x - g3 up to rounding, which is what
 ``residual`` measures.  Each evaluation builds its exact wp expansion
-once, and each point computes q and runs the q-series loop once.
+once (``derivative_check`` one for its three points), and each point
+computes q and runs the q-series loop once.
 
 Convergence is never assumed.  The wp series is only trusted inside a
 reliability radius computed from its own coefficient magnitudes (last
 retained term contributing at most 1e-12 relative to the pole term);
 outside the radius evaluation refuses rather than silently degrading.
+The radius is solved in logarithms of the exact numerator and
+denominator of that coefficient, so a c_k beyond the double range (a
+huge or tiny g2, g3) neither overflows nor underflows it.
 The q-series truncation error is likewise only estimated, by the
 magnitude of the last retained term, and reported as such.  In double
 precision a point near the cusp (Im z above about 18.8) is refused with
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import math
 from dataclasses import dataclass
 
 from .formal_group import FormalLog
@@ -188,8 +193,13 @@ def _radius(exp: WpExpansion) -> float:
     for k in range(exp.order, 1, -1):
         c = exp.coefficient(k)
         if c:
-            return (RADIUS_RELATIVE_TOLERANCE / abs(float(c))) ** (1.0 / (2 * k))
-    return float("inf")
+            # log space: the c_k of a huge or tiny (g2, g3) lie outside the doubles
+            log_c = math.log(abs(c.numerator)) - math.log(c.denominator)
+            try:
+                return math.exp((math.log(RADIUS_RELATIVE_TOLERANCE) - log_c) / (2 * k))
+            except OverflowError:
+                return math.inf
+    return math.inf
 
 
 def reliability_radius(curve: Curve, order: int) -> float:
@@ -197,8 +207,9 @@ def reliability_radius(curve: Curve, order: int) -> float:
 
     Solves |c_k| r^(2k) = tol for the last nonzero retained coefficient
     (so the final term is at most ``tol`` relative to the |w|^-2 pole
-    term).  Infinite when every c_k vanishes (g2 = g3 = 0: the series is
-    exactly the pole).
+    term), in logarithms of its exact numerator and denominator.  Infinite
+    when every c_k vanishes (g2 = g3 = 0: the series is exactly the pole)
+    or when r lies above the double range.
     """
     return _radius(wp_coefficients(curve, order))
 
@@ -210,60 +221,67 @@ def eval_wp(curve: Curve, w, order: int, precision: int = 53):
     :class:`OutOfRadiusError` if |w| is not inside
     :func:`reliability_radius`; refusal beats a silently wrong value.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
     num = _Numerics(precision)
     with num.workprec():
-        wc = num.complex_of(w)
-        if wc == 0:
-            raise PoleError("wp has a pole at w = 0")
-        exp = wp_coefficients(curve, order)
-        radius = _radius(exp)
-        if not abs(wc) < radius:
-            raise OutOfRadiusError(
-                f"|w| = {float(abs(wc)):.6g} outside reliability radius "
-                f"{radius:.6g} at order {order}"
-            )
-        inv = 1 / wc
-        w2 = wc * wc
-        wp_val = inv * inv
-        wpp_val = -2 * inv * inv * inv
-        power = inv  # becomes w^(2k-3) after the multiply below
-        for k in range(2, order + 1):
-            power = power * w2
-            c = exp.coefficient(k)
-            if c:
-                cf = num.rational(c)
-                wpp_val = wpp_val + (2 * k - 2) * cf * power
-                wp_val = wp_val + cf * power * wc
-        return wp_val, wpp_val
+        return _eval_wp(num, wp_coefficients(curve, order), w)
+
+
+def _eval_wp(num: _Numerics, exp: WpExpansion, w):
+    """:func:`eval_wp` on a built expansion, run under ``num.workprec()``."""
+    wc = num.complex_of(w)
+    if wc == 0:
+        raise PoleError("wp has a pole at w = 0")
+    radius = _radius(exp)
+    if not abs(wc) < radius:
+        raise OutOfRadiusError(
+            f"|w| = {float(abs(wc)):.6g} outside reliability radius "
+            f"{radius:.6g} at order {exp.order}"
+        )
+    inv = 1 / wc
+    w2 = wc * wc
+    wp_val = inv * inv
+    wpp_val = -2 * inv * inv * inv
+    power = inv  # becomes w^(2k-3) after the multiply below
+    for k in range(2, exp.order + 1):
+        power = power * w2
+        c = exp.coefficient(k)
+        if c:
+            cf = num.rational(c)
+            wpp_val = wpp_val + (2 * k - 2) * cf * power
+            wp_val = wp_val + cf * power * wc
+    return wp_val, wpp_val
 
 
 def param_point(
     curve: Curve, flog: FormalLog, z, nmax: int, order: int, precision: int = 53
 ) -> ParamResult:
     """Evaluate (alpha, beta) = (wp, wp')(log q-series) and its curve residual."""
-    if flog.curve != curve:
-        raise ValueError("formal logarithm belongs to a different curve")
     num = _Numerics(precision)
     with num.workprec():
-        zc, q, w, estimate = _qseries(num, z, flog.series.coeffs, nmax)
-        # Near the cusp, doubles underflow q (w = 0: the pole) or overflow wp(w) ~ q^-2.
-        try:
-            alpha, beta = eval_wp(curve, w, order, precision)
-            g2, g3 = num.rational(curve.g2), num.rational(curve.g3)
-            residual = abs(beta * beta - (4 * alpha**3 - g2 * alpha - g3))
-            finite = num.mp is not None or all(
-                map(cmath.isfinite, (alpha, beta, residual)))
-        except (OverflowError, PoleError):
-            finite = False
-        if not finite:
-            raise OverflowError(
-                f"Im(z) = {float(zc.imag):.6g} is too close to the cusp for double "
-                "precision: q = exp(2*pi*i*z) underflows or wp(w) overflows; "
-                "use --precision above 53"
-            )
-        return ParamResult(zc, q, w, alpha, beta, residual, estimate, precision)
+        return _param_point(num, flog, wp_coefficients(curve, order), z, nmax)
+
+
+def _param_point(num: _Numerics, flog: FormalLog, exp: WpExpansion, z, nmax: int):
+    """:func:`param_point` on a built expansion, run under ``num.workprec()``."""
+    if flog.curve != exp.curve:
+        raise ValueError("formal logarithm belongs to a different curve")
+    zc, q, w, estimate = _qseries(num, z, flog.series.coeffs, nmax)
+    # Near the cusp, doubles underflow q (w = 0: the pole) or overflow wp(w) ~ q^-2.
+    try:
+        alpha, beta = _eval_wp(num, exp, w)
+        g2, g3 = num.rational(exp.curve.g2), num.rational(exp.curve.g3)
+        residual = abs(beta * beta - (4 * alpha**3 - g2 * alpha - g3))
+        finite = num.mp is not None or all(
+            map(cmath.isfinite, (alpha, beta, residual)))
+    except (OverflowError, PoleError):
+        finite = False
+    if not finite:
+        raise OverflowError(
+            f"Im(z) = {float(zc.imag):.6g} is too close to the cusp for double "
+            "precision: q = exp(2*pi*i*z) underflows or wp(w) overflows; "
+            "use --precision above 53"
+        )
+    return ParamResult(zc, q, w, alpha, beta, residual, estimate, num.precision)
 
 
 def derivative_check(
@@ -288,9 +306,10 @@ def derivative_check(
         hr = num.real_of(h)
         if nmax is None:
             nmax = flog.series.order
-        plus = param_point(curve, flog, zc + hr, nmax, order, precision)
-        minus = param_point(curve, flog, zc - hr, nmax, order, precision)
-        center = param_point(curve, flog, zc, nmax, order, precision)
+        exp = wp_coefficients(curve, order)  # one expansion for the three points
+        plus = _param_point(num, flog, exp, zc + hr, nmax)
+        minus = _param_point(num, flog, exp, zc - hr, nmax)
+        center = _param_point(num, flog, exp, zc, nmax)
         fd = (plus.alpha - minus.alpha) / (2 * hr)
         cusp = _qsum(num, center.q, (0, *flog.an), nmax)[0]
         expected = center.beta * num.two_pi_i() * cusp

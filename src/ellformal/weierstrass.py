@@ -9,6 +9,9 @@ with c_2 = g2/20, c_3 = g3/28 and, for k >= 4,
     c_k = 3 / ((2k+1)(k-3)) * sum_{j=2}^{k-2} c_j c_{k-j},
 
 a consequence of the differential identity wp'' = 6 wp^2 - g2/2.  The
+sum runs in integers: each c_k is held as a numerator over a denominator,
+the products c_j c_(k-j) of a symmetric pair are formed once over the lcm
+of their denominators, and one ``Fraction`` per k reduces c_k once.  The
 recursion is validated by checking (wp')^2 = 4 wp^3 - g2 wp - g3 exactly
 (see :func:`differential_equation_residual` and the test suite); never
 trust it blind.
@@ -78,21 +81,32 @@ class WpExpansion:
 def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     """Expansion coefficients c_2..c_order, exactly.
 
-    The recursion denominators (2k+1)(k-3) are positive for k >= 4, so
-    no division by zero can occur.
+    Each c_k is kept as an integer numerator n_k over a denominator d_k.
+    The sum over j for c_k forms each symmetric pair c_j c_(k-j) once
+    (twice its product when j != k - j) and skips the zero pairs.  It adds
+    the products in ``int`` over one common denominator, the lcm of the
+    pairs' d_j d_(k-j), and makes one ``Fraction`` per k, so each c_k is
+    reduced once.  The recursion denominators (2k+1)(k-3) are positive
+    for k >= 4, so no division by zero can occur.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    c = [_ZERO] * (order + 1)  # index by k, entries 0..1 unused
-    c[2] = curve.g2 / 20
-    if order >= 3:
-        c[3] = curve.g3 / 28
+    c = [curve.g2 / 20, curve.g3 / 28][: order - 1]
+    num = [0, 0] + [x.numerator for x in c]  # index by k, entries 0..1 unused
+    den = [1, 1] + [x.denominator for x in c]
     for k in range(4, order + 1):
-        acc = _ZERO
-        for j in range(2, k - 1):
-            acc += c[j] * c[k - j]
-        c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
-    return WpExpansion(curve, order, tuple(c[2:]))
+        # flat lists, not a list of (numerator, denominator) tuples: the tuples
+        # fragment the heap, and a long run's peak memory grows with them
+        js = [j for j in range(2, k // 2 + 1) if num[j] and num[k - j]]
+        dens = [den[j] * den[k - j] for j in js]
+        common = math.lcm(*dens)
+        total = sum(num[j] * num[k - j] * (common // d) * (1 if 2 * j == k else 2)
+                    for j, d in zip(js, dens))
+        ck = Fraction(3 * total, (2 * k + 1) * (k - 3) * common)
+        c.append(ck)
+        num.append(ck.numerator)
+        den.append(ck.denominator)
+    return WpExpansion(curve, order, tuple(c))
 
 
 def wp_laurent(curve: Curve, order: int) -> LaurentSeries:

@@ -197,6 +197,33 @@ class TestBernoulli:
 
 
 class TestParam:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["order", "precision"])
+    def test_above_cap_refused_before_any_series(
+        self, capsys, tmp_path, monkeypatch, name, source
+    ):
+        _forbid_series(monkeypatch)
+        low, cap = {"order": (2, cli.PARAM_ORDER_CAP),
+                    "precision": (1, cli.PARAM_PRECISION_CAP)}[name]
+        values = {"order": 40, name: cap + 1}
+        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8"]
+        if source == "flag":
+            argv += [f"--{key}={value}" for key, value in values.items()]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(values))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: param needs {low} <= --{name} <= {cap}\n"
+
+    def test_caps_are_accepted(self):
+        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8",
+                f"--order={cli.PARAM_ORDER_CAP}", f"--precision={cli.PARAM_PRECISION_CAP}"]
+        config = cli.resolve_config(argv)
+        assert (config.order, config.nmax, config.precision) == (
+            cli.PARAM_ORDER_CAP, cli.PARAM_ORDER_CAP, cli.PARAM_PRECISION_CAP)
+
     def test_residual_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "param", "--g2", "4", "--g3", "0", "--z", "0,1",

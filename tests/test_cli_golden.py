@@ -5,13 +5,14 @@ json on three curves, ``param`` at 53 and 150 bits, ``classical`` with its
 defaults and with ``--s``, ``honda --pmax 199`` on (-7, 13) and
 (-3/7, 5/11), the log and a(n) to order 120 on (-3/7, 5/11), s and a(n)
 to order 60 on (5/6, -7/9) (its weight u = 72 has the primes 2 and 3),
-``bernoulli`` at order 60 and ``param`` at order 60 and 150 bits on
-(-7, 13), ``grouplaw`` at order 18 on (-7, 13) and (-3/7, 5/11) and at
-order 13 on (5/6, -7/9) (u = 72) and (-3/7, 5/11) in text, a
-refusal (exit 1) and the usage-error paths (exit 2, empty stdout).  The
-digest is the first 16 hex digits of the sha256 of stdout.  It changes
-only when a report's bytes do; update the table only for a report change
-that is intended and stated.
+``bernoulli`` at order 60 on (-7, 13), (-3/7, 5/11) and (5/6, -7/9),
+``param`` at order 60 and 150 bits on (-7, 13) and (-3/7, 5/11), wp to
+order 61 on (5/6, -7/9), ``grouplaw`` at order 18 on (-7, 13) and
+(-3/7, 5/11) and at order 13 on (5/6, -7/9) (u = 72) and (-3/7, 5/11) in
+text, a refusal (exit 1) and the usage-error paths (exit 2, empty
+stdout).  The digest is the first 16 hex digits of the sha256 of stdout.
+It changes only when a report's bytes do; update the table only for a
+report change that is intended and stated.
 Print the current table with ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -60,6 +61,11 @@ def _corpus() -> list[tuple[str, ...]]:
          "--format=json"),
         ("bernoulli", "--g2=1", "--g3=1", "--order=0"),
         ("bernoulli", "--g2=-7", "--g3=13", "--order=60", "--format=json"),
+        ("bernoulli", "--g2=-3/7", "--g3=5/11", "--order=60", "--format=json"),
+        ("bernoulli", "--g2=5/6", "--g3=-7/9", "--order=60", "--format=json"),
+        ("expand", "--g2=5/6", "--g3=-7/9", "--order=61", "--what=wp", "--format=json"),
+        ("param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8", "--order=60", "--precision=150",
+         "--format=json"),
         ("grouplaw", "--g2=-7", "--g3=13", "--order=18", "--format=json"),
         ("grouplaw", "--g2=-3/7", "--g3=5/11", "--order=18", "--format=json"),
         ("grouplaw", "--g2=5/6", "--g3=-7/9", "--order=13", "--format=json"),
@@ -184,6 +190,10 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'param --g2=4 --g3=0 --z=0.1,0.8 --order=30 --nmax=20 --format=json': (0, 'bc260a8b9d56a717'),
     'bernoulli --g2=1 --g3=1 --order=0': (0, '2c002a5073fb05bb'),
     'bernoulli --g2=-7 --g3=13 --order=60 --format=json': (0, 'fa7c7e55d4e30438'),
+    'bernoulli --g2=-3/7 --g3=5/11 --order=60 --format=json': (0, 'acdcc54fe8b02b26'),
+    'bernoulli --g2=5/6 --g3=-7/9 --order=60 --format=json': (0, 'e7da79c717d22450'),
+    'expand --g2=5/6 --g3=-7/9 --order=61 --what=wp --format=json': (0, '4877ee63f6966b3b'),
+    'param --g2=-3/7 --g3=5/11 --z=0.1,0.8 --order=60 --precision=150 --format=json': (0, '2cad02a03fe2bcfc'),
     'grouplaw --g2=-7 --g3=13 --order=18 --format=json': (0, '3c37780a28c20c30'),
     'grouplaw --g2=-3/7 --g3=5/11 --order=18 --format=json': (0, 'd0f9cfed43631338'),
     'grouplaw --g2=5/6 --g3=-7/9 --order=13 --format=json': (0, '4a363da02f5cde10'),

@@ -21,7 +21,7 @@ from ellformal import (
     universal_bernoulli,
     verify_axioms,
 )
-from conftest import random_curve, random_rational
+from conftest import CURVE_FAMILIES, random_curve, random_rational
 
 NAMED_CURVES = (Curve(4, 0), Curve(-7, 13), Curve(F(-3, 7), F(5, 11)))
 # weights u = 1, 4, 308 and 72 (the primes 2 and 3)
@@ -164,25 +164,11 @@ class TestOneLogRoute:
         assert calls == ["_integer_core", "wp_coefficients"] + ["__truediv__"] * 3
 
 
-# Curve families for the integer-core property: CM (g3 = 0 or g2 = 0),
-# generic integer, rational with denominators built from 2, 3, 5, 7 (so the
-# weight u picks up each), and singular (g2 = 3c^2, g3 = c^3, c = 0 included).
-_INTEGER = st.integers(-60, 60)
-_RATIONAL = st.builds(F, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 5, 7, 35)))
-_CURVES = st.one_of(
-    st.builds(Curve, _RATIONAL, st.just(0)),
-    st.builds(Curve, st.just(0), _RATIONAL),
-    st.builds(Curve, _INTEGER, _INTEGER),
-    st.builds(Curve, _RATIONAL, _RATIONAL),
-    _RATIONAL.map(lambda c: Curve(3 * c * c, c**3)),
-)
-
-
 class TestIntegerCore:
     """The weight-scaled integer route against the Fraction recurrence it
     replaced; reversion of the exponential stays the independent check."""
 
-    @given(curve=_CURVES, order=st.integers(1, 40))
+    @given(curve=CURVE_FAMILIES, order=st.integers(1, 40))
     @example(curve=Curve(0, 0), order=40)  # singular examples drawn on every run
     @example(curve=Curve(3, 1), order=40)
     @example(curve=Curve(F(4, 3), F(-8, 27)), order=40)
@@ -227,7 +213,7 @@ def _an_by_division(s: UniSeries, order: int) -> tuple:
 
 
 class TestExpLogInverse:
-    @given(curve=_CURVES, order=st.integers(1, 24))
+    @given(curve=CURVE_FAMILIES, order=st.integers(1, 24))
     def test_exp_and_log_compose_to_identity(self, curve, order):
         fexp, flog = formal_exponential(curve, order), formal_logarithm(curve, order)
         t = UniSeries.identity(order)
@@ -520,7 +506,7 @@ class TestIntegerLaw:
     """The closed form built on the weight-scaled integer law, and the axioms
     checked on the conjugate, against the Fraction routes they replaced."""
 
-    @given(curve=_CURVES, order=st.integers(2, 12))
+    @given(curve=CURVE_FAMILIES, order=st.integers(2, 12))
     @example(curve=Curve(0, 0), order=12)  # singular examples drawn on every run
     @example(curve=Curve(3, 1), order=12)
     @example(curve=Curve(F(4, 3), F(-8, 27)), order=12)
@@ -531,7 +517,7 @@ class TestIntegerLaw:
         u = formal_group._weights(curve)[0]
         assert _integer_rows(formal_group._conjugate(law, u))  # F(u t1, u t2) / u
 
-    @given(curve=_CURVES, order=st.integers(2, 12), data=st.data())
+    @given(curve=CURVE_FAMILIES, order=st.integers(2, 12), data=st.data())
     def test_axioms_match_fraction_check(self, curve, order, data):
         law = GroupLaw(curve, _law_by_exp_log(curve, order), "exp-log")
         report = verify_axioms(law)
@@ -589,7 +575,7 @@ class TestPullbackIdentities:
         with pytest.raises(ValueError, match="order must be >= 0"):
             coordinate_pullback(Curve(-7, 13), -1)
 
-    @given(curve=_CURVES, order=st.integers(0, 30))
+    @given(curve=CURVE_FAMILIES, order=st.integers(0, 30))
     @example(curve=Curve(4, 0), order=60)
     @example(curve=Curve(-7, 13), order=60)
     @example(curve=Curve(F(-3, 7), F(5, 11)), order=60)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction as F
 
 import mpmath
 import pytest
@@ -87,6 +88,20 @@ class TestEvalWp:
 
     def test_radius_infinite_for_pure_pole(self):
         assert reliability_radius(Curve(0, 0), 20) == math.inf
+
+    @pytest.mark.parametrize("precision", (53, 150))
+    def test_underflowing_coefficients_give_a_point(self, precision):
+        curve = Curve(F(1, 10**400), 0)  # every c_k is below the smallest double
+        res = param_point(curve, formal_logarithm(curve, 4), 0.1 + 0.8j, 4, 4, precision)
+        assert res.relative_residual < 1e-13
+        assert 1e98 < reliability_radius(curve, 4) < 1e99
+        assert reliability_radius(Curve(F(1, 10**4000), 0), 2) == math.inf  # above the doubles
+
+    @pytest.mark.parametrize("precision", (53, 150))
+    def test_overflowing_coefficients_refused_with_the_radius(self, precision):
+        curve = Curve(10**400, 0)  # every c_k is above the largest double
+        with pytest.raises(OutOfRadiusError, match=r"radius 7\.67181e-102 at order 4$"):
+            param_point(curve, formal_logarithm(curve, 4), 0.1 + 0.8j, 4, 4, precision)
 
 
 class TestParamPoint:
@@ -207,4 +222,4 @@ class TestOneExpansionPerEvaluation:
 
     def test_derivative_check(self, flog_lemniscatic, calls):
         derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, 1e-4, nmax=50)
-        assert calls == [20, 20, 20]
+        assert calls == [20]

@@ -2,11 +2,13 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ellformal
 from ellformal import cli, formal_group, weierstrass
 from ellformal import (
     Curve,
+    WpExpansion,
     bernoulli_hurwitz,
     differential_equation_residual,
     eisenstein_g,
@@ -14,7 +16,7 @@ from ellformal import (
     wp_laurent,
     wp_prime_laurent,
 )
-from conftest import random_curve
+from conftest import CURVE_FAMILIES, random_curve
 
 
 class TestCurve:
@@ -67,6 +69,30 @@ class TestWpCoefficients:
     def test_denominators_positive(self, rng):
         exp = wp_coefficients(random_curve(rng), 15)
         assert all(exp.coefficient(k).denominator > 0 for k in range(2, 16))
+
+    @given(curve=CURVE_FAMILIES, order=st.integers(2, 60))
+    @example(curve=Curve(F(-3, 7), F(5, 11)), order=2)  # no pair, the seeds alone
+    @example(curve=Curve(F(-3, 7), F(5, 11)), order=3)
+    @example(curve=Curve(F(-3, 7), F(5, 11)), order=4)  # one middle term
+    @example(curve=Curve(0, 0), order=60)  # every pair is zero
+    @example(curve=Curve(F(-3, 7), F(5, 11)), order=120)
+    def test_matches_fraction_recurrence(self, curve, order):
+        expected = WpExpansion(curve, order, _wp_by_fraction_recurrence(curve, order))
+        assert wp_coefficients(curve, order) == expected
+
+
+def _wp_by_fraction_recurrence(curve: Curve, order: int) -> tuple:
+    """Reference: c_2..c_order, summing every product c_j c_(k-j) as a Fraction."""
+    c = [F(0)] * (order + 1)
+    c[2] = curve.g2 / 20
+    if order >= 3:
+        c[3] = curve.g3 / 28
+    for k in range(4, order + 1):
+        acc = F(0)
+        for j in range(2, k - 1):
+            acc += c[j] * c[k - j]
+        c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
+    return tuple(c[2:])
 
 
 class TestLaurentExpansions:
