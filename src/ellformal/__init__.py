@@ -1,18 +1,23 @@
 """Exact formal-group engine for curves y^2 = 4x^3 - g2*x - g3 over Q.
 
-Pipeline: from (g2, g3), two flows that do not read each other.  wp ->
-exp expands wp and wp' as exact Laurent series and forms the formal
-exponential -2*wp/wp'; s -> log solves the chart coordinate s = -2/y and
-integrates the invariant differential dx/y into the formal logarithm
-(reverting the exponential and composing exp with log stay as checks).
-Candidate L-series coefficients are read off the logarithm and verified
-prime by prime against naive point counts; the q-series parametrization
-is evaluated numerically and confirmed to land on the curve.  Universal
-Bernoulli numbers, their elliptic analogues, and the group law (built
-two independent ways) come along for free.
+Pipeline: from (g2, g3), that is (A, B) = (-g2/4, -g3/4), two flows that
+read neither each other nor wp, both in integers on the curve scaled by
+weight.  (A, B) -> exp by the chord ODE: the formal exponential
+t = -2x/y along z, with s = -2/y, from E' = 1 - 2A E S - 3B S^2 and
+S' = 3E^2 + A S^2.  (A, B) -> log by the invariant differential: the
+chart coordinate s = -2/y, and dx/y integrated into the formal logarithm.  wp is expanded on its own and
+checks both: the pullback identities bind it to the log, the
+``bernoulli`` cross-checks to the exp, and exp and log invert each other
+(reverting the exponential stays as a check too).  Candidate L-series
+coefficients are read off the logarithm and verified prime by prime
+against naive point counts; the q-series parametrization is evaluated
+numerically and confirmed to land on the curve.  Universal Bernoulli
+numbers, their elliptic analogues, and the group law (built two
+independent ways) come along for free.
 
-All symbolic computation is exact over :class:`fractions.Fraction`;
-floating point enters only in :mod:`ellformal.numeric_eval`.
+All symbolic computation is exact, over ``int`` or
+:class:`fractions.Fraction`; floating point enters only in
+:mod:`ellformal.numeric_eval`.
 """
 
 from .series import (

@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .formal_group import (
-    _exponential,
     formal_exponential,
     formal_logarithm,
     group_law_closed_form,
@@ -75,11 +74,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-_WHAT_MIN_ORDER = {"fe": 1, "fl": 1, "wp": 2, "wpp": 2, "s": 3, "an": 1}
+# Smallest and largest expand --order for each --what.  Each cap is near where
+# one call on (-3/7, 5/11), the slowest curve of the test corpus, passes 60 s
+# on a 2-vCPU x86 host: fe 1450 / 1500 take 58 / 68 s, fl 2100 / 2150 take
+# 59 / 60 s (an 2100: 56 s), s 2450 / 2500 take 58 / 62 s, and wp 1040 takes
+# 55 s, as for param --order (its report then fails to print; see README).
+_WHAT_ORDER_BOUNDS = {"fe": (1, 1450), "fl": (1, 2100), "wp": (2, 1040), "wpp": (2, 1040),
+                      "s": (3, 2450), "an": (1, 2100)}
 
 # Largest honda --pmax and --order: the order-2000 log takes about 45 s on
 # (-3/7, 5/11), the slowest curve of the test corpus, on a 2-vCPU x86 host.
 HONDA_ORDER_CAP = 2000
+
+# Largest bernoulli --order, measured as the expand caps: order 1100 / 1150
+# takes 53 / 66 s on (-3/7, 5/11).
+BERNOULLI_ORDER_CAP = 1100
 
 # Largest grouplaw --order: order 78 takes about 59 s on (-3/7, 5/11), the
 # slowest curve of the test corpus, on a 2-vCPU x86 host (order 80, 68 s);
@@ -168,7 +177,7 @@ _FLAGS: dict[str, tuple[Callable, dict]] = {
     "pmax": (_int, {"help": "check primes 5..pmax"}),
     "z": (_z, {"help": "upper half-plane point as re,im"}),
     "nmax": (_int, {"help": "number of q-series terms"}),
-    "what": (_choice, {"choices": tuple(_WHAT_MIN_ORDER),
+    "what": (_choice, {"choices": tuple(_WHAT_ORDER_BOUNDS),
                        "help": "which expansion to emit"}),
     "s": (_s, {"action": "append", "help": "Dirichlet exponent (repeatable)"}),
     "precision": (_int, {"help": "working precision in bits (default 53)"}),
@@ -297,8 +306,8 @@ def _run_honda(config: RunConfig) -> tuple[bool, dict]:
 def _run_bernoulli(config: RunConfig) -> tuple[bool, dict]:
     curve = Curve(config.g2, config.g3)
     order = config.order
-    wp = wp_coefficients(curve, max(2, (order + 2) // 2))  # one expansion for both
-    universal = universal_bernoulli(_exponential(wp, order + 1), order)
+    universal = universal_bernoulli(formal_exponential(curve, order + 1), order)
+    wp = wp_coefficients(curve, max(2, order // 2))  # one expansion, for every 2k*G_k
     bh = {k: _bernoulli_hurwitz(wp, k) for k in range(4, order + 1)}
     body: dict = {
         "universal": [str(b) for b in universal],
@@ -375,7 +384,7 @@ _COMMANDS = {
     "expand": _Command(
         "emit one series expansion",
         ("g2", "g3", "order", "what", "format"), _run_expand,
-        bounds={"order": (1, None)},  # low replaced by _WHAT_MIN_ORDER[what]
+        bounds={"order": (1, None)},  # replaced by _WHAT_ORDER_BOUNDS[what]
     ),
     "grouplaw": _Command(
         "build the group law both ways and verify axioms",
@@ -391,7 +400,7 @@ _COMMANDS = {
     "bernoulli": _Command(
         "universal and elliptic Bernoulli numbers",
         ("g2", "g3", "order", "format"), _run_bernoulli,
-        bounds={"order": (0, None)},
+        bounds={"order": (0, BERNOULLI_ORDER_CAP)},
     ),
     "param": _Command(
         "numeric parametrization point and curve residual",
@@ -474,7 +483,7 @@ def resolve_config(argv=None) -> RunConfig:
     for name, (low, high) in spec.bounds.items():
         who = command
         if command == "expand":  # the one bound that depends on a choice
-            low = _WHAT_MIN_ORDER[values["what"]]
+            low, high = _WHAT_ORDER_BOUNDS[values["what"]]
             who += f" --what {values['what']}"
         lo, hi = values.get(low, low), values.get(high, high)
         items = values[name] if isinstance(values[name], tuple) else (values[name],)

@@ -1,28 +1,21 @@
 """Formal group of a curve y^2 = 4x^3 - g2*x - g3: exponential, logarithm,
 universal Bernoulli numbers, and the group law built two independent ways.
 
-Two data flows, neither reading the other: wp -> exp, the Laurent
-quotient -2*wp/wp' (the series of t = -2x/y along the curve), and s -> log,
-the integral of dx/y in the chord coordinates (t, s) = (-2x/y, -2/y).  The
-second runs in integers: with A = -g2/4, B = -g3/4 and u = lcm(den A,
-den B), the curve scaled by weight (a, b) = (u^4 A, u^6 B) gives integer
-W(t) = w(u t), s = t^3 w, and integer u^(n-1) a(n), read off the invariant
-differential dt / (1 - 2A t^4 w - 3B t^6 w^2) with no division; both turn
-into Fractions once, at the end.  The a(n) are the candidate L-series
-coefficients handled downstream.  Reverting the exponential gives the same logarithm and, like
-composing exp with log, stays only as a check.  The group law comes from
-either composition (exp of sum of logs) or from the closed rational
-expression in (t, s); the two constructions must agree coefficient for
-coefficient, which is the strongest self-check this module has.  The
-closed form and the axiom check run on the same weight-scaled curve: its
-law F~(t1, t2) = F(u t1, u t2) / u has integer coefficients (the law of
-s = t^3 + a t s^2 + b s^3 lies in Z[a, b]), so the closed form is built
-in integers and unscaled once, and the axioms are checked on the integer
-conjugate of a curve's law, which passes each axiom exactly when F does.
-The pullback identities wp(log t) = t/s and wp'(log t) = -2/s, which bind
-the wp expansion to the chart, run on that scaled curve too: every side is
-even in t, so both compositions run in T = t^2, on int series over one
-common denominator, and the four sides are unscaled once.
+Every series here comes from the curve itself, in the chord coordinates
+(t, s) = (-2x/y, -2/y): with A = -g2/4 and B = -g3/4, s = t^3 + A t s^2 +
+B s^3 is Silverman's w = z^3 + a4 z w^2 + a6 w^3, whose formal group lies
+in Z[A, B].  Each route runs in integers on the curve scaled by weight
+u = lcm(den A, den B), (a, b) = (u^4 A, u^6 B), and turns into Fractions
+once, at the end.  Two flows read neither each other nor wp: (A, B) -> exp
+by the chord ODE, and (A, B) -> log by the invariant differential, whose
+a(n) are the candidate L-series coefficients handled downstream.  wp
+checks them from outside: the pullback identities wp(log t) = t/s and
+wp'(log t) = -2/s bind it to the log, and the ``bernoulli`` cross-checks
+to the exp; exp and log invert each other (acceptance criterion 4).  The
+group law is exp of the sum of logs, or the closed rational expression in
+(t, s); the two must agree coefficient for coefficient.  The closed form
+and the axiom check run on the scaled law F~(t1, t2) = F(u t1, u t2) / u,
+which has integer coefficients and passes each axiom exactly when F does.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .series import (
     BiSeries,
@@ -40,14 +33,14 @@ from .series import (
     bi_substitute,
     divided_difference,
 )
-from .weierstrass import Curve, WpExpansion, _laurent, wp_coefficients
+from .weierstrass import Curve, wp_coefficients
 
 _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class FormalExp:
-    """Formal exponential: an odd series T + 0*T^3 + c5*T^5 + ..."""
+    """Formal exponential t(z) = -2*wp/wp' = z + (g2/10) z^5 + ..., odd in z."""
 
     curve: Curve
     series: UniSeries
@@ -116,21 +109,32 @@ class AxiomReport:
 
 
 def formal_exponential(curve: Curve, order: int) -> FormalExp:
-    """The series of -2*wp/wp' through T^order.
+    """t = -2x/y along z through z^order, by the chord ODE in integers.
 
-    Clearing poles: -2*wp/wp' = T * (-2 * T^2 wp) / (T^3 wp'), a genuine
-    power series with unit linear coefficient since T^3 wp' starts at -2.
+    E = exp(z) and S = s(E) = -2/wp'(z) solve E' = 1 - 2A E S - 3B S^2 (the
+    invariant differential) and S' = 3E^2 + A S^2 (wp'' = 6 wp^2 - g2/2 at
+    wp = E/S) from E(0) = S(0) = 0.  With weight u (see :func:`_weights`),
+    e_n = n! [z^n] E(u z) / u and s_n = n! [z^n] S(u z) / u^3 are integers:
+    e_(m+1) = [m = 0] - sum_k C(m, k) (2a e_k + 3b s_k) s_(m-k) and
+    s_(m+1) = sum_k C(m, k) (3 e_k e_(m-k) + a s_k s_(m-k)), over odd k as
+    both series are odd.  [z^n] E = e_n / (n! u^(n-1)), divided once, at the
+    end: no wp expansion and no series division.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _exponential(wp_coefficients(curve, max(2, (order + 1) // 2)), order)
+    u, a, b = _weights(curve)
+    e, s, row = [1], [0], [1]  # e_n and s_n at n = 1, 3, 5, ...; row m of Pascal's triangle
 
+    def conv(x, y):  # sum over odd k of C(m, k) x_k y_(m-k), at even m
+        return sum(map(mul, map(mul, row[1::2], x), reversed(y)))
 
-def _exponential(wp: WpExpansion, order: int) -> FormalExp:
-    """The exponential through T^order, from wp through c_((order + 1) // 2)."""
-    laurent = _laurent(wp)
-    quot = (-2 * laurent.body) / laurent.differentiate().body
-    return FormalExp(wp.curve, UniSeries(order, (_ZERO,) + quot.coeffs[:order]))
+    for m in range(1, order):
+        row = [1, *map(add, row, row[1:]), 1]
+        if m % 2 == 0:
+            ss = conv(s, s)
+            e, s = e + [-2 * a * conv(e, s) - 3 * b * ss], s + [3 * conv(e, e) + a * ss]
+    scaled = [Fraction(x, math.factorial(2 * i + 1)) for i, x in enumerate(e)]
+    return FormalExp(curve, UniSeries(order, _unscale(u, scaled, order + 1, first=1)))
 
 
 def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:

@@ -18,7 +18,8 @@ huge or tiny g2, g3) neither overflows nor underflows it.
 The q-series truncation error is likewise only estimated, by the
 magnitude of the last retained term, and reported as such.  In double
 precision a point near the cusp (Im z above about 18.8) is refused with
-``OverflowError``: q underflows there or wp(w) ~ q^-2 overflows.
+``OverflowError``: q underflows there or wp(w) ~ q^-2 overflows.  So is
+a formal-log coefficient past the double range, by its index.
 
 Default arithmetic is the machine double / ``complex`` pair; passing
 ``precision`` (binary digits) above 53 switches the same code path onto
@@ -84,6 +85,11 @@ class _Numerics:
         if self.mp is None:
             return float(q)
         return self.mp.mpf(q.numerator) / q.denominator
+
+    def magnitude(self, x) -> str:
+        """x >= 0 as '%.6g', or in mpmath's notation beyond the double range."""
+        f = float(x)
+        return f"{f:.6g}" if self.mp is None or math.isfinite(f) else self.mp.nstr(x, 6)
 
     def exp(self, z):
         return cmath.exp(z) if self.mp is None else self.mp.exp(z)
@@ -165,7 +171,12 @@ def _qsum(num: _Numerics, q, coeffs, nmax: int):
         qpow = qpow * q
         c = coeffs[n]
         if c:
-            total = total + num.rational(c) * qpow
+            try:
+                cf = num.rational(c)
+            except OverflowError:  # from float(c): past the largest double
+                raise OverflowError(f"log coefficient {n} is beyond the double range; "
+                                    "use --precision above 53") from None
+            total = total + cf * qpow
     estimate = abs(num.rational(coeffs[nmax])) * abs(q) ** nmax
     return total, estimate
 
@@ -234,7 +245,7 @@ def _eval_wp(num: _Numerics, exp: WpExpansion, w):
     radius = _radius(exp)
     if not abs(wc) < radius:
         raise OutOfRadiusError(
-            f"|w| = {float(abs(wc)):.6g} outside reliability radius "
+            f"|w| = {num.magnitude(abs(wc))} outside reliability radius "
             f"{radius:.6g} at order {exp.order}"
         )
     inv = 1 / wc

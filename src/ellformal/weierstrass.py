@@ -114,15 +114,10 @@ def wp_laurent(curve: Curve, order: int) -> LaurentSeries:
 
     The body has order 2*order; entry 2k holds c_k (exponent 2k - 2).
     """
-    return _laurent(wp_coefficients(curve, order))
-
-
-def _laurent(exp: WpExpansion) -> LaurentSeries:
-    """wp as a Laurent series through z^(2*exp.order - 2), from its c_k."""
-    body = [_ZERO] * (2 * exp.order + 1)
+    body = [_ZERO] * (2 * order + 1)
     body[0] = Fraction(1)
-    body[4::2] = exp.c
-    return LaurentSeries(-2, UniSeries(2 * exp.order, body))
+    body[4::2] = wp_coefficients(curve, order).c
+    return LaurentSeries(-2, UniSeries(2 * order, body))
 
 
 def wp_prime_laurent(curve: Curve, order: int) -> LaurentSeries:

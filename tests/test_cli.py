@@ -17,10 +17,20 @@ def run_cli(capsys, *argv):
 
 
 def _forbid_series(monkeypatch):
-    """Fail the test if any formal exponential or logarithm gets built."""
+    """Fail the test if any formal exponential, logarithm or wp expansion gets built."""
     for target in ("ellformal.cli.formal_exponential", "ellformal.cli.formal_logarithm",
-                   "ellformal.formal_group._integer_core"):
+                   "ellformal.formal_group._integer_core", "ellformal.cli.wp_coefficients",
+                   "ellformal.weierstrass.wp_coefficients"):
         monkeypatch.setattr(target, lambda *a, **k: pytest.fail("series built"))
+
+
+def _order_source(tmp_path, source, order):
+    """--order as a flag, or through a config file."""
+    if source == "flag":
+        return [f"--order={order}"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"order": order}))
+    return ["--config", str(path)]
 
 
 class TestParseRational:
@@ -86,6 +96,24 @@ class TestExpand:
         )
         assert code == 2 and out == "" and "order" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("what", list(cli._WHAT_ORDER_BOUNDS))
+    def test_order_above_cap_refused_before_any_series(
+        self, capsys, tmp_path, monkeypatch, what, source
+    ):
+        _forbid_series(monkeypatch)
+        low, cap = cli._WHAT_ORDER_BOUNDS[what]
+        argv = ["expand", "--g2=-3/7", "--g3=5/11", f"--what={what}"]
+        code, out, err = run_cli(capsys, *argv, *_order_source(tmp_path, source, cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: expand --what {what} needs {low} <= --order <= {cap}\n"
+
+    @pytest.mark.parametrize("what", list(cli._WHAT_ORDER_BOUNDS))
+    def test_cap_is_accepted(self, what):
+        cap = cli._WHAT_ORDER_BOUNDS[what][1]
+        argv = ["expand", "--g2=-3/7", "--g3=5/11", f"--what={what}", f"--order={cap}"]
+        assert cli.resolve_config(argv).order == cap
+
     def test_bad_rational_is_usage_error(self, capsys, tmp_path):
         argv = ["expand", "--g3", "0", "--order", "4", "--what", "fe"]
         path = tmp_path / "cfg.json"
@@ -113,14 +141,8 @@ class TestGrouplaw:
         self, capsys, tmp_path, monkeypatch, source
     ):
         _forbid_series(monkeypatch)
-        order = cli.GROUPLAW_ORDER_CAP + 1
-        argv = ["grouplaw", "--g2=-3/7", "--g3=5/11"]
-        if source == "flag":
-            argv.append(f"--order={order}")
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"order": order}))
-            argv += ["--config", str(path)]
+        argv = ["grouplaw", "--g2=-3/7", "--g3=5/11",
+                *_order_source(tmp_path, source, cli.GROUPLAW_ORDER_CAP + 1)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: grouplaw needs 2 <= --order <= {cli.GROUPLAW_ORDER_CAP}\n"
@@ -195,6 +217,22 @@ class TestBernoulli:
         assert doc["cross_checks"]["universal4_is_minus_6_bh4"] is True
         assert parse_rational(doc["universal"][4]) == -12 * F(-3, 7) / 5
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_order_above_cap_refused_before_any_series(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        _forbid_series(monkeypatch)
+        cap = cli.BERNOULLI_ORDER_CAP
+        argv = ["bernoulli", "--g2=-3/7", "--g3=5/11",
+                *_order_source(tmp_path, source, cap + 1)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: bernoulli needs 0 <= --order <= {cap}\n"
+
+    def test_cap_is_accepted(self):
+        argv = ["bernoulli", "--g2=-3/7", "--g3=5/11", f"--order={cli.BERNOULLI_ORDER_CAP}"]
+        assert cli.resolve_config(argv).order == cli.BERNOULLI_ORDER_CAP
+
 
 class TestParam:
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -241,6 +279,15 @@ class TestParam:
             "--order", "50",
         )
         assert code == 1 and out == "" and "radius" in err
+
+    @pytest.mark.parametrize("precision,message", (
+        ("53", "log coefficient 5 is beyond the double range; use --precision above 53"),
+        ("150", "|w| = 8.49167e+3516 outside reliability radius 2.44293e-100 at order 40"),
+    ))
+    def test_overflowing_log_refused_with_a_message(self, capsys, precision, message):
+        argv = ["param", f"--g2={10**400}", "--g3=0", "--z=0.1,0.8", "--order=40",
+                f"--precision={precision}"]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("z", ["0,20", "0,100", "0,1e300"])
     def test_near_cusp_is_refused_in_double_precision(self, capsys, z):

@@ -9,7 +9,8 @@ to order 60 on (5/6, -7/9) (its weight u = 72 has the primes 2 and 3),
 ``param`` at order 60 and 150 bits on (-7, 13) and (-3/7, 5/11), wp to
 order 61 on (5/6, -7/9), ``grouplaw`` at order 18 on (-7, 13) and
 (-3/7, 5/11) and at order 13 on (5/6, -7/9) (u = 72) and (-3/7, 5/11) in
-text, a refusal (exit 1) and the usage-error paths (exit 2, empty
+text, the exponential to order 61 on (-3/7, 5/11) and (5/6, -7/9) in text
+and json, a refusal (exit 1) and the usage-error paths (exit 2, empty
 stdout).  The digest is the first 16 hex digits of the sha256 of stdout.
 It changes only when a report's bytes do; update the table only for a
 report change that is intended and stated.
@@ -70,6 +71,8 @@ def _corpus() -> list[tuple[str, ...]]:
         ("grouplaw", "--g2=-3/7", "--g3=5/11", "--order=18", "--format=json"),
         ("grouplaw", "--g2=5/6", "--g3=-7/9", "--order=13", "--format=json"),
         ("grouplaw", "--g2=-3/7", "--g3=5/11", "--order=13", "--format=text"),
+        *(("expand", f"--g2={g2}", f"--g3={g3}", "--order=61", "--what=fe", f"--format={fmt}")
+          for g2, g3 in (("-3/7", "5/11"), ("5/6", "-7/9")) for fmt in FORMATS),
         # refusal: exit 1
         ("param", "--g2=4", "--g3=0", "--z=0,0.01", "--order=50"),
         # usage errors: exit 2
@@ -198,6 +201,10 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'grouplaw --g2=-3/7 --g3=5/11 --order=18 --format=json': (0, 'd0f9cfed43631338'),
     'grouplaw --g2=5/6 --g3=-7/9 --order=13 --format=json': (0, '4a363da02f5cde10'),
     'grouplaw --g2=-3/7 --g3=5/11 --order=13 --format=text': (0, '6026eecb1ff9efd3'),
+    'expand --g2=-3/7 --g3=5/11 --order=61 --what=fe --format=text': (0, '19bec0a4cf3127c5'),
+    'expand --g2=-3/7 --g3=5/11 --order=61 --what=fe --format=json': (0, '076f81fa9f6c4b02'),
+    'expand --g2=5/6 --g3=-7/9 --order=61 --what=fe --format=text': (0, '53e5ac83c345c32c'),
+    'expand --g2=5/6 --g3=-7/9 --order=61 --what=fe --format=json': (0, 'faf9119e7e1ae0d1'),
     'param --g2=4 --g3=0 --z=0,0.01 --order=50': (1, 'e3b0c44298fc1c14'),
     'expand --g3=0 --order=4 --what=fe': (2, 'e3b0c44298fc1c14'),
     'expand --g2=4 --g3=0 --order=2 --what=s': (2, 'e3b0c44298fc1c14'),

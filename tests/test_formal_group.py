@@ -20,6 +20,8 @@ from ellformal import (
     s_coordinate,
     universal_bernoulli,
     verify_axioms,
+    wp_laurent,
+    wp_prime_laurent,
 )
 from conftest import CURVE_FAMILIES, random_curve, random_rational
 
@@ -45,6 +47,31 @@ class TestFormalExponential:
     def test_oddness(self, rng):
         fe = formal_exponential(random_curve(rng), 24)
         assert all(fe.series.coeffs[k] == 0 for k in range(0, 25, 2))
+
+    # the chord ODE against the -2*wp/wp' Laurent quotient it replaced
+    @given(curve=CURVE_FAMILIES, order=st.integers(1, 60))
+    @example(curve=Curve(-7, 13), order=1)
+    @example(curve=Curve(-7, 13), order=2)
+    @example(curve=Curve(-7, 13), order=3)
+    @example(curve=Curve(0, 0), order=40)
+    @example(curve=Curve(F(-3, 7), F(5, 11)), order=61)
+    def test_matches_wp_quotient(self, curve, order):
+        fexp = formal_exponential(curve, order)
+        assert fexp.curve == curve
+        assert fexp.series == _exponential_by_wp_quotient(curve, order)
+        assert all(type(c) is F for c in fexp.series.coeffs)
+
+    def test_order_validated(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            formal_exponential(Curve(4, 0), 0)
+
+
+def _exponential_by_wp_quotient(curve: Curve, order: int) -> UniSeries:
+    """Reference: -2*wp/wp' through T^order, cleared of poles as
+    T * (-2 T^2 wp) / (T^3 wp'), from wp through c_((order + 1) // 2)."""
+    n = max(2, (order + 1) // 2)
+    quot = (-2 * wp_laurent(curve, n).body) / wp_prime_laurent(curve, n).body
+    return UniSeries(order, (0,) + quot.coeffs[:order])
 
 
 class TestFormalLogarithm:
@@ -117,7 +144,7 @@ class TestFormalLogarithm:
 class TestOneLogRoute:
     """The log is read off the invariant differential by one integer core,
     not by reversion or a series division, and nothing that needs only the
-    log builds the exponential or its wp."""
+    log builds the exponential or its wp; the exponential reads no wp either."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -141,6 +168,10 @@ class TestOneLogRoute:
     def test_counts(self, calls):
         formal_logarithm(Curve(-7, 13), 97)
         assert calls == ["_integer_core"]  # no s_coordinate, no series division
+
+    def test_exponential_reads_no_wp(self, calls):
+        formal_group.formal_exponential(Curve(-7, 13), 97)
+        assert calls == ["formal_exponential"]  # no wp_coefficients, no series division
 
     def test_s_coordinate_runs_the_core(self, calls):
         formal_group.s_coordinate(Curve(-7, 13), 40)

@@ -103,6 +103,18 @@ class TestEvalWp:
         with pytest.raises(OutOfRadiusError, match=r"radius 7\.67181e-102 at order 4$"):
             param_point(curve, formal_logarithm(curve, 4), 0.1 + 0.8j, 4, 4, precision)
 
+    def test_log_coefficient_beyond_the_doubles_refused(self):
+        curve = Curve(10**400, 0)
+        flog = formal_logarithm(curve, 40)
+        # at 53 bits float(a(5)/5) overflows in the q-series: named, not a bare OverflowError
+        with pytest.raises(OverflowError, match=r"^log coefficient 5 is beyond the double "
+                                                r"range; use --precision above 53$"):
+            param_point(curve, flog, 0.1 + 0.8j, 40, 40)
+        # at 150 bits |w| is past the doubles too, and is printed, not as inf
+        with pytest.raises(OutOfRadiusError, match=r"^\|w\| = 8\.49167e\+3516 outside "
+                                                   r"reliability radius 2\.44293e-100 at order 40$"):
+            param_point(curve, flog, 0.1 + 0.8j, 40, 40, 150)
+
 
 class TestParamPoint:
     def test_residual_rounding_dominated_at_i(self, flog_lemniscatic):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -163,11 +164,32 @@ class TestEisensteinAndHurwitz:
     def test_consistency_with_expansion(self, rng):
         c = random_curve(rng)
         exp = wp_coefficients(c, 8)
-        import math
-
         for k in (4, 6, 8, 10, 12, 14, 16):
             expected = math.factorial(k - 2) * exp.coefficient(k // 2) / 2
             assert eisenstein_g(c, k) == expected
+
+    @pytest.mark.parametrize("sign,failing", ((1, 0), (-1, 31)))
+    def test_hurwitz_theorem_on_lemniscatic_curve(self, sign, failing):
+        # Hurwitz (Math. Ann. 51, 1899): on (4, 0) let H_n = c_(2n) 4n (4n-2)! / 2^(4n).
+        # H_n - 1/2 - sum (2a)^(4n/(p-1)) / p is an integer, over the primes
+        # p = 1 (mod 4) with (p - 1) | 4n, where p = a^2 + b^2 and a + bi is
+        # primary: a + bi = 1 (mod 2 + 2i), i.e. b even and a + b = 1 (mod 4).
+        # The other sign of a breaks it for 31 of the n <= 40.
+        primary = {}
+        for p in range(5, 162, 4):
+            if all(p % d for d in range(2, math.isqrt(p) + 1)):
+                b, a = next((b, math.isqrt(p - b * b)) for b in range(0, p, 2)
+                            if math.isqrt(p - b * b) ** 2 == p - b * b)
+                primary[p] = sign * (a if (a + b) % 4 == 1 else -a)
+        c = wp_coefficients(Curve(4, 0), 80).c  # c[k - 2] = c_k
+        hurwitz = [c[2 * n - 2] * 4 * n * math.factorial(4 * n - 2) / 2 ** (4 * n)
+                   for n in range(1, 41)]
+        assert hurwitz[:3] == [F(1, 10), F(3, 10), F(567, 130)]
+        defects = [n for n, h in enumerate(hurwitz, 1)
+                   if (h - F(1, 2) - sum(F((2 * a) ** (4 * n // (p - 1)), p)
+                                         for p, a in primary.items()
+                                         if 4 * n % (p - 1) == 0)).denominator != 1]
+        assert len(defects) == failing
 
 
 class TestOneExpansion:
@@ -193,7 +215,7 @@ class TestOneExpansion:
     def test_bernoulli_command_expands_once(self, expansions, capsys):
         argv = ["bernoulli", "--g2=-7", "--g3=13", "--order=40", "--format=json"]
         assert cli.main(argv) == 0
-        assert expansions == [(Curve(-7, 13), 21)]  # the exponential's, read by every 2k*G_k too
+        assert expansions == [(Curve(-7, 13), 20)]  # c_20 for every 2k*G_k; the exponential builds none
         values = json.loads(capsys.readouterr().out)["bernoulli_hurwitz"]
         curve = Curve(-7, 13)
         assert [v["k"] for v in values] == list(range(4, 41))
