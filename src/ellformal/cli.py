@@ -22,6 +22,7 @@ and config-file values pass the same parsers and bounds before any work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -102,6 +103,13 @@ GROUPLAW_ORDER_CAP = 78
 PARAM_ORDER_CAP = 1040
 PARAM_PRECISION_CAP = 290000
 
+# Largest classical --order and --nmax, each measured with the other small on
+# the same host: the Fraction reversion of exp(T) - 1 takes 25.6 / 53.3 / 60.4 s
+# at order 200 / 240 / 250, and the eta sums at the default s = 1, 2 take
+# 21.8 / 54.2 / 60.7 s at nmax 10^8 / 2.5*10^8 / 2.8*10^8 (each --s adds one).
+CLASSICAL_ORDER_CAP = 240
+CLASSICAL_NMAX_CAP = 250_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -120,15 +128,31 @@ class RunConfig:
 
 # -- field parsers, shared by flags and config-file values -------------------
 
+# Python's limit on the digits of an int read from or written as a string
+# (4300 by default; 0 is none).  Interpreters before 3.10.7 have none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
+def _readable(name: str, text: str) -> str:
+    """text, refused if a run of digits in it is longer than Python reads as an int."""
+    limit = _digit_limit()
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if limit and longest > limit:
+        raise UsageError(f"{name} has a {longest}-digit number; at most {limit} digits are read")
+    return text
+
 
 def _rational(name: str, value) -> Fraction:
     try:
-        return parse_rational(str(value))
+        return parse_rational(_readable(name, str(value)))
     except RationalParseError as exc:
         raise UsageError(f"{name}: {exc}") from exc
 
 
 def _int(name: str, value) -> int:
+    if isinstance(value, str):
+        value = _readable(name, value)
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
@@ -155,7 +179,7 @@ def _z(name: str, value) -> tuple[float, float]:
 
 
 def _s(name: str, value) -> tuple[int, ...]:
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):  # a str is a config integer too long to read
         value = [value]
     if not isinstance(value, (list, tuple)) or not value:
         raise UsageError(f"{name} must be a non-empty list of integers, got {value!r}")
@@ -413,7 +437,8 @@ _COMMANDS = {
         "exp(T)-1 degeneration: log(1+T) and eta partial sums",
         ("nmax", "order", "s", "format"), _run_classical,
         defaults={"order": 16, "s": (1, 2)},
-        bounds={"nmax": (1, None), "order": (1, None), "s": (1, None)},
+        bounds={"nmax": (1, CLASSICAL_NMAX_CAP), "order": (1, CLASSICAL_ORDER_CAP),
+                "s": (1, None)},
     ),
 }
 
@@ -443,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -460,6 +485,13 @@ def _load_config_file(path: str, command: str) -> dict:
             f"config command {data['command']!r} does not match '{command}'"
         )
     return data
+
+
+def _json_int(text: str):
+    """A config-file integer; one longer than Python reads stays text, so that
+    its field's parser refuses it by name."""
+    limit = _digit_limit()
+    return text if limit and len(text.lstrip("-")) > limit else int(text)
 
 
 def resolve_config(argv=None) -> RunConfig:
@@ -538,6 +570,17 @@ def _render(report: dict, fmt: str) -> str:
     return _render_text(report)
 
 
+@contextlib.contextmanager
+def _any_length_digits():
+    """Lift Python's limit on int-to-str digits, and restore it on the way out."""
+    limit = _digit_limit()
+    _set_digit_limit(0)
+    try:
+        yield
+    finally:
+        _set_digit_limit(limit)
+
+
 def main(argv=None) -> int:
     try:
         config = resolve_config(argv)
@@ -547,9 +590,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code, report = run(config)
+        # every input has been read; an exact coefficient prints whatever its length
+        with _any_length_digits():
+            code, report = run(config)
+            text = _render(report, config.format)
     except Exception as exc:  # refusal or computation failure, not usage
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(_render(report, config.format))
+    sys.stdout.write(text)
     return code

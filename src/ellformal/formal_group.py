@@ -9,13 +9,15 @@ u = lcm(den A, den B), (a, b) = (u^4 A, u^6 B), and turns into Fractions
 once, at the end.  Two flows read neither each other nor wp: (A, B) -> exp
 by the chord ODE, and (A, B) -> log by the invariant differential, whose
 a(n) are the candidate L-series coefficients handled downstream.  wp
-checks them from outside: the pullback identities wp(log t) = t/s and
-wp'(log t) = -2/s bind it to the log, and the ``bernoulli`` cross-checks
-to the exp; exp and log invert each other (acceptance criterion 4).  The
-group law is exp of the sum of logs, or the closed rational expression in
-(t, s); the two must agree coefficient for coefficient.  The closed form
-and the axiom check run on the scaled law F~(t1, t2) = F(u t1, u t2) / u,
-which has integer coefficients and passes each axiom exactly when F does.
+checks them from outside: the pullback identity wp(log t) = t/s binds it
+to the log, wp'(log t) = -2/s, taken from wp(log t) by the chain rule,
+binds the log's derivative to the chart, and the ``bernoulli``
+cross-checks bind wp to the exp; exp and log invert each other
+(acceptance criterion 4).  The group law is exp of the sum of logs, or the
+closed rational expression in (t, s); the two must agree coefficient for
+coefficient.  The closed form and the axiom check run on the scaled law
+F~(t1, t2) = F(u t1, u t2) / u, which has integer coefficients and passes
+each axiom exactly when F does.
 """
 
 from __future__ import annotations
@@ -350,10 +352,10 @@ class PullbackIdentities:
 
     x = wp(log(t)) must equal t/s(t) and y = wp'(log(t)) must equal
     -2/s(t); the fields hold the pole-cleared bodies of each side
-    (valuation -2 for x, -3 for y), all tracked through t^order.  All four
-    are even in t: :func:`coordinate_pullback` computes them in T = t^2 on
-    the weight-scaled curve, in integers, and spreads them back to dense
-    t-series once, at the end.
+    (valuation -2 for x, -3 for y), all even in t and tracked through
+    t^order.  :func:`coordinate_pullback` composes wp with the log once and
+    takes wp'(log) from it by the chain rule, so once x holds, the y
+    identity checks the log's derivative against the chart.
     """
 
     order: int
@@ -370,20 +372,20 @@ class PullbackIdentities:
 def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     """Bind the wp expansion, the formal log and the (t, s) chart together.
 
-    With log = t v (v a unit), t^2 wp(log) = v^-2 p(log^2) and
-    t^3 wp'(log) = v^-3 q(log^2), where p(Z) = 1 + sum c_k Z^k and
-    q(Z) = -2 + sum (2k - 2) c_k Z^k; the chart side is 1/w and -2/w.
-    Every one of these is even in t, so it is computed in T = t^2 through
-    T^h, h = order // 2, with log^2 = T v^2.  On the curve scaled by weight
-    u (t = u tau, see :func:`_integer_core`) w becomes the integer W and
-    v the series v~ = sum u^(2i) a(2i + 1) / (2i + 1) T^i, so with
+    With log = t v (v a unit), P = t^2 wp(log) = v^-2 p(log^2), where
+    p(Z) = 1 + sum c_k Z^k, and by the chain rule t^3 wp'(log) =
+    (t P' - 2P) / log'; the chart side is 1/w and -2/w.  All are even in
+    t, so they are computed in T = t^2 through T^h, h = order // 2.  On the
+    curve scaled by weight u (t = u tau, see :func:`_integer_core`) w is the
+    integer W, log' the integer unit sum u^(2i) a(2i + 1) T^i and v the
+    series v~ = sum u^(2i) a(2i + 1) / (2i + 1) T^i, so with
     D = lcm(1, 3, ..., 2h + 1) the series M = D v~ and I = T M^2 are
-    integers.  Giving p and q the coefficients Q c~_k D^(2(h - k)), with
-    c~_k = u^(2k) c_k and Q the lcm of their denominators, makes both
-    compositions with I integer ones, equal to Q D^(2h) p(T v~^2) and
-    Q D^(2h) q(T v~^2).  One exact division each (by Q D^(2h - 2) M^2,
-    by Q D^(2h - 3) M^3 and, for the chart, by W) gives the scaled bodies,
-    which are unscaled by u^(2i) once, at the end.  All exact.
+    integers.  Giving p the coefficients Q c~_k D^(2(h - k)), with
+    c~_k = u^(2k) c_k and Q the lcm of their denominators, makes the one
+    composition with I an integer one, equal to Q D^(2h) p(T v~^2).  Three
+    exact divisions (by Q D^(2h - 2) M^2 for P, by log' for the T^i
+    coefficients (2i - 2) P_i, and by W) give the scaled bodies, which are
+    unscaled by u^(2i) once, at the end.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -399,13 +401,9 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     inner = m2.shifted(1)  # I = T M^2
     p = [q * d2**h, 0] + [ck.numerator * (q // ck.denominator) * d2 ** (h - k)
                           for k, ck in enumerate(scaled, 2)]
-    p = p[: h + 1]
-    x = UniSeries(h, p).compose(inner)
-    y = UniSeries(h, [(2 * k - 2) * ck for k, ck in enumerate(p)]).compose(inner)
-    # D^(2h - 2) and D^(2h - 3) as p[0] = Q D^(2h) over D^2 and D^3 moved onto
-    # the numerators, so that no power of D is negative at h <= 1
-    x = d2 * x / (p[0] * m2)
-    y = d2 * d * y / (p[0] * m2 * m)
+    # by Q D^(2h - 2) M^2 with D^2 on the numerator: no power of D is negative at h = 0
+    x = d2 * UniSeries(h, p[: h + 1]).compose(inner) / (p[0] * m2)
+    y = UniSeries(h, [(2 * i - 2) * xi for i, xi in enumerate(x.coeffs)]) / UniSeries(h, an)
     chart = UniSeries.one(h) / UniSeries(h, w)
 
     def spread(series: UniSeries) -> UniSeries:

@@ -16,9 +16,11 @@ compared against anything).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat, takewhile
 
 from .formal_group import FormalLog
 from .series import UniSeries
@@ -247,11 +249,37 @@ def classical_demo(nmax: int, s_values, series_order: int = 16) -> ClassicalRepo
     for s in s_values:
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"s must be a positive integer, got {s!r}")
-        pos = math.fsum(1.0 / n**s for n in range(1, nmax + 1, 2))
-        neg = math.fsum(1.0 / n**s for n in range(2, nmax + 1, 2))
-        partial = pos - neg
+        partial = _power_sum(s, range(1, nmax + 1, 2)) - _power_sum(s, range(2, nmax + 1, 2))
         ref = _eta_reference(s)
         sums.append(
-            EtaPartialSum(s, nmax, partial, ref, abs(partial - ref), 1.0 / (nmax + 1) ** s)
+            EtaPartialSum(s, nmax, partial, ref, abs(partial - ref), _inverse_power(nmax + 1, s))
         )
     return ClassicalReport(series_order, an, alternating, tuple(sums))
+
+
+def _power_sum(s: int, terms: range) -> float:
+    """fsum of 1/n^s over the increasing n of terms, up to the first that underflows.
+
+    While n < 2^(1023 // s), n^s < 2^1023 converts to a double and the term
+    is 1.0 / n**s inline; the rest go through :func:`_inverse_power`.
+    """
+    plain = bisect.bisect_left(terms, 1 << (1023 // s))
+    head = (1.0 / n**s for n in terms[:plain])
+    return math.fsum(chain(head, takewhile(bool, map(_inverse_power, terms[plain:], repeat(s)))))
+
+
+def _inverse_power(n: int, s: int) -> float:
+    """1/n^s as a double, 0.0 once it underflows.
+
+    Where n^s converts to a double this is 1.0 / n**s, so reports in that
+    range keep their bytes; past it, it is the correctly rounded 1 / n**s,
+    and once n^s > 2^1075 (1/n^s below half the least subnormal) it is 0.0
+    without forming n^s.
+    """
+    if s * (n.bit_length() - 1) > 1075:
+        return 0.0
+    p = n**s
+    try:
+        return 1.0 / p
+    except OverflowError:
+        return 1 / p

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -337,6 +338,112 @@ class TestClassical:
         assert [row["s"] for row in doc["eta"]] == [1, 2]
         assert doc["an"][:4] == ["1", "-1", "1", "-1"]
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize("s,nmax,bound", [
+        (103, 1000, repr(float(F(1, 1001**103)))),  # 1001^103 is past the double range
+        (5000, 10**6, "0.0"),  # every term from n = 2 on underflows, and is not summed
+    ])
+    def test_huge_exponent_sums_to_one(self, capsys, s, nmax, bound):
+        code, out, _ = run_cli(capsys, "classical", f"--nmax={nmax}", f"--s={s}",
+                               "--format=json")
+        assert code == 0
+        row = json.loads(out)["eta"][0]
+        assert (row["partial_sum"], row["bound"], row["within_bound"]) == ("1.0", bound, True)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["order", "nmax"])
+    def test_above_cap_refused_before_any_work(
+        self, capsys, tmp_path, monkeypatch, name, source
+    ):
+        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
+        cap = {"order": cli.CLASSICAL_ORDER_CAP, "nmax": cli.CLASSICAL_NMAX_CAP}[name]
+        values = {"nmax": 10, name: cap + 1}
+        if source == "flag":
+            argv = [f"--{key}={value}" for key, value in values.items()]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(values))
+            argv = ["--config", str(path)]
+        code, out, err = run_cli(capsys, "classical", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: classical needs 1 <= --{name} <= {cap}\n"
+
+    def test_caps_are_accepted(self):
+        argv = ["classical", f"--nmax={cli.CLASSICAL_NMAX_CAP}",
+                f"--order={cli.CLASSICAL_ORDER_CAP}"]
+        config = cli.resolve_config(argv)
+        assert (config.nmax, config.order) == (cli.CLASSICAL_NMAX_CAP, cli.CLASSICAL_ORDER_CAP)
+
+
+class TestDigitLimit:
+    """Python reads and writes at most sys.get_int_max_str_digits() digits of
+    an int (4300 by default): a longer input is refused by name, and a report
+    prints every exact coefficient whatever its length."""
+
+    # (argv, text digest, json digest): the sha256 prefixes of the reports,
+    # recorded before this check existed, with the limit lifted
+    LONG_REPORTS = [
+        (["expand", "--g2=" + "9" * 600, "--g3=-1/7", "--order=9", "--what=fe"],
+         "5de3f52ec24c65cf", "79c47b4979e8b743"),
+        (["expand", "--g2=-1/3", "--g3=" + "9" * 600, "--order=13", "--what=wp"],
+         "9cf00f1f1c8fb8c4", "a107c96e8b819ed1"),
+    ]
+
+    @pytest.fixture
+    def limit_640(self):
+        """Lower the limit to 640 digits for one test, and restore it after."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    @staticmethod
+    def _digest(capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("argv,text,json_", LONG_REPORTS, ids=("fe", "wp"))
+    def test_long_coefficients_print(self, capsys, limit_640, argv, text, json_):
+        assert self._digest(capsys, argv) == text
+        assert self._digest(capsys, [*argv, "--format=json"]) == json_
+        assert sys.get_int_max_str_digits() == 640  # lifted for the report only
+
+    def test_default_limit_report(self, capsys):
+        # g2^2 in [z^9] of the exponential has 8000 digits
+        argv = ["expand", "--g2=" + "9" * 4000, "--g3=0", "--order=9", "--what=fe"]
+        assert self._digest(capsys, argv) == "f213592ee5d05b1e"
+        assert self._digest(capsys, [*argv, "--format=json"]) == "ec71683f0608ac6b"
+
+    @pytest.mark.parametrize("field,text", [
+        ("g2", "9" * 641), ("g2", "1/" + "7" * 641), ("g3", "0." + "1" * 641),
+        ("order", "9" * 641),
+    ])
+    def test_long_flag_refused_by_name(self, capsys, monkeypatch, limit_640, field, text):
+        _forbid_series(monkeypatch)
+        values = {"g2": "1", "g3": "0", "order": "3", field: text}
+        argv = ["expand", "--what=fe", *(f"--{k}={v}" for k, v in values.items())]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {field} has a 641-digit number; at most 640 digits are read\n"
+
+    @pytest.mark.parametrize("field", ["g2", "order"])
+    def test_long_config_integer_refused_by_name(self, capsys, tmp_path, monkeypatch,
+                                                 limit_640, field):
+        _forbid_series(monkeypatch)
+        values = {"g2": 1, "g3": 0, "order": 3, "what": "fe"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values).replace(f'"{field}": {values[field]}',
+                                                   f'"{field}": {"9" * 641}'))
+        code, out, err = run_cli(capsys, "expand", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {field} has a 641-digit number; at most 640 digits are read\n"
+
+    def test_default_limit_refusal(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--g2=" + "9" * 5000, "--g3=0",
+                                 "--order=3", "--what=fe")
+        assert code == 2 and out == ""
+        assert err == "error: g2 has a 5000-digit number; at most 4300 digits are read\n"
 
 
 class TestConfigFile:

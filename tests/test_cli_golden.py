@@ -2,7 +2,8 @@
 
 The corpus covers every command and every ``expand --what`` in text and
 json on three curves, ``param`` at 53 and 150 bits, ``classical`` with its
-defaults and with ``--s``, ``honda --pmax 199`` on (-7, 13) and
+defaults, with ``--s`` and at ``--s 102`` (whose terms and bound are all
+doubles), ``honda --pmax 199`` on (-7, 13) and
 (-3/7, 5/11), the log and a(n) to order 120 on (-3/7, 5/11), s and a(n)
 to order 60 on (5/6, -7/9) (its weight u = 72 has the primes 2 and 3),
 ``bernoulli`` at order 60 on (-7, 13), (-3/7, 5/11) and (5/6, -7/9),
@@ -48,6 +49,7 @@ def _corpus() -> list[tuple[str, ...]]:
         corpus.append(("classical", "--nmax=100", f"--format={fmt}"))
         corpus.append(("classical", "--nmax=100", "--s=1", "--s=3", "--order=8",
                        f"--format={fmt}"))
+        corpus.append(("classical", "--nmax=1000", "--s=102", f"--format={fmt}"))
     corpus += [
         ("honda", "--g2=4", "--g3=0", "--pmax=20", "--order=23"),
         ("honda", "--g2=-7", "--g3=13", "--pmax=199", "--format=json"),
@@ -182,6 +184,8 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'classical --nmax=100 --s=1 --s=3 --order=8 --format=text': (0, '81bb14ef5c59b501'),
     'classical --nmax=100 --format=json': (0, 'dea3af449ae18058'),
     'classical --nmax=100 --s=1 --s=3 --order=8 --format=json': (0, '299fe1bffe964fdd'),
+    'classical --nmax=1000 --s=102 --format=text': (0, 'ab9dbae863beb530'),
+    'classical --nmax=1000 --s=102 --format=json': (0, 'cf3e47b55e90c928'),
     'honda --g2=4 --g3=0 --pmax=20 --order=23': (0, 'cf1c761f0bbd7aca'),
     'honda --g2=-7 --g3=13 --pmax=199 --format=json': (0, 'bd825ea0de6cb8f5'),
     'honda --g2=-3/7 --g3=5/11 --pmax=199 --format=json': (0, '9915fed14a681919'),

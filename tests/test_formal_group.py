@@ -190,8 +190,8 @@ class TestOneLogRoute:
 
     def test_pullback_solves_s_once(self, calls):
         coordinate_pullback(Curve(-7, 13), 40)
-        # the three exact divisions are by the scaled unit's square and cube and
-        # by the chart's W, not by the log
+        # the three exact divisions are by M^2 (the scaled unit's square), by the
+        # scaled log' (wp' by the chain rule) and by the chart's W
         assert calls == ["_integer_core", "wp_coefficients"] + ["__truediv__"] * 3
 
 
@@ -623,8 +623,8 @@ class TestPullbackIdentities:
     def test_compositions_run_on_integers(self, curve, monkeypatch):
         operands = _record_operands(monkeypatch, UniSeries, "compose")
         assert coordinate_pullback(curve, 60).holds
-        # one composition for wp and one for wp', each in T = t^2 through T^30
-        assert [(outer.order, inner.order) for outer, inner in operands] == [(30, 30)] * 2
+        # one composition, for wp, in T = t^2 through T^30; wp' is the chain rule
+        assert [(outer.order, inner.order) for outer, inner in operands] == [(30, 30)]
         assert all(_integer_rows(x) for pair in operands for x in pair)
 
     @pytest.mark.parametrize("k", (2, 5, 15))
@@ -652,7 +652,8 @@ class TestPullbackIdentities:
             return u, w, an
 
         monkeypatch.setattr(formal_group, "_integer_core", perturbed)
-        assert not coordinate_pullback(Curve(-7, 13), 30).holds
+        pb = coordinate_pullback(Curve(-7, 13), 30)
+        assert pb.x_pullback != pb.x_coords and pb.y_pullback != pb.y_coords
 
 
 def _pullback_by_fraction(curve: Curve, order: int) -> formal_group.PullbackIdentities:

@@ -15,6 +15,7 @@ from ellformal import (
     primes_upto,
     reduce_curve,
 )
+from ellformal import lseries
 from conftest import random_curve
 
 
@@ -171,3 +172,24 @@ class TestClassicalDemo:
             classical_demo(0, [1])
         with pytest.raises(ValueError):
             classical_demo(10, [0])
+
+    @pytest.mark.parametrize("n,s", [
+        (1000, 103), (1001, 103), (3, 700), (2, 1023), (2, 1074), (2, 1075), (2, 1076),
+        (10**6, 5000), (1, 10**18),
+    ])
+    def test_inverse_power_past_the_double_range(self, n, s):
+        # correctly rounded where n^s has no double, 0.0 once it underflows
+        assert lseries._inverse_power(n, s) == (1.0 if n == 1 else float(F(1, n**s)))
+
+    @pytest.mark.parametrize("s", (1, 3, 38, 60, 102, 103, 150))
+    def test_power_sum_matches_term_by_term(self, s):
+        # the inline head and the _inverse_power tail add up to the sum of
+        # 1.0 / n**s, each term correctly rounded where n**s has no double
+        def term(n):
+            try:
+                return 1.0 / n**s
+            except OverflowError:
+                return float(F(1, n**s))
+
+        terms = range(1, 5000, 2)
+        assert lseries._power_sum(s, terms) == math.fsum(map(term, terms))
