@@ -79,7 +79,7 @@ def parse_rational(text: str) -> Fraction:
 # one call on (-3/7, 5/11), the slowest curve of the test corpus, passes 60 s
 # on a 2-vCPU x86 host: fe 1450 / 1500 take 58 / 68 s, fl 2100 / 2150 take
 # 59 / 60 s (an 2100: 56 s), s 2450 / 2500 take 58 / 62 s, and wp 1040 takes
-# 55 s, as for param --order (its report then fails to print; see README).
+# 55 s, as for param --order.
 _WHAT_ORDER_BOUNDS = {"fe": (1, 1450), "fl": (1, 2100), "wp": (2, 1040), "wpp": (2, 1040),
                       "s": (3, 2450), "an": (1, 2100)}
 
@@ -128,15 +128,15 @@ class RunConfig:
 
 # -- field parsers, shared by flags and config-file values -------------------
 
-# Python's limit on the digits of an int read from or written as a string
-# (4300 by default; 0 is none).  Interpreters before 3.10.7 have none.
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+class _LongInt(str):
+    """A config-file integer longer than Python reads, kept as its digits so
+    that its field's parser refuses it by name."""
 
 
 def _readable(name: str, text: str) -> str:
-    """text, refused if a run of digits in it is longer than Python reads as an int."""
-    limit = _digit_limit()
+    """text, refused if a run of digits in it is longer than Python reads as an int
+    (sys.get_int_max_str_digits(), 4300 by default; 0 is no limit)."""
+    limit = sys.get_int_max_str_digits()
     longest = max(map(len, re.findall(r"\d+", text)), default=0)
     if limit and longest > limit:
         raise UsageError(f"{name} has a {longest}-digit number; at most {limit} digits are read")
@@ -179,7 +179,7 @@ def _z(name: str, value) -> tuple[float, float]:
 
 
 def _s(name: str, value) -> tuple[int, ...]:
-    if isinstance(value, (int, str)):  # a str is a config integer too long to read
+    if isinstance(value, (int, _LongInt)):
         value = [value]
     if not isinstance(value, (list, tuple)) or not value:
         raise UsageError(f"{name} must be a non-empty list of integers, got {value!r}")
@@ -488,10 +488,8 @@ def _load_config_file(path: str, command: str) -> dict:
 
 
 def _json_int(text: str):
-    """A config-file integer; one longer than Python reads stays text, so that
-    its field's parser refuses it by name."""
-    limit = _digit_limit()
-    return text if limit and len(text.lstrip("-")) > limit else int(text)
+    limit = sys.get_int_max_str_digits()
+    return _LongInt(text) if limit and len(text.lstrip("-")) > limit else int(text)
 
 
 def resolve_config(argv=None) -> RunConfig:
@@ -573,12 +571,12 @@ def _render(report: dict, fmt: str) -> str:
 @contextlib.contextmanager
 def _any_length_digits():
     """Lift Python's limit on int-to-str digits, and restore it on the way out."""
-    limit = _digit_limit()
-    _set_digit_limit(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        _set_digit_limit(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:

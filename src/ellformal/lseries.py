@@ -261,7 +261,10 @@ def _power_sum(s: int, terms: range) -> float:
     """fsum of 1/n^s over the increasing n of terms, up to the first that underflows.
 
     While n < 2^(1023 // s), n^s < 2^1023 converts to a double and the term
-    is 1.0 / n**s inline; the rest go through :func:`_inverse_power`.
+    is 1.0 / n**s inline, the value :func:`_inverse_power` gives there; the
+    rest go through :func:`_inverse_power`.  The inline head is for speed
+    only: on a 2-vCPU x86 host ``classical --nmax 250000000`` (the cap) takes
+    52 s with it and 88 s with every term through :func:`_inverse_power`.
     """
     plain = bisect.bisect_left(terms, 1 << (1023 // s))
     head = (1.0 / n**s for n in terms[:plain])

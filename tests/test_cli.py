@@ -427,17 +427,29 @@ class TestDigitLimit:
         assert code == 2 and out == ""
         assert err == f"error: {field} has a 641-digit number; at most 640 digits are read\n"
 
-    @pytest.mark.parametrize("field", ["g2", "order"])
+    @pytest.mark.parametrize("command,values,field", [
+        ("expand", {"g2": 1, "g3": 0, "order": 3, "what": "fe"}, "g2"),
+        ("expand", {"g2": 1, "g3": 0, "order": 3, "what": "fe"}, "order"),
+        ("classical", {"nmax": 10, "s": 3}, "s"),
+    ])
     def test_long_config_integer_refused_by_name(self, capsys, tmp_path, monkeypatch,
-                                                 limit_640, field):
+                                                 limit_640, command, values, field):
         _forbid_series(monkeypatch)
-        values = {"g2": 1, "g3": 0, "order": 3, "what": "fe"}
+        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values).replace(f'"{field}": {values[field]}',
                                                    f'"{field}": {"9" * 641}'))
-        code, out, err = run_cli(capsys, "expand", "--config", str(path))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
         assert code == 2 and out == ""
         assert err == f"error: {field} has a 641-digit number; at most 640 digits are read\n"
+
+    def test_config_s_string_refused(self, capsys, tmp_path):
+        # only an integer too long to read is kept as text; a lone string is not a list
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"nmax": 10, "s": "3"}))
+        code, out, err = run_cli(capsys, "classical", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: s must be a non-empty list of integers, got '3'\n"
 
     def test_default_limit_refusal(self, capsys):
         code, out, err = run_cli(capsys, "expand", "--g2=" + "9" * 5000, "--g3=0",
