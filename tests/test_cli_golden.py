@@ -8,7 +8,8 @@ doubles), ``honda --pmax 199`` on (-7, 13) and
 to order 60 on (5/6, -7/9) (its weight u = 72 has the primes 2 and 3),
 ``bernoulli`` at order 60 on (-7, 13), (-3/7, 5/11) and (5/6, -7/9),
 ``param`` at order 60 and 150 bits on (-7, 13) and (-3/7, 5/11), wp to
-order 61 on (5/6, -7/9), ``grouplaw`` at order 18 on (-7, 13) and
+order 61 on (5/6, -7/9) and wp' to the same order, wp and wp' to order 8 on
+the pure pole (0, 0) in text and json, ``grouplaw`` at order 18 on (-7, 13) and
 (-3/7, 5/11) and at order 13 on (5/6, -7/9) (u = 72) and (-3/7, 5/11) in
 text, the exponential to order 61 on (-3/7, 5/11) and (5/6, -7/9) in text
 and json, a refusal (exit 1) and the usage-error paths (exit 2, empty
@@ -67,6 +68,9 @@ def _corpus() -> list[tuple[str, ...]]:
         ("bernoulli", "--g2=-3/7", "--g3=5/11", "--order=60", "--format=json"),
         ("bernoulli", "--g2=5/6", "--g3=-7/9", "--order=60", "--format=json"),
         ("expand", "--g2=5/6", "--g3=-7/9", "--order=61", "--what=wp", "--format=json"),
+        ("expand", "--g2=5/6", "--g3=-7/9", "--order=61", "--what=wpp", "--format=json"),
+        *(("expand", "--g2=0", "--g3=0", "--order=8", f"--what={what}", f"--format={fmt}")
+          for what in ("wp", "wpp") for fmt in FORMATS),
         ("param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8", "--order=60", "--precision=150",
          "--format=json"),
         ("grouplaw", "--g2=-7", "--g3=13", "--order=18", "--format=json"),
@@ -200,6 +204,11 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'bernoulli --g2=-3/7 --g3=5/11 --order=60 --format=json': (0, 'acdcc54fe8b02b26'),
     'bernoulli --g2=5/6 --g3=-7/9 --order=60 --format=json': (0, 'e7da79c717d22450'),
     'expand --g2=5/6 --g3=-7/9 --order=61 --what=wp --format=json': (0, '4877ee63f6966b3b'),
+    'expand --g2=5/6 --g3=-7/9 --order=61 --what=wpp --format=json': (0, 'a7f3fd787a04b65b'),
+    'expand --g2=0 --g3=0 --order=8 --what=wp --format=text': (0, '5cc396c7f58ffd9e'),
+    'expand --g2=0 --g3=0 --order=8 --what=wp --format=json': (0, '33973778d7af7078'),
+    'expand --g2=0 --g3=0 --order=8 --what=wpp --format=text': (0, '1b91b817c3b11f1f'),
+    'expand --g2=0 --g3=0 --order=8 --what=wpp --format=json': (0, 'e9ec0ed2044be2ba'),
     'param --g2=-3/7 --g3=5/11 --z=0.1,0.8 --order=60 --precision=150 --format=json': (0, '2cad02a03fe2bcfc'),
     'grouplaw --g2=-7 --g3=13 --order=18 --format=json': (0, '3c37780a28c20c30'),
     'grouplaw --g2=-3/7 --g3=5/11 --order=18 --format=json': (0, 'd0f9cfed43631338'),
