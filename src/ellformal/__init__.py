@@ -23,7 +23,6 @@ All symbolic computation is exact, over ``int`` or
 from .series import (
     BiSeries,
     CompositionDomainError,
-    LaurentSeries,
     NonUnitDivisorError,
     OrderMismatchError,
     ReversionDomainError,
@@ -38,8 +37,6 @@ from .weierstrass import (
     differential_equation_residual,
     eisenstein_g,
     wp_coefficients,
-    wp_laurent,
-    wp_prime_laurent,
 )
 from .formal_group import (
     AxiomReport,
@@ -100,7 +97,6 @@ __all__ = [
     "HalfPlaneError",
     "HondaEntry",
     "HondaReport",
-    "LaurentSeries",
     "NonUnitDivisorError",
     "OrderMismatchError",
     "OutOfRadiusError",
@@ -143,6 +139,4 @@ __all__ = [
     "universal_bernoulli",
     "verify_axioms",
     "wp_coefficients",
-    "wp_laurent",
-    "wp_prime_laurent",
 ]

@@ -43,8 +43,8 @@ from .formal_group import (
 )
 from .lseries import classical_demo, honda_check
 from .numeric_eval import param_point
-from .series import BiSeries, LaurentSeries, UniSeries
-from .weierstrass import Curve, _bernoulli_hurwitz, wp_coefficients, wp_laurent, wp_prime_laurent
+from .series import BiSeries, UniSeries
+from .weierstrass import Curve, _bernoulli_hurwitz, wp_coefficients
 
 
 class UsageError(ValueError):
@@ -216,12 +216,8 @@ def _series_doc(series: UniSeries) -> dict:
     return {"order": series.order, "coeffs": [str(c) for c in series.coeffs]}
 
 
-def _laurent_doc(series: LaurentSeries) -> dict:
-    return {
-        "valuation": series.valuation,
-        "order": series.body.order,
-        "coeffs": [str(c) for c in series.body.coeffs],
-    }
+def _laurent_doc(valuation: int, body: UniSeries) -> dict:
+    return {"valuation": valuation, **_series_doc(body)}
 
 
 def _bi_doc(series: BiSeries) -> dict:
@@ -273,9 +269,9 @@ def _run_expand(config: RunConfig) -> tuple[bool, dict]:
         body = ({"series": _series_doc(flog.series)} if what == "fl"
                 else {"an": [str(a) for a in flog.an]})
     elif what == "wp":
-        body = {"laurent": _laurent_doc(wp_laurent(curve, order))}
+        body = {"laurent": _laurent_doc(-2, wp_coefficients(curve, order).body())}
     elif what == "wpp":
-        body = {"laurent": _laurent_doc(wp_prime_laurent(curve, order))}
+        body = {"laurent": _laurent_doc(-3, wp_coefficients(curve, order).prime_body())}
     else:  # "s"
         body = {"series": _series_doc(s_coordinate(curve, order).series)}
     return True, body

@@ -149,12 +149,7 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
         raise TypeError("formal_logarithm(curve, order) needs an order")
     if order < 1:
         raise ValueError("order must be >= 1")
-    u, _, an = _integer_core(curve, (order + 1) // 2)
-    return _log_from_core(curve, u, an, order)
-
-
-def _log_from_core(curve: Curve, u: int, scaled: list, order: int) -> FormalLog:
-    """The log through t^order from the core's scaled a(1), a(3), ..."""
+    u, _, scaled = _integer_core(curve, (order + 1) // 2)
     an = tuple(_unscale(u, scaled, order))
     series = UniSeries(order, (_ZERO, *(a / n for n, a in enumerate(an, 1))))
     return FormalLog(curve, series, an)

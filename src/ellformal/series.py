@@ -8,16 +8,14 @@ Q[[T]] / T^(N+1).  A coefficient is an ``int`` or a
 term is 1 (a quotient that is not integral becomes a Fraction), so the same
 kernels serve Z[[T]] and Q[[T]].
 
-Three containers live in this module:
+Two containers on one core live in this module:
 
-* :class:`UniSeries`   -- dense univariate series, coefficients of T^0..T^N.
-* :class:`LaurentSeries` -- a UniSeries shifted by an integer valuation,
-  canonically normalized so the body has a nonzero constant term.
-* :class:`BiSeries`    -- dense bivariate series truncated by total degree.
+* :class:`UniSeries` -- dense univariate series, coefficients of T^0..T^N.
+* :class:`BiSeries`  -- dense bivariate series truncated by total degree.
 
-``UniSeries`` and ``BiSeries`` share the private ring core ``_Series``: an
-immutable tuple of int-or-Fraction rows truncated at ``order`` (one row, or the
-triangle i + j <= N), whose ``+``, ``-``, negation, scalar scaling, ``==``,
+Both share the private ring core ``_Series``: an immutable tuple of
+int-or-Fraction rows truncated at ``order`` (one row, or the triangle
+i + j <= N), whose ``+``, ``-``, negation, scalar scaling, ``==``,
 ``is_zero``, ``zero``, order check and immutability guard are written once,
 row by row, over the hooks ``_rows()`` and ``_from_rows(order, rows)``.
 Products, division, composition and reversion stay on each class;
@@ -78,12 +76,11 @@ def _row(values, length: int) -> tuple:
     return row + (0,) * (length - len(row))
 
 
-def _poly_str(coeffs, var: str, shift: int = 0) -> str:
+def _poly_str(coeffs, var: str) -> str:
     parts = []
-    for k, c in enumerate(coeffs):
+    for e, c in enumerate(coeffs):
         if not c:
             continue
-        e = k + shift
         if e == 0:
             term = str(c)
         else:
@@ -261,16 +258,7 @@ class UniSeries(_Series):
             q.append(_div(acc, b0))
         return UniSeries(n, q)
 
-    # -- calculus / structural operations ------------------------------
-
-    def differentiate(self) -> "UniSeries":
-        """Term-by-term derivative; the order drops by one."""
-        if self.order == 0:
-            return UniSeries(0)
-        return UniSeries(
-            self.order - 1,
-            tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1),
-        )
+    # -- structural operations -----------------------------------------
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
         """Substitute ``inner`` (constant term zero) into self, by ``_substitute``."""
@@ -297,73 +285,6 @@ class UniSeries(_Series):
             power = power * u
             out[k] = _div(power.coeffs[k - 1], k)
         return UniSeries(n, out)
-
-
-class LaurentSeries:
-    """``T^valuation * body`` with ``body`` a :class:`UniSeries`.
-
-    Canonical form: unless the series is identically zero, the body has a
-    nonzero constant term (leading zeros are absorbed into the valuation
-    at construction, keeping the top tracked exponent fixed).  A series
-    tracks exponents ``valuation .. valuation + body.order``; coefficients
-    below the valuation are exactly zero, coefficients above the window
-    are unknown.
-    """
-
-    __slots__ = ("valuation", "body")
-
-    def __init__(self, valuation: int, body: UniSeries):
-        lead = 0
-        while lead <= body.order and not body.coeffs[lead]:
-            lead += 1
-        if lead > body.order:
-            # identically zero: normalize the valuation away
-            object.__setattr__(self, "valuation", 0)
-            object.__setattr__(self, "body", UniSeries(body.order))
-            return
-        if lead:
-            body = UniSeries(body.order - lead, body.coeffs[lead:])
-            valuation += lead
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
-
-    @property
-    def top_exponent(self) -> int:
-        return self.valuation + self.body.order
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-    def coefficient(self, exponent: int) -> int | Fraction:
-        """Coefficient of T^exponent; exponents above the window are unknown."""
-        if exponent > self.top_exponent:
-            raise IndexError(
-                f"exponent {exponent} above tracked window (top {self.top_exponent})"
-            )
-        if exponent < self.valuation:
-            return 0
-        return self.body.coeffs[exponent - self.valuation]
-
-    def differentiate(self) -> "LaurentSeries":
-        """Term-by-term derivative; the tracked window shifts down by one."""
-        v = self.valuation
-        return LaurentSeries(
-            v - 1,
-            UniSeries(self.body.order, tuple((v + i) * c for i, c in enumerate(self.body.coeffs))),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.valuation == other.valuation and self.body == other.body
-
-    def __repr__(self) -> str:
-        return (
-            f"LaurentSeries({_poly_str(self.body.coeffs, 'T', shift=self.valuation)})"
-        )
 
 
 class BiSeries(_Series):

@@ -11,7 +11,11 @@ with c_2 = g2/20, c_3 = g3/28 and, for k >= 4,
 a consequence of the differential identity wp'' = 6 wp^2 - g2/2.  The
 sum runs in integers: each c_k is held as a numerator over a denominator,
 the products c_j c_(k-j) of a symmetric pair are formed once over the lcm
-of their denominators, and one ``Fraction`` per k reduces c_k once.  The
+of their denominators, and one ``Fraction`` per k reduces c_k once.
+
+The expansion is one object, :class:`WpExpansion`: the c_k, and the two
+pole-free bodies z^2 wp and z^3 wp' read off them, which the ``expand``
+report prints with their valuations -2 and -3.  The
 recursion is validated by checking (wp')^2 = 4 wp^3 - g2 wp - g3 exactly
 (see :func:`differential_equation_residual` and the test suite); never
 trust it blind.
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import LaurentSeries, UniSeries
+from .series import UniSeries
 
 _ZERO = Fraction(0)
 
@@ -66,7 +70,11 @@ class Curve:
 
 @dataclass(frozen=True)
 class WpExpansion:
-    """Coefficients c_k (2 <= k <= order) of wp(z) = z^-2 + sum c_k z^(2k-2)."""
+    """Coefficients c_k (2 <= k <= order) of wp(z) = z^-2 + sum c_k z^(2k-2).
+
+    The only wp object: :meth:`body` and :meth:`prime_body` give z^2 wp and
+    z^3 wp' through z^(2*order), so wp and wp' need no Laurent container.
+    """
 
     curve: Curve
     order: int
@@ -76,6 +84,16 @@ class WpExpansion:
         if not 2 <= k <= self.order:
             raise IndexError(f"c_{k} outside computed range 2..{self.order}")
         return self.c[k - 2]
+
+    def body(self) -> UniSeries:
+        """z^2 * wp = 1 + sum c_k z^(2k), a series of order 2*order in z."""
+        coeffs = [1] + [0] * (2 * self.order)
+        coeffs[4::2] = self.c
+        return UniSeries(2 * self.order, coeffs)
+
+    def prime_body(self) -> UniSeries:
+        """z^3 * wp' = -2 + sum (2k - 2) c_k z^(2k): entry i of body() times i - 2."""
+        return UniSeries(2 * self.order, [(i - 2) * c for i, c in enumerate(self.body().coeffs)])
 
 
 def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
@@ -109,22 +127,6 @@ def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     return WpExpansion(curve, order, tuple(c))
 
 
-def wp_laurent(curve: Curve, order: int) -> LaurentSeries:
-    """wp as a Laurent series: valuation -2, tracked through z^(2*order - 2).
-
-    The body has order 2*order; entry 2k holds c_k (exponent 2k - 2).
-    """
-    body = [_ZERO] * (2 * order + 1)
-    body[0] = Fraction(1)
-    body[4::2] = wp_coefficients(curve, order).c
-    return LaurentSeries(-2, UniSeries(2 * order, body))
-
-
-def wp_prime_laurent(curve: Curve, order: int) -> LaurentSeries:
-    """wp' = d(wp)/dz: valuation -3, leading coefficient -2."""
-    return wp_laurent(curve, order).differentiate()
-
-
 def differential_equation_residual(curve: Curve, order: int) -> UniSeries:
     """(wp')^2 - (4 wp^3 - g2 wp - g3), cleared of poles by z^6.
 
@@ -132,11 +134,10 @@ def differential_equation_residual(curve: Curve, order: int) -> UniSeries:
     must be identically zero through its tracked order.  This is the
     master correctness check for the coefficient recursion.
     """
-    wp = wp_laurent(curve, order)
-    wpp = wp.differentiate()
-    n = wp.body.order
-    p = wp.body                       # z^2 * wp
-    q = wpp.body                      # z^3 * wp' (valuation is -3 by construction)
+    wp = wp_coefficients(curve, order)
+    p = wp.body()                     # z^2 * wp
+    q = wp.prime_body()               # z^3 * wp'
+    n = p.order
     lhs = q * q                       # z^6 (wp')^2
     rhs = 4 * (p * p * p)             # z^6 * 4 wp^3
     rhs = rhs - curve.g2 * p.shifted(4)   # z^6 * g2 wp = g2 z^4 (z^2 wp)

@@ -20,8 +20,7 @@ from ellformal import (
     s_coordinate,
     universal_bernoulli,
     verify_axioms,
-    wp_laurent,
-    wp_prime_laurent,
+    wp_coefficients,
 )
 from conftest import CURVE_FAMILIES, random_curve, random_rational
 
@@ -70,7 +69,8 @@ def _exponential_by_wp_quotient(curve: Curve, order: int) -> UniSeries:
     """Reference: -2*wp/wp' through T^order, cleared of poles as
     T * (-2 T^2 wp) / (T^3 wp'), from wp through c_((order + 1) // 2)."""
     n = max(2, (order + 1) // 2)
-    quot = (-2 * wp_laurent(curve, n).body) / wp_prime_laurent(curve, n).body
+    wp = wp_coefficients(curve, n)
+    quot = (-2 * wp.body()) / wp.prime_body()
     return UniSeries(order, (0,) + quot.coeffs[:order])
 
 
@@ -662,12 +662,11 @@ def _pullback_by_fraction(curve: Curve, order: int) -> formal_group.PullbackIden
     m = order
     w = UniSeries(m, s_coordinate(curve, m + 3).series.coeffs[3 : m + 4])
     log = formal_logarithm(curve, m + 1).series
-    wp = weierstrass.wp_laurent(curve, max(2, (m + 1) // 2))
-    wpp = wp.differentiate()
+    wp = weierstrass.wp_coefficients(curve, max(2, (m + 1) // 2))
     log_m = log.truncate(m)
     unit_inv = UniSeries.one(m) / UniSeries(m, log.coeffs[1 : m + 2])
     ui2 = unit_inv * unit_inv
-    x_pullback = ui2 * wp.body.truncate(m).compose(log_m)
-    y_pullback = ui2 * unit_inv * wpp.body.truncate(m).compose(log_m)
+    x_pullback = ui2 * wp.body().truncate(m).compose(log_m)
+    y_pullback = ui2 * unit_inv * wp.prime_body().truncate(m).compose(log_m)
     w_inv = UniSeries.one(m) / w
     return formal_group.PullbackIdentities(m, x_pullback, w_inv, y_pullback, -2 * w_inv)

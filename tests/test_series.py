@@ -6,7 +6,6 @@ import pytest
 from ellformal import (
     BiSeries,
     CompositionDomainError,
-    LaurentSeries,
     NonUnitDivisorError,
     OrderMismatchError,
     ReversionDomainError,
@@ -308,43 +307,6 @@ class TestReverse:
     def test_determinism(self, rng):
         f = random_unit_series(rng, 10)
         assert f.reverse() == f.reverse()
-
-
-class TestDifferentiate:
-    def test_cube(self):
-        assert UniSeries.monomial(4, 3).differentiate() == UniSeries(3, (0, 0, 3))
-
-    def test_laurent_pole(self):
-        d = LaurentSeries(-2, UniSeries(4, (1,))).differentiate()
-        assert d.valuation == -3
-        assert d.coefficient(-3) == -2
-
-    def test_log_derivative(self):
-        f = UniSeries(5, [0] + [F(1, k) for k in range(1, 6)])
-        assert f.differentiate() == UniSeries(4, (1, 1, 1, 1, 1))
-
-    def test_order_zero(self):
-        assert UniSeries(0, (7,)).differentiate() == UniSeries(0)
-
-
-class TestLaurent:
-    def test_normalization_strips_leading_zeros(self):
-        s = LaurentSeries(-3, UniSeries(4, (0, 0, 5, 6, 7)))
-        assert s.valuation == -1
-        assert s.body.coeffs == (F(5), F(6), F(7))
-        assert s.top_exponent == 1
-
-    def test_zero_normalizes_to_zero_valuation(self):
-        s = LaurentSeries(-4, UniSeries(3))
-        assert s.is_zero() and s.valuation == 0
-
-    def test_coefficient_window(self):
-        s = LaurentSeries(-2, UniSeries(3, (1, 0, 2)))
-        assert s.coefficient(-5) == 0
-        assert s.coefficient(-2) == 1
-        assert s.coefficient(0) == 2
-        with pytest.raises(IndexError):
-            s.coefficient(2)
 
 
 class TestBiSeries:

@@ -9,13 +9,12 @@ import ellformal
 from ellformal import cli, formal_group, weierstrass
 from ellformal import (
     Curve,
+    UniSeries,
     WpExpansion,
     bernoulli_hurwitz,
     differential_equation_residual,
     eisenstein_g,
     wp_coefficients,
-    wp_laurent,
-    wp_prime_laurent,
 )
 from conftest import CURVE_FAMILIES, random_curve
 
@@ -97,39 +96,36 @@ def _wp_by_fraction_recurrence(curve: Curve, order: int) -> tuple:
 
 
 class TestLaurentExpansions:
+    """The bodies z^2 wp and z^3 wp' of one expansion (valuations -2 and -3)."""
+
     def test_pure_pole(self):
-        wl = wp_laurent(Curve(0, 0), 5)
-        assert wl.valuation == -2 and wl.coefficient(-2) == 1
-        assert all(wl.coefficient(e) == 0 for e in range(-1, wl.top_exponent + 1))
-        wpl = wp_prime_laurent(Curve(0, 0), 5)
-        assert wpl.valuation == -3 and wpl.coefficient(-3) == -2
+        wp = wp_coefficients(Curve(0, 0), 5)
+        assert wp.body() == UniSeries.one(10)
+        assert wp.prime_body() == UniSeries(10, (-2,))
 
     def test_leading_terms_generic(self, rng):
         for _ in range(5):
-            c = random_curve(rng)
-            assert wp_laurent(c, 4).coefficient(-2) == 1
-            assert wp_prime_laurent(c, 4).coefficient(-3) == -2
+            wp = wp_coefficients(random_curve(rng), 4)
+            assert wp.body()[0] == 1
+            assert wp.prime_body()[0] == -2
 
     def test_wp_prime_low_order_terms(self):
         c = Curve(3, 5)
-        wpp = wp_prime_laurent(c, 6)
-        assert wpp.coefficient(1) == c.g2 / 10
-        assert wpp.coefficient(3) == c.g3 / 7
+        q = wp_coefficients(c, 6).prime_body()
+        assert q[4] == c.g2 / 10  # z^1 of wp'
+        assert q[6] == c.g3 / 7   # z^3 of wp'
 
     def test_parity(self, rng):
-        c = random_curve(rng)
-        wl = wp_laurent(c, 8)
-        assert all(
-            wl.coefficient(e) == 0
-            for e in range(wl.valuation, wl.top_exponent + 1)
-            if e % 2
-        )
-        wpl = wp_prime_laurent(c, 8)
-        assert all(
-            wpl.coefficient(e) == 0
-            for e in range(wpl.valuation, wpl.top_exponent + 1)
-            if e % 2 == 0
-        )
+        wp = wp_coefficients(random_curve(rng), 8)
+        for body in (wp.body(), wp.prime_body()):
+            assert body.order == 16
+            assert not any(body.coeffs[1::2])
+
+    def test_bodies_read_off_the_coefficients(self, rng):
+        wp = wp_coefficients(random_curve(rng), 9)
+        p, q = wp.body(), wp.prime_body()
+        assert p.coeffs[2] == 0 and p.coeffs[4::2] == wp.c
+        assert q.coeffs == tuple((i - 2) * c for i, c in enumerate(p.coeffs))
 
 
 class TestEisensteinAndHurwitz:
