@@ -41,7 +41,7 @@ from .formal_group import (
     universal_bernoulli,
     verify_axioms,
 )
-from .lseries import classical_demo, honda_check
+from .lseries import _term_counts, classical_demo, honda_check
 from .numeric_eval import param_point
 from .series import BiSeries, UniSeries
 from .weierstrass import Curve, _bernoulli_hurwitz, wp_coefficients
@@ -99,9 +99,26 @@ GROUPLAW_ORDER_CAP = 78
 # Largest param --order and --precision, each measured with the other small,
 # on (-3/7, 5/11) and the same host: order 1040 / 1050 at 53 bits take 53 / 63 s,
 # most of it the wp expansion; 290000 / 300000 bits at order 40 take 54 / 61 s.
-# Both at once cost far more (order 120 at 290000 bits: 85 s).
 PARAM_ORDER_CAP = 1040
 PARAM_PRECISION_CAP = 290000
+
+
+def _param_seconds(order: int, precision: int) -> float:
+    """Estimated seconds of one param call on (-3/7, 5/11), same host: the exact
+    wp expansion grows as order^4 (56 s at order 1040), and the numeric part as
+    precision * (order + 180), the 180 standing for pi, exp(2*pi*i*z) and the
+    printed digits; fitted to calls at orders 40..1040 and 53..290000 bits (README)."""
+    return order**4 / 2.1e10 + precision * (order + 180) / 1.25e6
+
+
+def _check_param_cost(values: dict) -> None:
+    order, precision = values["order"], values["precision"]
+    seconds = _param_seconds(order, precision)
+    if seconds > 60:
+        raise UsageError(f"param --order {order} with --precision {precision} would take "
+                         f"about {seconds:.0f} s, above the 60 s the caps allow; "
+                         "lower either")
+
 
 # Largest classical --order and --nmax, each measured with the other small on
 # the same host: the Fraction reversion of exp(T) - 1 takes 25.6 / 53.3 / 60.4 s
@@ -109,6 +126,27 @@ PARAM_PRECISION_CAP = 290000
 # 21.8 / 54.2 / 60.7 s at nmax 10^8 / 2.5*10^8 / 2.8*10^8 (each --s adds one).
 CLASSICAL_ORDER_CAP = 240
 CLASSICAL_NMAX_CAP = 250_000_000
+
+
+def _classical_work(nmax: int, s_values) -> int:
+    """The eta sums' cost, priced per term from times measured on the same host
+    near n = 10^8: an inline term 1/n^s costs about 2 + s units (s = 1..37), and
+    an ``_inverse_power`` term at most twice that (s = 37..200)."""
+    return sum((inline + 2 * tail) * (2 + s)
+               for s in s_values for inline, tail in [_term_counts(nmax, s)])
+
+
+# All --s values together may cost what the default --s 1 --s 2 cost at the
+# --nmax cap (54.2 s): ten --s values at that cap would run for minutes.
+CLASSICAL_WORK_CAP = _classical_work(CLASSICAL_NMAX_CAP, (1, 2))
+
+
+def _check_classical_work(values: dict) -> None:
+    work = _classical_work(values["nmax"], values["s"])
+    if work > CLASSICAL_WORK_CAP:
+        raise UsageError(f"classical needs --s sums to --nmax that cost at most what "
+                         f"--s 1 --s 2 cost at --nmax {CLASSICAL_NMAX_CAP}; these cost "
+                         f"{work / CLASSICAL_WORK_CAP:.3g} times that")
 
 
 @dataclass(frozen=True)
@@ -398,6 +436,7 @@ class _Command:
     run: Callable[[RunConfig], tuple[bool, dict]]
     defaults: dict = field(default_factory=dict)  # "format" defaults to "text"
     bounds: dict = field(default_factory=dict)
+    joint: Callable[[dict], None] | None = None  # refuses values too costly together
 
 
 _COMMANDS = {
@@ -428,6 +467,7 @@ _COMMANDS = {
         defaults={"nmax": "order", "precision": 53},
         bounds={"order": (2, PARAM_ORDER_CAP), "nmax": (1, "order"),
                 "precision": (1, PARAM_PRECISION_CAP)},
+        joint=_check_param_cost,
     ),
     "classical": _Command(
         "exp(T)-1 degeneration: log(1+T) and eta partial sums",
@@ -435,6 +475,7 @@ _COMMANDS = {
         defaults={"order": 16, "s": (1, 2)},
         bounds={"nmax": (1, CLASSICAL_NMAX_CAP), "order": (1, CLASSICAL_ORDER_CAP),
                 "s": (1, None)},
+        joint=_check_classical_work,
     ),
 }
 
@@ -517,6 +558,8 @@ def resolve_config(argv=None) -> RunConfig:
             low, high = (f"--{b}" if isinstance(b, str) else b for b in (low, high))
             raise UsageError(f"{who} needs " + (f"--{name} >= {low}" if hi is None
                                                 else f"{low} <= --{name} <= {high}"))
+    if spec.joint:
+        spec.joint(values)
     return RunConfig(command=command, **values)
 
 

@@ -271,6 +271,22 @@ def _power_sum(s: int, terms: range) -> float:
     return math.fsum(chain(head, takewhile(bool, map(_inverse_power, terms[plain:], repeat(s)))))
 
 
+def _term_counts(nmax: int, s: int) -> tuple[int, int]:
+    """(inline, tail): how many terms 1/n^s, n = 1..nmax, the two
+    :func:`_power_sum` calls of :func:`classical_demo` add inline and through
+    :func:`_inverse_power` before they stop at the first term that underflows.
+
+    A term is nonzero while n^s < 2^1075 (from 2^1075 on, 1/n^s rounds to 0);
+    it is inline while n < 2^(1023 // s), as in :func:`_power_sum`.
+    """
+    if s * nmax.bit_length() <= 1075:  # every n^s < 2^1075
+        terms = nmax
+    else:
+        terms = min(nmax, max(1, math.ceil(2 ** (1075 / s)) - 1))
+    inline = min(terms, (1 << (1023 // s)) - 1)
+    return inline, terms - inline
+
+
 def _inverse_power(n: int, s: int) -> float:
     """1/n^s as a double, 0.0 once it underflows.
 

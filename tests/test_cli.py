@@ -256,12 +256,34 @@ class TestParam:
         assert code == 2 and out == ""
         assert err == f"error: param needs {low} <= --{name} <= {cap}\n"
 
-    def test_caps_are_accepted(self):
-        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8",
-                f"--order={cli.PARAM_ORDER_CAP}", f"--precision={cli.PARAM_PRECISION_CAP}"]
+    @pytest.mark.parametrize("order,precision", [
+        (cli.PARAM_ORDER_CAP, None),  # --precision at its default, 53
+        (40, cli.PARAM_PRECISION_CAP),  # the order the precision cap was measured at
+    ])
+    def test_caps_are_accepted(self, order, precision):
+        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8", f"--order={order}"]
+        if precision is not None:
+            argv.append(f"--precision={precision}")
         config = cli.resolve_config(argv)
-        assert (config.order, config.nmax, config.precision) == (
-            cli.PARAM_ORDER_CAP, cli.PARAM_ORDER_CAP, cli.PARAM_PRECISION_CAP)
+        assert (config.order, config.nmax, config.precision) == (order, order, precision or 53)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_both_caps_at_once_refused_before_any_series(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        _forbid_series(monkeypatch)
+        values = {"order": cli.PARAM_ORDER_CAP, "precision": cli.PARAM_PRECISION_CAP}
+        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8"]
+        if source == "flag":
+            argv += [f"--{key}={value}" for key, value in values.items()]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(values))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: param --order {cli.PARAM_ORDER_CAP} with --precision "
+                              f"{cli.PARAM_PRECISION_CAP} would take about ")
 
     def test_residual_report(self, capsys):
         code, out, _ = run_cli(
@@ -373,6 +395,32 @@ class TestClassical:
                 f"--order={cli.CLASSICAL_ORDER_CAP}"]
         config = cli.resolve_config(argv)
         assert (config.nmax, config.order) == (cli.CLASSICAL_NMAX_CAP, cli.CLASSICAL_ORDER_CAP)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_costly_s_values_refused_before_any_work(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        # ten full sums at the --nmax cap: five times the work of the default two
+        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
+        s_values = list(range(1, 11))
+        if source == "flag":
+            argv = [f"--nmax={cli.CLASSICAL_NMAX_CAP}", *(f"--s={s}" for s in s_values)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"nmax": cli.CLASSICAL_NMAX_CAP, "s": s_values}))
+            argv = ["--config", str(path)]
+        code, out, err = run_cli(capsys, "classical", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: classical needs --s sums to --nmax that cost at most "
+                              f"what --s 1 --s 2 cost at --nmax {cli.CLASSICAL_NMAX_CAP}")
+
+    def test_large_s_whose_sums_end_early_is_accepted(self, capsys):
+        # at s = 100 the terms underflow from n = 1723 on, at s = 5000 from n = 2
+        argv = ["classical", f"--nmax={cli.CLASSICAL_NMAX_CAP}", "--s=100", "--s=5000",
+                "--format=json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [row["within_bound"] for row in json.loads(out)["eta"]] == [True, True]
 
 
 class TestDigitLimit:

@@ -193,3 +193,15 @@ class TestClassicalDemo:
 
         terms = range(1, 5000, 2)
         assert lseries._power_sum(s, terms) == math.fsum(map(term, terms))
+
+    @pytest.mark.parametrize("nmax", (1, 2, 7, 5000))
+    @pytest.mark.parametrize("s", (1, 2, 25, 37, 43, 103, 215, 1023, 1075, 1076, 5000, 10**20))
+    def test_term_counts_match_the_sums(self, nmax, s):
+        # n^s = 2^1075 exactly at s = 25, 43, 215 and 1075 (n = 2^43, 2^25, 32, 2): 0.0
+        counted = [0, 0]
+        for start in (1, 2):
+            for n in range(start, nmax + 1, 2):
+                if not lseries._inverse_power(n, s):
+                    break
+                counted[n >= 1 << (1023 // s)] += 1
+        assert lseries._term_counts(nmax, s) == tuple(counted)
