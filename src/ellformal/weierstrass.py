@@ -11,14 +11,14 @@ with c_2 = g2/20, c_3 = g3/28 and, for k >= 4,
 a consequence of the differential identity wp'' = 6 wp^2 - g2/2.  The
 sum runs in integers: each c_k is held as a numerator over a denominator,
 the products c_j c_(k-j) of a symmetric pair are formed once over the lcm
-of their denominators, and one ``Fraction`` per k reduces c_k once.
-
-The expansion is one object, :class:`WpExpansion`: the c_k, and the two
-pole-free bodies z^2 wp and z^3 wp' read off them, which the ``expand``
-report prints with their valuations -2 and -3.  The
+of their denominators, and one ``Fraction`` per k reduces c_k once.  The
 recursion is validated by checking (wp')^2 = 4 wp^3 - g2 wp - g3 exactly
 (see :func:`differential_equation_residual` and the test suite); never
 trust it blind.
+
+The expansion is one object, :class:`WpExpansion`: the c_k, and the two
+pole-free bodies z^2 wp and z^3 wp' read off them, which the ``expand``
+report prints with their valuations -2 and -3.
 
 Eisenstein values G_{2k} = (2k-2)! c_k / 2 and the elliptic analogues of
 the Bernoulli numbers (2k G_{2k} for even weight, zero for odd) are read
@@ -73,7 +73,7 @@ class WpExpansion:
     """Coefficients c_k (2 <= k <= order) of wp(z) = z^-2 + sum c_k z^(2k-2).
 
     The only wp object: :meth:`body` and :meth:`prime_body` give z^2 wp and
-    z^3 wp' through z^(2*order), so wp and wp' need no Laurent container.
+    z^3 wp' through z^(2*order).
     """
 
     curve: Curve

@@ -124,7 +124,7 @@ class TestLaurentExpansions:
     def test_bodies_read_off_the_coefficients(self, rng):
         wp = wp_coefficients(random_curve(rng), 9)
         p, q = wp.body(), wp.prime_body()
-        assert p.coeffs[2] == 0 and p.coeffs[4::2] == wp.c
+        assert p.coeffs[0:4:2] == (1, 0) and p.coeffs[4::2] == wp.c
         assert q.coeffs == tuple((i - 2) * c for i, c in enumerate(p.coeffs))
 
 
