@@ -103,17 +103,14 @@ PARAM_ORDER_CAP = 1040
 PARAM_PRECISION_CAP = 290000
 
 
-def _param_seconds(order: int, precision: int) -> float:
-    """Estimated seconds of one param call on (-3/7, 5/11), same host: the exact
-    wp expansion grows as order^4 (56 s at order 1040), and the numeric part as
-    precision * (order + 180), the 180 standing for pi, exp(2*pi*i*z) and the
-    printed digits; fitted to calls at orders 40..1040 and 53..290000 bits (README)."""
-    return order**4 / 2.1e10 + precision * (order + 180) / 1.25e6
-
-
 def _check_param_cost(values: dict) -> None:
+    """Refuse --order with --precision whose estimated seconds on (-3/7, 5/11),
+    same host, pass 60: the exact wp expansion grows as order^4 (56 s at order
+    1040), and the numeric part as precision * (order + 180), the 180 standing
+    for pi, exp(2*pi*i*z) and the printed digits; fitted to calls at orders
+    40..1040 and 53..290000 bits (README)."""
     order, precision = values["order"], values["precision"]
-    seconds = _param_seconds(order, precision)
+    seconds = order**4 / 2.1e10 + precision * (order + 180) / 1.25e6
     if seconds > 60:
         raise UsageError(f"param --order {order} with --precision {precision} would take "
                          f"about {seconds:.0f} s, above the 60 s the caps allow; "
