@@ -256,16 +256,16 @@ class TestParam:
         assert code == 2 and out == ""
         assert err == f"error: param needs {low} <= --{name} <= {cap}\n"
 
-    @pytest.mark.parametrize("order,precision", [
-        (cli.PARAM_ORDER_CAP, None),  # --precision at its default, 53
-        (40, cli.PARAM_PRECISION_CAP),  # the order the precision cap was measured at
-    ])
-    def test_caps_are_accepted(self, order, precision):
-        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8", f"--order={order}"]
-        if precision is not None:
-            argv.append(f"--precision={precision}")
-        config = cli.resolve_config(argv)
-        assert (config.order, config.nmax, config.precision) == (order, order, precision or 53)
+    def test_caps_are_accepted(self):
+        # each cap with the other value small: --precision at its default, 53, and
+        # --order at 40, where the precision cap was measured
+        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8"]
+        config = cli.resolve_config([*argv, f"--order={cli.PARAM_ORDER_CAP}"])
+        assert (config.order, config.nmax, config.precision) == (
+            cli.PARAM_ORDER_CAP, cli.PARAM_ORDER_CAP, 53)
+        config = cli.resolve_config([*argv, "--order=40",
+                                     f"--precision={cli.PARAM_PRECISION_CAP}"])
+        assert (config.order, config.precision) == (40, cli.PARAM_PRECISION_CAP)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_both_caps_at_once_refused_before_any_series(
