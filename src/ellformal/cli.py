@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .formal_group import (
+    _weights,
     formal_exponential,
     formal_logarithm,
     group_law_closed_form,
@@ -59,16 +60,16 @@ class RationalParseError(UsageError):
 
 
 _RATIONAL = re.compile(r"[+-]?(?:\d+(?:/(?P<den>\d+))?|\d+\.\d*|\.\d+)\Z")
-_RATIONAL_PREFIX = re.compile(r"[+-]?\d*(?:/\d*|\.\d*)?\Z")
+# Every prefix of a string this matches is matched too, and each character has
+# one way on, so one greedy match ends where the longest well-formed prefix does.
+_RATIONAL_PREFIX = re.compile(r"[+-]?\d*(?:/\d*|\.\d*)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Exact rational from an integer, ``a/b``, or finite decimal string."""
     m = _RATIONAL.fullmatch(text)
-    if not m:  # the empty prefix always matches
-        position = next(i for i in range(len(text), -1, -1)
-                        if _RATIONAL_PREFIX.fullmatch(text[:i]))
-        raise RationalParseError(text, position, "malformed rational")
+    if not m:  # the error is where the longest well-formed prefix ends
+        raise RationalParseError(text, _RATIONAL_PREFIX.match(text).end(), "malformed rational")
     den = m.group("den")
     if den is not None and int(den) == 0:
         raise RationalParseError(text, text.index("/") + 1, "zero denominator")
@@ -103,14 +104,15 @@ PARAM_ORDER_CAP = 1040
 PARAM_PRECISION_CAP = 290000
 
 
-def _check_param_cost(values: dict) -> None:
+def _check_param_cost(values: dict, scale: float) -> None:
     """Refuse --order with --precision whose estimated seconds on (-3/7, 5/11),
     same host, pass 60: the exact wp expansion grows as order^4 (56 s at order
     1040), and the numeric part as precision * (order + 180), the 180 standing
     for pi, exp(2*pi*i*z) and the printed digits; fitted to calls at orders
-    40..1040 and 53..290000 bits (README)."""
+    40..1040 and 53..290000 bits (README).  On a taller curve the expansion
+    costs at ``order`` what it costs at order / scale on that one."""
     order, precision = values["order"], values["precision"]
-    seconds = order**4 / 2.1e10 + precision * (order + 180) / 1.25e6
+    seconds = (order / scale) ** 4 / 2.1e10 + precision * (order + 180) / 1.25e6
     if seconds > 60:
         raise UsageError(f"param --order {order} with --precision {precision} would take "
                          f"about {seconds:.0f} s, above the 60 s the caps allow; "
@@ -138,12 +140,40 @@ def _classical_work(nmax: int, s_values) -> int:
 CLASSICAL_WORK_CAP = _classical_work(CLASSICAL_NMAX_CAP, (1, 2))
 
 
-def _check_classical_work(values: dict) -> None:
+def _check_classical_work(values: dict, scale: float) -> None:
+    """Refuse --s sums past the work cap, and sums with a reversion whose
+    estimated seconds pass 60: the sums at 54.2 s per work cap, the reversion
+    as order^4 (53.3 s at order 240)."""
     work = _classical_work(values["nmax"], values["s"])
     if work > CLASSICAL_WORK_CAP:
         raise UsageError(f"classical needs --s sums to --nmax that cost at most what "
                          f"--s 1 --s 2 cost at --nmax {CLASSICAL_NMAX_CAP}; these cost "
                          f"{work / CLASSICAL_WORK_CAP:.3g} times that")
+    order = values["order"]
+    seconds = 54.2 * work / CLASSICAL_WORK_CAP + order**4 / 6.2e7
+    if seconds > 60:
+        raise UsageError(f"classical --order {order} with --nmax {values['nmax']} would take "
+                         f"about {seconds:.0f} s, above the 60 s the caps allow; lower either")
+
+
+# Every order cap above was measured on (-3/7, 5/11), whose height is 47/6, and
+# the cost of an order grows fast with the height.  On a taller curve each cap
+# is scaled by (REFERENCE_HEIGHT / height)^gamma, gamma fitted per command (per
+# --what for expand) so that the scaled cap takes 30..60 s on (-3/7^101, 5/11),
+# height 288.5, same host; the timed calls are in the README.
+REFERENCE_HEIGHT = 47 / 6
+_HEIGHT_EXPONENTS = {
+    "expand --what fe": 0.35, "expand --what fl": 0.46, "expand --what an": 0.46,
+    "expand --what wp": 0.25, "expand --what wpp": 0.25, "expand --what s": 0.45,
+    "grouplaw": 0.15, "honda": 0.45, "bernoulli": 0.33, "param": 0.3,
+}
+
+
+def _height(values: dict) -> float:
+    """max(bits(a) / 4, bits(b) / 6) for the integer weights (a, b) of the curve
+    scaled by weight (formal_group._weights): the size every exact route starts from."""
+    _, a, b = _weights(Curve(values["g2"], values["g3"]))
+    return max(a.bit_length() / 4, b.bit_length() / 6)
 
 
 @dataclass(frozen=True)
@@ -433,7 +463,8 @@ class _Command:
     run: Callable[[RunConfig], tuple[bool, dict]]
     defaults: dict = field(default_factory=dict)  # "format" defaults to "text"
     bounds: dict = field(default_factory=dict)
-    joint: Callable[[dict], None] | None = None  # refuses values too costly together
+    # refuses values too costly together, given the height scale of the order caps
+    joint: Callable[[dict, float], None] | None = None
 
 
 _COMMANDS = {
@@ -544,19 +575,32 @@ def resolve_config(argv=None) -> RunConfig:
             values[name] = values.get(defaults[name], defaults[name])
         else:
             raise UsageError(f"{command} requires --{name}")
+    who = command + (f" --what {values['what']}" if command == "expand" else "")
+    scale = 1.0
+    if "g2" in values:
+        height = _height(values)
+        if height > REFERENCE_HEIGHT:
+            scale = (REFERENCE_HEIGHT / height) ** _HEIGHT_EXPONENTS[who]
     for name, (low, high) in spec.bounds.items():
-        who = command
         if command == "expand":  # the one bound that depends on a choice
             low, high = _WHAT_ORDER_BOUNDS[values["what"]]
-            who += f" --what {values['what']}"
         lo, hi = values.get(low, low), values.get(high, high)
+        scaled = scale < 1 and name in ("order", "pmax") and isinstance(hi, int)
+        if scaled:
+            hi = int(hi * scale)
         items = values[name] if isinstance(values[name], tuple) else (values[name],)
         if any(v < lo or hi is not None and v > hi for v in items):
             low, high = (f"--{b}" if isinstance(b, str) else b for b in (low, high))
-            raise UsageError(f"{who} needs " + (f"--{name} >= {low}" if hi is None
-                                                else f"{low} <= --{name} <= {high}"))
+            if hi is None:
+                raise UsageError(f"{who} needs --{name} >= {low}")
+            message = f"{who} needs {low} <= --{name} <= {hi if scaled else high}"
+            if scaled:
+                message += (f" on a curve of height {height:.1f}: above height "
+                            f"{REFERENCE_HEIGHT:.2f} the cap {high} scales by "
+                            f"({REFERENCE_HEIGHT:.2f}/height)^{_HEIGHT_EXPONENTS[who]}")
+            raise UsageError(message)
     if spec.joint:
-        spec.joint(values)
+        spec.joint(values, scale)
     return RunConfig(command=command, **values)
 
 

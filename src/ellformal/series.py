@@ -16,11 +16,15 @@ Two containers on one core live in this module:
 Both share the private ring core ``_Series``: an immutable tuple of
 int-or-Fraction rows truncated at ``order`` (one row, or the triangle
 i + j <= N), whose ``+``, ``-``, negation, scalar scaling, ``==``,
-``is_zero``, ``zero``, order check and immutability guard are written once,
+``is_zero``, ``repr``, order check and immutability guard are written once,
 row by row, over the hooks ``_rows()`` and ``_from_rows(order, rows)``.
-Products, division, composition and reversion stay on each class;
-``UniSeries.compose`` and :func:`bi_substitute` share one baby-step/giant-step
-routine, ``_substitute``.
+
+Each operation has one kernel.  Products are schoolbook on each class;
+division is by a unit ``UniSeries`` only; composition is the
+baby-step/giant-step ``_substitute``, which ``UniSeries.compose``,
+:func:`bi_substitute` and ``BiSeries.reciprocal`` (a geometric series in
+1 - F/c) all call; reversion is Lagrange inversion in ``UniSeries.reverse``.
+The module keeps only what the engine and its checks call.
 
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -76,26 +80,6 @@ def _row(values, length: int) -> tuple:
     return row + (0,) * (length - len(row))
 
 
-def _poly_str(coeffs, var: str) -> str:
-    parts = []
-    for e, c in enumerate(coeffs):
-        if not c:
-            continue
-        if e == 0:
-            term = str(c)
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            pw = var if e == 1 else f"{var}^{e}"
-            term = f"{mag}{pw}"
-            if c < 0 and parts:
-                parts.append(f"- {term}")
-                continue
-            if c < 0:
-                term = f"-{term}"
-        parts.append(f"+ {term}" if parts else term)
-    return " ".join(parts) if parts else "0"
-
-
 class _Series:
     """Ring core: int-or-Fraction rows truncated at ``order``, combined row by row.
 
@@ -110,10 +94,6 @@ class _Series:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def zero(cls, order: int):
-        return cls(order)
-
     def is_zero(self) -> bool:
         return not any(map(any, self._rows()))
 
@@ -121,6 +101,10 @@ class _Series:
         if type(other) is not type(self):
             return NotImplemented
         return self.order == other.order and self._rows() == other._rows()
+
+    def __repr__(self) -> str:
+        nz = sum(1 for row in self._rows() for c in row if c)
+        return f"{type(self).__name__}(order={self.order}, {nz} nonzero terms)"
 
     def _check_order(self, other) -> None:
         if self.order != other.order:
@@ -177,31 +161,12 @@ class UniSeries(_Series):
     def one(cls, order: int) -> "UniSeries":
         return cls(order, (1,))
 
-    @classmethod
-    def identity(cls, order: int) -> "UniSeries":
-        """The series T."""
-        if order < 1:
-            raise ValueError("identity needs order >= 1")
-        return cls(order, (0, 1))
-
-    @classmethod
-    def monomial(cls, order: int, power: int, coeff=1) -> "UniSeries":
-        if not 0 <= power <= order:
-            raise ValueError("monomial power outside truncation window")
-        return cls(order, (0,) * power + (coeff,))
-
     # -- basic access ------------------------------------------------
 
     def __getitem__(self, k: int) -> int | Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient T^{k} outside order-{self.order} window")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "UniSeries":
-        """Drop coefficients above ``order`` (which must not exceed self.order)."""
-        if order > self.order:
-            raise ValueError("cannot extend a series by truncation")
-        return UniSeries(order, self.coeffs[: order + 1])
 
     def shifted(self, k: int) -> "UniSeries":
         """Multiply by T^k inside the same truncation window (top terms drop)."""
@@ -210,9 +175,6 @@ class UniSeries(_Series):
         if k == 0:
             return self
         return UniSeries(self.order, (0,) * k + self.coeffs[: self.order + 1 - k])
-
-    def __repr__(self) -> str:
-        return f"UniSeries(order={self.order}: {_poly_str(self.coeffs, 'T')})"
 
     # -- ring operations ----------------------------------------------
 
@@ -236,11 +198,6 @@ class UniSeries(_Series):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            other = _coerce(other)
-            return self._map(lambda a: _div(a, other))
         if not isinstance(other, UniSeries):
             return NotImplemented
         self._check_order(other)
@@ -344,13 +301,11 @@ class BiSeries(_Series):
 
     # -- access -------------------------------------------------------
 
-    def get(self, i: int, j: int) -> int | Fraction:
+    def __getitem__(self, ij) -> int | Fraction:
+        i, j = ij
         if i < 0 or j < 0 or i + j > self.order:
             raise IndexError(f"t1^{i} t2^{j} outside total degree {self.order}")
         return self.rows[i][j]
-
-    def __getitem__(self, ij) -> int | Fraction:
-        return self.get(*ij)
 
     def terms(self) -> Iterator[tuple[int, int, int | Fraction]]:
         """Yield (i, j, coefficient) for nonzero entries, lexicographic in (i, j)."""
@@ -358,10 +313,6 @@ class BiSeries(_Series):
             for j, c in enumerate(row):
                 if c:
                     yield i, j, c
-
-    def __repr__(self) -> str:
-        nz = sum(1 for _ in self.terms())
-        return f"BiSeries(order={self.order}, {nz} nonzero terms)"
 
     # -- ring operations ----------------------------------------------
 
@@ -389,18 +340,14 @@ class BiSeries(_Series):
     __rmul__ = __mul__
 
     def reciprocal(self) -> "BiSeries":
-        """Inverse of a unit (nonzero constant term), by Newton iteration."""
+        """Inverse of F with constant term c != 0: (1/c) sum_j x^j, x = 1 - F/c,
+        through :func:`bi_substitute` (x starts at total degree 1)."""
         c = self.rows[0][0]
         if c == 0:
             raise NonUnitDivisorError("bivariate divisor has zero constant term")
-        n = self.order
-        inv = BiSeries.constant(n, _div(1, c))
-        two = BiSeries.constant(n, 2)
-        correct = 1
-        while correct <= n:
-            inv = inv * (two - self * inv)
-            correct *= 2
-        return inv
+        n, inv = self.order, _div(1, c)
+        x = BiSeries.constant(n, 1) - self * inv
+        return bi_substitute(UniSeries(n, (inv,) * (n + 1)), x)
 
     # -- structural helpers --------------------------------------------
 

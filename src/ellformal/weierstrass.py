@@ -141,7 +141,7 @@ def differential_equation_residual(curve: Curve, order: int) -> UniSeries:
     lhs = q * q                       # z^6 (wp')^2
     rhs = 4 * (p * p * p)             # z^6 * 4 wp^3
     rhs = rhs - curve.g2 * p.shifted(4)   # z^6 * g2 wp = g2 z^4 (z^2 wp)
-    rhs = rhs - UniSeries.monomial(n, 6, curve.g3)
+    rhs = rhs - UniSeries(n, ((0,) * 6 + (curve.g3,))[: n + 1])  # z^6 * g3, in the window
     return lhs - rhs
 
 

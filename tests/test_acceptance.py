@@ -55,7 +55,7 @@ def test_criterion_01_degenerate_curve_exactness():
     curve = Curve(0, 0)
     fexp = formal_exponential(curve, 30)
     flog = formal_logarithm(curve, 30)
-    identity = UniSeries.identity(30)
+    identity = UniSeries(30, (0, 1))
     additive = BiSeries.variable(30, 1) + BiSeries.variable(30, 2)
     ok = (
         fexp.series == identity
@@ -100,7 +100,7 @@ def test_criterion_03_differential_equation():
 
 def test_criterion_04_exp_log_roundtrip():
     t0 = time.perf_counter()
-    identity = UniSeries.identity(40)
+    identity = UniSeries(40, (0, 1))
     bad = []
     for curve in _curves(20):
         fexp = formal_exponential(curve, 40)

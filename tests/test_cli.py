@@ -1,11 +1,14 @@
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellformal import RationalParseError, cli, parse_rational
 from ellformal.cli import main
@@ -67,6 +70,37 @@ class TestParseRational:
     def test_roundtrip_of_serialized_values(self):
         for value in (F(4), F(-3, 7), F(0), F(22, 7), F(-100, 9)):
             assert parse_rational(str(value)) == value
+
+    @settings(max_examples=400)
+    @given(text=st.text(alphabet="+-0123456789/.a", max_size=10))
+    def test_position_matches_prefix_scan(self, text):
+        try:
+            parse_rational(text)
+        except RationalParseError as exc:
+            if not str(exc).startswith("zero denominator"):
+                position = _position_by_prefix_scan(text)
+                assert str(exc) == f"malformed rational in {text!r} at position {position}"
+                assert exc.position == position
+
+    def test_long_malformed_config_value_refused_at_once(self, capsys, tmp_path, monkeypatch):
+        # scanning every prefix took seconds at 4*10^5 characters; one match is linear
+        _forbid_series(monkeypatch)
+        text = "1." * 500_000  # 10^6 characters, the second "." at position 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"g2": text, "g3": 0, "order": 3, "what": "fe"}))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "expand", "--config", str(path))
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == ""
+        assert err == f"error: g2: malformed rational in {text!r} at position 3\n"
+        assert elapsed < 1.0
+
+
+def _position_by_prefix_scan(text: str) -> int:
+    """Reference: the longest prefix that the prefix pattern fully matches,
+    found by trying every prefix from the longest down."""
+    prefix = re.compile(r"[+-]?\d*(?:/\d*|\.\d*)?\Z")
+    return next(i for i in range(len(text), -1, -1) if prefix.fullmatch(text[:i]))
 
 
 class TestExpand:
@@ -391,10 +425,32 @@ class TestClassical:
         assert err == f"error: classical needs 1 <= --{name} <= {cap}\n"
 
     def test_caps_are_accepted(self):
-        argv = ["classical", f"--nmax={cli.CLASSICAL_NMAX_CAP}",
-                f"--order={cli.CLASSICAL_ORDER_CAP}"]
-        config = cli.resolve_config(argv)
-        assert (config.nmax, config.order) == (cli.CLASSICAL_NMAX_CAP, cli.CLASSICAL_ORDER_CAP)
+        # each cap with the other value small: --order at its default, 16, and
+        # --nmax at 10
+        config = cli.resolve_config(["classical", f"--nmax={cli.CLASSICAL_NMAX_CAP}"])
+        assert (config.nmax, config.order) == (cli.CLASSICAL_NMAX_CAP, 16)
+        config = cli.resolve_config(["classical", "--nmax=10",
+                                     f"--order={cli.CLASSICAL_ORDER_CAP}"])
+        assert (config.nmax, config.order) == (10, cli.CLASSICAL_ORDER_CAP)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_both_caps_at_once_refused_before_any_work(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        # the reversion (53.3 s) and the two sums (54.2 s) add
+        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
+        values = {"nmax": cli.CLASSICAL_NMAX_CAP, "order": cli.CLASSICAL_ORDER_CAP}
+        if source == "flag":
+            argv = [f"--{key}={value}" for key, value in values.items()]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(values))
+            argv = ["--config", str(path)]
+        code, out, err = run_cli(capsys, "classical", *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: classical --order {cli.CLASSICAL_ORDER_CAP} with --nmax "
+                       f"{cli.CLASSICAL_NMAX_CAP} would take about 108 s, above the 60 s "
+                       "the caps allow; lower either\n")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_costly_s_values_refused_before_any_work(
@@ -421,6 +477,87 @@ class TestClassical:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert [row["within_bound"] for row in json.loads(out)["eta"]] == [True, True]
+
+
+TALL_G2 = f"-3/{7**101}"  # with g3 = 5/11: height 288.5
+
+
+class TestHeight:
+    """Every order cap was measured on (-3/7, 5/11), of height 47/6; on a
+    taller curve it is scaled down by (47/6 / height)^gamma."""
+
+    @pytest.mark.parametrize("g2,g3", [("4", "0"), ("-7", "13"), ("-3/7", "5/11"),
+                                       ("5/6", "-7/9"), ("0", "0"), ("53568", "4321728")])
+    def test_bench_and_corpus_curves_keep_their_caps(self, g2, g3):
+        assert cli._height({"g2": F(g2), "g3": F(g3)}) <= cli.REFERENCE_HEIGHT
+
+    @pytest.mark.parametrize("g2,g3,height", [
+        (TALL_G2, "5/11", 1731 / 6), (str(10**400), "0", 1327 / 4), ("-3/7", "5/11", 47 / 6),
+    ])
+    def test_height(self, g2, g3, height):
+        assert cli._height({"g2": F(g2), "g3": F(g3)}) == height
+
+    @staticmethod
+    def _scaled(who: str, cap: int) -> int:
+        return int(cap * (cli.REFERENCE_HEIGHT / (1731 / 6)) ** cli._HEIGHT_EXPONENTS[who])
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,what,order,cap", [
+        ("expand", "fe", 1000, 1450),
+        ("expand", "an", 1000, 2100),
+        ("grouplaw", None, 78, 78),
+        ("param", None, 1000, 1040),
+    ])
+    def test_tall_curve_refused_below_the_plain_cap(
+        self, capsys, tmp_path, monkeypatch, source, command, what, order, cap
+    ):
+        _forbid_series(monkeypatch)
+        values = {"g2": TALL_G2, "g3": "5/11", "order": order}
+        values.update({"what": what} if what else {"z": "0.1,0.8"} if command == "param" else {})
+        if source == "flag":
+            argv = [f"--{key}={value}" for key, value in values.items()]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(values))
+            argv = ["--config", str(path)]
+        code, out, err = run_cli(capsys, command, *argv)
+        who = f"expand --what {what}" if what else command
+        low = {"expand": 1, "grouplaw": 2, "param": 2}[command]
+        scaled, gamma = self._scaled(who, cap), cli._HEIGHT_EXPONENTS[who]
+        assert code == 2 and out == "" and low < scaled < order
+        assert err == (f"error: {who} needs {low} <= --order <= {scaled} on a curve of height "
+                       f"288.5: above height 7.83 the cap {cap} scales by (7.83/height)^{gamma}\n")
+
+    def test_scaled_caps_are_accepted(self):
+        argv = ["expand", f"--g2={TALL_G2}", "--g3=5/11", "--what=fe"]
+        order = self._scaled("expand --what fe", 1450)
+        assert cli.resolve_config([*argv, f"--order={order}"]).order == order
+        with pytest.raises(cli.UsageError):
+            cli.resolve_config([*argv, f"--order={order + 1}"])
+
+    def test_honda_pmax_is_scaled(self, capsys, monkeypatch):
+        _forbid_series(monkeypatch)
+        code, out, err = run_cli(capsys, "honda", f"--g2={TALL_G2}", "--g3=5/11", "--pmax=1000")
+        assert code == 2 and out == ""
+        pmax = self._scaled("honda", cli.HONDA_ORDER_CAP)
+        assert err.startswith(f"error: honda needs 5 <= --pmax <= {pmax} on a curve of height")
+
+    def test_param_joint_estimate_is_scaled(self, capsys, monkeypatch):
+        # order 300 is under the scaled cap and costs at 53 bits what order
+        # 300 / scale does on (-3/7, 5/11); at 10^5 bits the pair passes 60 s
+        _forbid_series(monkeypatch)
+        argv = ["param", f"--g2={TALL_G2}", "--g3=5/11", "--z=0.1,0.8", "--order=300"]
+        assert cli.resolve_config(argv).order == 300
+        assert cli.resolve_config(["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8",
+                                   "--order=300", "--precision=100000"]).order == 300
+        code, out, err = run_cli(capsys, *argv, "--precision=100000")
+        assert code == 2 and out == "" and err.startswith("error: param --order 300 with")
+
+    @pytest.mark.parametrize("g2", [str(10**400), f"1/{10**400}"])
+    @pytest.mark.parametrize("order", [4, 40])
+    def test_tall_curves_at_low_orders_stay_accepted(self, g2, order):
+        argv = ["param", f"--g2={g2}", "--g3=0", "--z=0.1,0.8", f"--order={order}"]
+        assert cli.resolve_config(argv).order == order
 
 
 class TestDigitLimit:

@@ -32,7 +32,7 @@ WEIGHTED_CURVES = (*NAMED_CURVES, Curve(F(5, 6), F(-7, 9)))
 class TestFormalExponential:
     def test_additive_case(self):
         fe = formal_exponential(Curve(0, 0), 30)
-        assert fe.series == UniSeries.identity(30)
+        assert fe.series == UniSeries(30, (0, 1))
 
     def test_leading_terms(self, rng):
         for _ in range(5):
@@ -77,7 +77,7 @@ def _exponential_by_wp_quotient(curve: Curve, order: int) -> UniSeries:
 class TestFormalLogarithm:
     def test_additive_case(self):
         fl = formal_logarithm(Curve(0, 0), 12)
-        assert fl.series == UniSeries.identity(12)
+        assert fl.series == UniSeries(12, (0, 1))
         assert fl.a(1) == 1
         assert all(fl.a(n) == 0 for n in range(2, 13))
 
@@ -99,7 +99,7 @@ class TestFormalLogarithm:
             c = random_curve(rng)
             fe = formal_exponential(c, 20)
             fl = formal_logarithm(c, 20)
-            t = UniSeries.identity(20)
+            t = UniSeries(20, (0, 1))
             assert fe.series.compose(fl.series) == t
             assert fl.series.compose(fe.series) == t
 
@@ -247,7 +247,7 @@ class TestExpLogInverse:
     @given(curve=CURVE_FAMILIES, order=st.integers(1, 24))
     def test_exp_and_log_compose_to_identity(self, curve, order):
         fexp, flog = formal_exponential(curve, order), formal_logarithm(curve, order)
-        t = UniSeries.identity(order)
+        t = UniSeries(order, (0, 1))
         assert fexp.series.compose(flog.series) == t
         assert flog.series.compose(fexp.series) == t
 
@@ -281,7 +281,7 @@ class TestUniversalBernoulli:
 class TestSCoordinate:
     def test_additive_case(self):
         s = s_coordinate(Curve(0, 0), 12).series
-        assert s == UniSeries.monomial(12, 3)
+        assert s == UniSeries(12, (0, 0, 0, 1))
 
     def test_low_order_terms(self, rng):
         for _ in range(5):
@@ -296,7 +296,7 @@ class TestSCoordinate:
         cases = [(random_curve(rng), 25)] + [(c, 60) for c in NAMED_CURVES]
         for c, order in cases:
             s = s_coordinate(c, order).series
-            cube = UniSeries.monomial(order, 3)
+            cube = UniSeries(order, (0, 0, 0, 1))
             rhs = cube - (c.g2 / 4) * (s.shifted(1) * s) - (c.g3 / 4) * (s * s * s)
             assert s == rhs
 
@@ -321,11 +321,11 @@ class TestGroupLaws:
         fe = formal_exponential(c, 6)
         fl = formal_logarithm(c, 6)
         for law in (group_law_exp_log(fe, fl, 6), group_law_closed_form(c, 6)):
-            assert law.series.get(4, 1) == c.g2 / 2
-            assert law.series.get(3, 2) == c.g2
-            assert law.series.get(2, 3) == c.g2
-            assert law.series.get(1, 4) == c.g2 / 2
-            assert law.series.get(5, 0) == 0
+            assert law.series[4, 1] == c.g2 / 2
+            assert law.series[3, 2] == c.g2
+            assert law.series[2, 3] == c.g2
+            assert law.series[1, 4] == c.g2 / 2
+            assert law.series[5, 0] == 0
 
     def test_neutrality_slice(self, rng):
         c = random_curve(rng)
@@ -663,10 +663,10 @@ def _pullback_by_fraction(curve: Curve, order: int) -> formal_group.PullbackIden
     w = UniSeries(m, s_coordinate(curve, m + 3).series.coeffs[3 : m + 4])
     log = formal_logarithm(curve, m + 1).series
     wp = weierstrass.wp_coefficients(curve, max(2, (m + 1) // 2))
-    log_m = log.truncate(m)
+    log_m = UniSeries(m, log.coeffs[: m + 1])
     unit_inv = UniSeries.one(m) / UniSeries(m, log.coeffs[1 : m + 2])
     ui2 = unit_inv * unit_inv
-    x_pullback = ui2 * wp.body().truncate(m).compose(log_m)
-    y_pullback = ui2 * unit_inv * wp.prime_body().truncate(m).compose(log_m)
+    x_pullback = ui2 * UniSeries(m, wp.body().coeffs[: m + 1]).compose(log_m)
+    y_pullback = ui2 * unit_inv * UniSeries(m, wp.prime_body().coeffs[: m + 1]).compose(log_m)
     w_inv = UniSeries.one(m) / w
     return formal_group.PullbackIdentities(m, x_pullback, w_inv, y_pullback, -2 * w_inv)

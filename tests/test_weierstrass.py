@@ -56,6 +56,12 @@ class TestWpCoefficients:
             residual = differential_equation_residual(random_curve(rng), 20)
             assert residual.is_zero()
 
+    @pytest.mark.parametrize("order", (2, 3))
+    def test_differential_equation_at_low_orders(self, order):
+        # the g3 z^6 term lies outside the order-2 window (z^4) and is clipped
+        residual = differential_equation_residual(Curve(-7, 13), order)
+        assert residual.order == 2 * order and residual.is_zero()
+
     def test_scaling_covariance(self, rng):
         lam = F(2, 3)
         for _ in range(5):
