@@ -53,8 +53,16 @@ class UsageError(ValueError):
 
 
 class RationalParseError(UsageError):
+    """The message quotes the text whole up to 100 characters; a longer text
+    by the 80 characters around the error, with its length."""
+
     def __init__(self, text: str, position: int, message: str):
-        super().__init__(f"{message} in {text!r} at position {position}")
+        if len(text) <= 100:
+            quoted = repr(text)
+        else:
+            start = max(0, min(position - 40, len(text) - 80))
+            quoted = f"{text[start : start + 80]!r} (characters {start}-{start + 79} of {len(text)})"
+        super().__init__(f"{message} in {quoted} at position {position}")
         self.text = text
         self.position = position
 
@@ -92,10 +100,11 @@ HONDA_ORDER_CAP = 2000
 # takes 53 / 66 s on (-3/7, 5/11).
 BERNOULLI_ORDER_CAP = 1100
 
-# Largest grouplaw --order: order 78 takes about 59 s on (-3/7, 5/11), the
-# slowest curve of the test corpus, on a 2-vCPU x86 host (order 80, 68 s);
-# the cost grows roughly as order^5.
-GROUPLAW_ORDER_CAP = 78
+# Largest grouplaw --order: order 82 takes about 51 s on (-3/7, 5/11), the
+# slowest curve of the test corpus, on a 2-vCPU x86 host (order 80, 49 s;
+# order 84, 66 s); the cost grows faster than order^5, and steps up where a
+# prime (here 83) joins the common denominator of the exp-log law.
+GROUPLAW_ORDER_CAP = 82
 
 # Largest param --order and --precision, each measured with the other small,
 # on (-3/7, 5/11) and the same host: order 1040 / 1050 at 53 bits take 53 / 63 s,
@@ -165,7 +174,7 @@ REFERENCE_HEIGHT = 47 / 6
 _HEIGHT_EXPONENTS = {
     "expand --what fe": 0.35, "expand --what fl": 0.46, "expand --what an": 0.46,
     "expand --what wp": 0.25, "expand --what wpp": 0.25, "expand --what s": 0.45,
-    "grouplaw": 0.15, "honda": 0.45, "bernoulli": 0.33, "param": 0.3,
+    "grouplaw": 0.165, "honda": 0.45, "bernoulli": 0.33, "param": 0.3,
 }
 
 

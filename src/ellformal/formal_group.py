@@ -15,9 +15,11 @@ binds the log's derivative to the chart, and the ``bernoulli``
 cross-checks bind wp to the exp; exp and log invert each other
 (acceptance criterion 4).  The group law is exp of the sum of logs, or the
 closed rational expression in (t, s); the two must agree coefficient for
-coefficient.  The closed form and the axiom check run on the scaled law
+coefficient.  Both laws and the axiom check run on the scaled law
 F~(t1, t2) = F(u t1, u t2) / u, which has integer coefficients and passes
-each axiom exactly when F does.
+each axiom exactly when F does.  The exp-log law and the pullback compose
+an exact outer series with an integer inner one over one common
+denominator, by the one rule of :func:`_compose_over`.
 """
 
 from __future__ import annotations
@@ -230,15 +232,51 @@ def _unscale(u: int, values: list, length: int, first: int = 0) -> list:
 
 
 def group_law_exp_log(fexp: FormalExp, flog: FormalLog, order: int) -> GroupLaw:
-    """F(t1, t2) as exp(log(t1) + log(t2)), truncated at total degree."""
+    """F(t1, t2) as exp(log(t1) + log(t2)), truncated at total degree, in integers.
+
+    On the curve scaled by weight u (see :func:`_weights`) the law is
+    F~ = exp~(log~ t1 + log~ t2), where exp~ and log~ have coefficients
+    E_k u^(k - 1) and L_k u^(k - 1).  With D the lcm of the scaled log's
+    denominators, Y = D (log~ t1 + log~ t2) is an integer series, and
+    :func:`_compose_over` composes exp~ with Y / D as one integer series R
+    over one common denominator Q D^order.  The coefficient (i, j) of F is
+    R_ij / (Q D^order u^(i + j - 1)), one Fraction each, made once, at the end.
+    """
     if fexp.curve != flog.curve:
         raise ValueError("exponential and logarithm belong to different curves")
     if flog.series.order < order or fexp.series.order < order:
         raise ValueError(f"need exp/log series of order >= {order}")
-    inner = BiSeries.from_uni(flog.series, order, 1) + BiSeries.from_uni(
-        flog.series, order, 2
-    )
-    return GroupLaw(fexp.curve, bi_substitute(fexp.series, inner), "exp-log")
+    u = _weights(fexp.curve)[0]
+
+    def scaled(series: UniSeries) -> list:  # [t^k] times u^(k - 1), k = 1 .. order
+        return [c * u ** (k - 1) for k, c in enumerate(series.coeffs[1 : order + 1], 1)]
+
+    log, exp = scaled(flog.series), scaled(fexp.series)
+    d = math.lcm(*(c.denominator for c in log))
+    y = UniSeries(order, [0, *(c.numerator * (d // c.denominator) for c in log)])
+    inner = BiSeries.from_uni(y, order, 1) + BiSeries.from_uni(y, order, 2)
+    numerators, den = _compose_over([0, *exp], inner, d)
+    return GroupLaw(fexp.curve, _unscale_law(numerators, u, den), "exp-log")
+
+
+def _compose_over(outer: list, inner, d: int) -> tuple:
+    """(R, Q d^n) with sum_k f_k (inner / d)^k = R / (Q d^n), for the exact
+    f_0 .. f_n of ``outer`` and an integer UniSeries or BiSeries ``inner``.
+
+    Q is the lcm of the denominators of the f_k d^(n - k), so the outer
+    series with coefficients Q f_k d^(n - k) is an integer one, and its one
+    composition with ``inner`` (``UniSeries.compose`` or
+    :func:`bi_substitute`) runs on ints and is R.
+    """
+    n = len(outer) - 1
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * d)
+    terms = [f * p for f, p in zip(outer, reversed(powers))]  # f_k d^(n - k)
+    q = math.lcm(*(x.denominator for x in terms))
+    scaled = UniSeries(n, [x.numerator * (q // x.denominator) for x in terms])
+    compose = bi_substitute if isinstance(inner, BiSeries) else UniSeries.compose
+    return compose(scaled, inner), q * powers[-1]
 
 
 def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
@@ -272,14 +310,27 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     h = order // 2
     g = UniSeries(h, (0, -2 * a, -3 * b)[: h + 1]) / UniSeries(h, (1, 0, a, b)[: h + 1])
     scaled = t1 + t2 - c * bi_substitute(g, m)
-    return GroupLaw(curve, _conjugate(scaled, Fraction(1, u)), "buchstaber-bunkova")
+    return GroupLaw(curve, _unscale_law(scaled, u), "buchstaber-bunkova")
+
+
+def _unscale_law(scaled: BiSeries, u: int, den: int = 1) -> BiSeries:
+    """The law F of a curve from numerators over ``den`` of its law scaled by
+    weight u: coefficient (i, j) is scaled_ij / (den u^(i + j - 1)), one
+    Fraction each; a law has no constant term."""
+    powers = [den]  # den u^(k - 1) at total degree k >= 1
+    for _ in range(1, scaled.order):
+        powers.append(powers[-1] * u)
+    return BiSeries(scaled.order, (
+        [Fraction(x, powers[i + j - 1]) if i + j else _ZERO for j, x in enumerate(row)]
+        for i, row in enumerate(scaled.rows)
+    ))
 
 
 def _conjugate(series: BiSeries, v) -> BiSeries:
     """F(v t1, v t2) / v: coefficient (i, j) times v^(i + j - 1), an int where integral.
 
     An exact change of variable: v = u takes a curve's law to the integer law
-    of the curve scaled by weight u, and v = 1/u takes it back.
+    of the curve scaled by weight u, and :func:`_unscale_law` takes it back.
     """
     scale = [_div(1, v)]
     for _ in range(series.order):
@@ -375,9 +426,9 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     integer W, log' the integer unit sum u^(2i) a(2i + 1) T^i and v the
     series v~ = sum u^(2i) a(2i + 1) / (2i + 1) T^i, so with
     D = lcm(1, 3, ..., 2h + 1) the series M = D v~ and I = T M^2 are
-    integers.  Giving p the coefficients Q c~_k D^(2(h - k)), with
-    c~_k = u^(2k) c_k and Q the lcm of their denominators, makes the one
-    composition with I an integer one, equal to Q D^(2h) p(T v~^2).  Three
+    integers.  :func:`_compose_over`, which holds the common-denominator
+    rule, composes p (with c~_k = u^(2k) c_k) with I / D^2 as one integer
+    composition R over Q D^(2h): R = Q D^(2h) p(T v~^2).  Three
     exact divisions (by Q D^(2h - 2) M^2 for P, by log' for the T^i
     coefficients (2i - 2) P_i, and by W) give the scaled bodies, which are
     unscaled by u^(2i) once, at the end.
@@ -387,17 +438,13 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     h = order // 2
     u, w, an = _integer_core(curve, h + 1)
     c = wp_coefficients(curve, max(2, h)).c[: max(h - 1, 0)]  # c_2 .. c_h
-    scaled = [ck * u ** (2 * k) for k, ck in enumerate(c, 2)]
-    q = math.lcm(*(ck.denominator for ck in scaled))
     d = math.lcm(*range(1, 2 * h + 2, 2))
-    d2 = d * d
     m = UniSeries(h, [a * (d // (2 * i + 1)) for i, a in enumerate(an)])  # M = D v~
     m2 = m * m
-    inner = m2.shifted(1)  # I = T M^2
-    p = [q * d2**h, 0] + [ck.numerator * (q // ck.denominator) * d2 ** (h - k)
-                          for k, ck in enumerate(scaled, 2)]
+    p = [1, 0, *(ck * u ** (2 * k) for k, ck in enumerate(c, 2))][: h + 1]
+    numerators, den = _compose_over(p, m2.shifted(1), d * d)  # inner I = T M^2
     # by Q D^(2h - 2) M^2 with D^2 on the numerator: no power of D is negative at h = 0
-    x = d2 * UniSeries(h, p[: h + 1]).compose(inner) / (p[0] * m2)
+    x = d * d * numerators / (den * m2)
     y = UniSeries(h, [(2 * i - 2) * xi for i, xi in enumerate(x.coeffs)]) / UniSeries(h, an)
     chart = UniSeries.one(h) / UniSeries(h, w)
 

@@ -92,8 +92,27 @@ class TestParseRational:
         code, out, err = run_cli(capsys, "expand", "--config", str(path))
         elapsed = time.perf_counter() - t0
         assert code == 2 and out == ""
-        assert err == f"error: g2: malformed rational in {text!r} at position 3\n"
+        # quoted by the 80 characters around the error, with the length
+        assert err == ("error: g2: malformed rational in "
+                       f"{text[:80]!r} (characters 0-79 of 1000000) at position 3\n")
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("text,position,window", (
+        ("1" * 99 + "x", 99, None),  # 100 characters: quoted whole
+        ("1" * 200 + "x", 200, (121, 201)),  # the window ends with the text
+        ("1" * 100 + "x" + "1" * 100, 100, (60, 140)),  # centred on the error
+        ("1/" + "0" * 200, 2, (0, 80)),  # zero denominator: the window starts with the text
+    ))
+    def test_long_text_quoted_by_window(self, text, position, window):
+        with pytest.raises(RationalParseError) as info:
+            parse_rational(text)
+        assert info.value.position == position and info.value.text == text
+        if window is None:
+            quoted = repr(text)
+        else:
+            start, end = window
+            quoted = f"{text[start:end]!r} (characters {start}-{end - 1} of {len(text)})"
+        assert str(info.value).endswith(f" in {quoted} at position {position}")
 
 
 def _position_by_prefix_scan(text: str) -> int:
@@ -505,7 +524,7 @@ class TestHeight:
     @pytest.mark.parametrize("command,what,order,cap", [
         ("expand", "fe", 1000, 1450),
         ("expand", "an", 1000, 2100),
-        ("grouplaw", None, 78, 78),
+        ("grouplaw", None, 82, 82),
         ("param", None, 1000, 1040),
     ])
     def test_tall_curve_refused_below_the_plain_cap(

@@ -534,7 +534,7 @@ def _sides_checked_against_reference(law: BiSeries) -> tuple:
 
 
 class TestIntegerLaw:
-    """The closed form built on the weight-scaled integer law, and the axioms
+    """Both laws built on the weight-scaled integer law, and the axioms
     checked on the conjugate, against the Fraction routes they replaced."""
 
     @given(curve=CURVE_FAMILIES, order=st.integers(2, 12))
@@ -563,6 +563,48 @@ class TestIntegerLaw:
         assert report == _axioms_by_fraction(corrupted.series)
         if i != j:  # the law was symmetric
             assert not report.commutative and not report.passed
+
+    @given(curve=CURVE_FAMILIES, order=st.integers(1, 24))
+    @example(curve=Curve(4, 0), order=40)
+    @example(curve=Curve(-7, 13), order=40)
+    @example(curve=Curve(F(-3, 7), F(5, 11)), order=40)
+    @example(curve=Curve(F(5, 6), F(-7, 9)), order=2)
+    @example(curve=Curve(F(5, 6), F(-7, 9)), order=3)
+    @example(curve=Curve(0, 0), order=2)
+    @example(curve=Curve(0, 0), order=3)
+    def test_exp_log_matches_fraction_route(self, curve, order):
+        fexp, flog = formal_exponential(curve, order), formal_logarithm(curve, order)
+        law = group_law_exp_log(fexp, flog, order)
+        assert law.series == _group_law_by_fraction(fexp, flog, order)
+        assert law.curve == curve and law.provenance == "exp-log"
+
+    @pytest.mark.parametrize("curve", WEIGHTED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
+    def test_exp_log_runs_on_integers(self, curve, monkeypatch):
+        fexp, flog = formal_exponential(curve, 18), formal_logarithm(curve, 18)
+        reference = group_law_closed_form(curve, 18).series
+        compositions = _record_operands(monkeypatch, formal_group, "bi_substitute")
+        operands = _record_operands(monkeypatch, BiSeries, "__mul__")
+        assert group_law_exp_log(fexp, flog, 18).series == reference
+        # exp~ composed once with D (log~ t1 + log~ t2), over one common denominator
+        assert len(compositions) == 1
+        assert operands and all(_integer_rows(x) for pair in operands for x in pair)
+
+    @pytest.mark.parametrize("k", (1, 4, 9, 17))
+    def test_perturbed_log_coefficient_fails(self, k):
+        curve = Curve(F(-3, 7), F(5, 11))
+        fexp, flog = formal_exponential(curve, 18), formal_logarithm(curve, 18)
+        coeffs = list(flog.series.coeffs)
+        coeffs[k] += F(1, 7)
+        perturbed = formal_group.FormalLog(curve, UniSeries(18, coeffs), flog.an)
+        law = group_law_exp_log(fexp, perturbed, 18)
+        assert law.series != group_law_closed_form(curve, 18).series
+
+
+def _group_law_by_fraction(fexp, flog, order: int) -> BiSeries:
+    """Reference: exp(log(t1) + log(t2)) composed over Fractions, in the
+    curve's own coefficients, with no scaling."""
+    inner = BiSeries.from_uni(flog.series, order, 1) + BiSeries.from_uni(flog.series, order, 2)
+    return formal_group.bi_substitute(fexp.series, inner)
 
 
 def _axioms_by_fraction(series: BiSeries) -> formal_group.AxiomReport:
