@@ -14,9 +14,11 @@ be supplied through ``--config file.json`` under the same name; explicit
 flags win.
 
 A command is defined once, in ``_COMMANDS``: help text, fields in report
-order, defaults (a field without one is required), inclusive bounds and
-runner.  ``_FLAGS`` gives each field's parser and argparse keywords; flag
-and config-file values pass the same parsers and bounds before any work.
+order, defaults (a field without one is required), runner, and inclusive
+bounds, where every size cap is written once, with the exponent that scales
+it down on a tall curve (``_Cap``).  ``_FLAGS`` gives each field's parser and
+argparse keywords; flag and config-file values pass the same parsers and
+bounds before any work.
 """
 
 from __future__ import annotations
@@ -84,63 +86,56 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-# Smallest and largest expand --order for each --what.  Each cap is near where
-# one call on (-3/7, 5/11), the slowest curve of the test corpus, passes 60 s
-# on a 2-vCPU x86 host: fe 1450 / 1500 take 58 / 68 s, fl 2100 / 2150 take
-# 59 / 60 s (an 2100: 56 s), s 2450 / 2500 take 58 / 62 s, and wp 1040 takes
-# 55 s, as for param --order.
-_WHAT_ORDER_BOUNDS = {"fe": (1, 1450), "fl": (1, 2100), "wp": (2, 1040), "wpp": (2, 1040),
-                      "s": (3, 2450), "an": (1, 2100)}
-
-# Largest honda --pmax and --order: the order-2000 log takes about 45 s on
-# (-3/7, 5/11), the slowest curve of the test corpus, on a 2-vCPU x86 host.
-HONDA_ORDER_CAP = 2000
-
-# Largest bernoulli --order, measured as the expand caps: order 1100 / 1150
-# takes 53 / 66 s on (-3/7, 5/11).
-BERNOULLI_ORDER_CAP = 1100
-
-# Largest grouplaw --order: order 82 takes about 51 s on (-3/7, 5/11), the
-# slowest curve of the test corpus, on a 2-vCPU x86 host (order 80, 49 s;
-# order 84, 66 s); the cost grows faster than order^5, and steps up where a
-# prime (here 83) joins the common denominator of the exp-log law.
-GROUPLAW_ORDER_CAP = 82
-
-# Largest param --order and --precision, each measured with the other small,
-# on (-3/7, 5/11) and the same host: order 1040 / 1050 at 53 bits take 53 / 63 s,
-# most of it the wp expansion; 290000 / 300000 bits at order 40 take 54 / 61 s.
-PARAM_ORDER_CAP = 1040
-PARAM_PRECISION_CAP = 290000
+REFERENCE_HEIGHT = 47 / 6  # of (-3/7, 5/11), where every cap in _COMMANDS was measured
 
 
-def _check_param_cost(values: dict, scale: float) -> None:
+@dataclass(frozen=True)
+class _Cap:
+    """An upper bound measured on (-3/7, 5/11).  The cost of an order grows fast
+    with the height of the curve (_height), so on a taller curve the bound is
+    multiplied by (REFERENCE_HEIGHT / height)^gamma and rounded down."""
+
+    value: int
+    gamma: float
+
+    def scale(self, height: float) -> float:
+        return (REFERENCE_HEIGHT / height) ** self.gamma if height > REFERENCE_HEIGHT else 1.0
+
+
+def _height(values: dict) -> float:
+    """max(bits(a) / 4, bits(b) / 6) for the integer weights (a, b) of the curve
+    scaled by weight (formal_group._weights): the size every exact route starts from."""
+    _, a, b = _weights(Curve(values["g2"], values["g3"]))
+    return max(a.bit_length() / 4, b.bit_length() / 6)
+
+
+def _check_param_cost(values: dict, scales: dict) -> None:
     """Refuse --order with --precision whose estimated seconds on (-3/7, 5/11),
     same host, pass 60: the exact wp expansion grows as order^4 (56 s at order
     1040), and the numeric part as precision * (order + 180), the 180 standing
     for pi, exp(2*pi*i*z) and the printed digits; fitted to calls at orders
     40..1040 and 53..290000 bits (README).  On a taller curve the expansion
-    costs at ``order`` what it costs at order / scale on that one."""
+    costs at ``order`` what it costs at order / (its cap's scale) on that one."""
     order, precision = values["order"], values["precision"]
-    seconds = (order / scale) ** 4 / 2.1e10 + precision * (order + 180) / 1.25e6
+    seconds = (order / scales["order"]) ** 4 / 2.1e10 + precision * (order + 180) / 1.25e6
     if seconds > 60:
         raise UsageError(f"param --order {order} with --precision {precision} would take "
                          f"about {seconds:.0f} s, above the 60 s the caps allow; "
                          "lower either")
 
 
-# Largest classical --order and --nmax, each measured with the other small on
-# the same host: the Fraction reversion of exp(T) - 1 takes 25.6 / 53.3 / 60.4 s
-# at order 200 / 240 / 250, and the eta sums at the default s = 1, 2 take
-# 21.8 / 54.2 / 60.7 s at nmax 10^8 / 2.5*10^8 / 2.8*10^8 (each --s adds one).
-CLASSICAL_ORDER_CAP = 240
+# Largest classical --nmax, measured with --order small on a 2-vCPU x86 host:
+# the eta sums at the default s = 1, 2 take 21.8 / 54.2 / 60.7 s at nmax 10^8 /
+# 2.5*10^8 / 2.8*10^8 (each --s adds one).
 CLASSICAL_NMAX_CAP = 250_000_000
 
 
 def _classical_work(nmax: int, s_values) -> int:
     """The eta sums' cost, priced per term from times measured on the same host
     near n = 10^8: an inline term 1/n^s costs about 2 + s units (s = 1..37), and
-    an ``_inverse_power`` term at most twice that (s = 37..200)."""
-    return sum((inline + 2 * tail) * (2 + s)
+    an ``_inverse_power`` term at most twice that (s = 37..200).  Past s = 200 a
+    term costs no more than at 200, so it is priced as there (README)."""
+    return sum((inline + 2 * tail) * (2 + min(s, 200))
                for s in s_values for inline, tail in [_term_counts(nmax, s)])
 
 
@@ -149,7 +144,7 @@ def _classical_work(nmax: int, s_values) -> int:
 CLASSICAL_WORK_CAP = _classical_work(CLASSICAL_NMAX_CAP, (1, 2))
 
 
-def _check_classical_work(values: dict, scale: float) -> None:
+def _check_classical_work(values: dict, scales: dict) -> None:
     """Refuse --s sums past the work cap, and sums with a reversion whose
     estimated seconds pass 60: the sums at 54.2 s per work cap, the reversion
     as order^4 (53.3 s at order 240)."""
@@ -163,26 +158,6 @@ def _check_classical_work(values: dict, scale: float) -> None:
     if seconds > 60:
         raise UsageError(f"classical --order {order} with --nmax {values['nmax']} would take "
                          f"about {seconds:.0f} s, above the 60 s the caps allow; lower either")
-
-
-# Every order cap above was measured on (-3/7, 5/11), whose height is 47/6, and
-# the cost of an order grows fast with the height.  On a taller curve each cap
-# is scaled by (REFERENCE_HEIGHT / height)^gamma, gamma fitted per command (per
-# --what for expand) so that the scaled cap takes 30..60 s on (-3/7^101, 5/11),
-# height 288.5, same host; the timed calls are in the README.
-REFERENCE_HEIGHT = 47 / 6
-_HEIGHT_EXPONENTS = {
-    "expand --what fe": 0.35, "expand --what fl": 0.46, "expand --what an": 0.46,
-    "expand --what wp": 0.25, "expand --what wpp": 0.25, "expand --what s": 0.45,
-    "grouplaw": 0.165, "honda": 0.45, "bernoulli": 0.33, "param": 0.3,
-}
-
-
-def _height(values: dict) -> float:
-    """max(bits(a) / 4, bits(b) / 6) for the integer weights (a, b) of the curve
-    scaled by weight (formal_group._weights): the size every exact route starts from."""
-    _, a, b = _weights(Curve(values["g2"], values["g3"]))
-    return max(a.bit_length() / 4, b.bit_length() / 6)
 
 
 @dataclass(frozen=True)
@@ -265,22 +240,6 @@ def _choice(name: str, value) -> str:
     if value not in choices:
         raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     return value
-
-
-# Field -> (parser, argparse keywords), in the order flags appear in --help.
-_FLAGS: dict[str, tuple[Callable, dict]] = {
-    "g2": (_rational, {"help": "rational, e.g. 4, -3/7 or 0.25"}),
-    "g3": (_rational, {"help": "rational"}),
-    "order": (_int, {"help": "series truncation order"}),
-    "pmax": (_int, {"help": "check primes 5..pmax"}),
-    "z": (_z, {"help": "upper half-plane point as re,im"}),
-    "nmax": (_int, {"help": "number of q-series terms"}),
-    "what": (_choice, {"choices": tuple(_WHAT_ORDER_BOUNDS),
-                       "help": "which expansion to emit"}),
-    "s": (_s, {"action": "append", "help": "Dirichlet exponent (repeatable)"}),
-    "precision": (_int, {"help": "working precision in bits (default 53)"}),
-    "format": (_choice, {"choices": ("text", "json")}),
-}
 
 
 # -- serialization -----------------------------------------------------------
@@ -465,58 +424,89 @@ def _run_classical(config: RunConfig) -> tuple[bool, dict]:
 @dataclass(frozen=True)
 class _Command:
     """One subcommand; a default or bound naming an earlier field means its
-    value.  Bounds are inclusive (low, high); high None is unbounded."""
+    value.  Bounds are inclusive (low, high); high None is unbounded, and a
+    _Cap scales with the curve's height.  ``bounds_by`` names a field whose
+    every choice has bounds of its own."""
 
     help: str
     fields: tuple[str, ...]  # in report order
     run: Callable[[RunConfig], tuple[bool, dict]]
     defaults: dict = field(default_factory=dict)  # "format" defaults to "text"
     bounds: dict = field(default_factory=dict)
-    # refuses values too costly together, given the height scale of the order caps
-    joint: Callable[[dict, float], None] | None = None
+    bounds_by: str | None = None
+    # refuses values too costly together, given the height scale of each _Cap
+    joint: Callable[[dict, dict], None] | None = None
 
 
+# Each cap sits near where one call on (-3/7, 5/11), the slowest curve of the
+# test corpus, passes 60 s on a 2-vCPU x86 host; seconds at the cap (and above):
+#   expand --order: fe 58 (1500: 68), fl 59 (2150: 60), an 56, s 58 (2500: 62),
+#     wp 55;
+#   grouplaw --order: 51 (84: 66, where the prime 83 joins the common
+#     denominator of the exp-log law);
+#   honda --pmax and --order: 45, the log;  bernoulli --order: 53 (1150: 66);
+#   param, the other value small: --order 53 at 53 bits (1050: 63), most of it
+#     the wp expansion; --precision 54 at order 40 (300000: 61);
+#   classical --order, with --nmax small: 53.3 (250: 60.4), the reversion.
+# Each gamma is fitted so that the scaled cap takes 30..60 s on
+# (-3/7^101, 5/11), height 288.5, same host; the timed calls are in the README.
 _COMMANDS = {
     "expand": _Command(
         "emit one series expansion",
-        ("g2", "g3", "order", "what", "format"), _run_expand,
-        bounds={"order": (1, None)},  # replaced by _WHAT_ORDER_BOUNDS[what]
+        ("g2", "g3", "order", "what", "format"), _run_expand, bounds_by="what",
+        bounds={"fe": {"order": (1, _Cap(1450, 0.35))}, "fl": {"order": (1, _Cap(2100, 0.46))},
+                "wp": {"order": (2, _Cap(1040, 0.25))}, "wpp": {"order": (2, _Cap(1040, 0.25))},
+                "s": {"order": (3, _Cap(2450, 0.45))}, "an": {"order": (1, _Cap(2100, 0.46))}},
     ),
     "grouplaw": _Command(
         "build the group law both ways and verify axioms",
         ("g2", "g3", "order", "format"), _run_grouplaw,
-        bounds={"order": (2, GROUPLAW_ORDER_CAP)},
+        bounds={"order": (2, _Cap(82, 0.165))},
     ),
     "honda": _Command(
         "congruence a(p) = p+1-#E(F_p) mod p for good primes",
         ("g2", "g3", "pmax", "order", "format"), _run_honda,
         defaults={"order": "pmax"},
-        bounds={"pmax": (5, HONDA_ORDER_CAP), "order": ("pmax", HONDA_ORDER_CAP)},
+        bounds={"pmax": (5, _Cap(2000, 0.45)), "order": ("pmax", _Cap(2000, 0.45))},
     ),
     "bernoulli": _Command(
         "universal and elliptic Bernoulli numbers",
         ("g2", "g3", "order", "format"), _run_bernoulli,
-        bounds={"order": (0, BERNOULLI_ORDER_CAP)},
+        bounds={"order": (0, _Cap(1100, 0.33))},
     ),
     "param": _Command(
         "numeric parametrization point and curve residual",
         ("g2", "g3", "z", "order", "nmax", "precision", "format"), _run_param,
         defaults={"nmax": "order", "precision": 53},
-        bounds={"order": (2, PARAM_ORDER_CAP), "nmax": (1, "order"),
-                "precision": (1, PARAM_PRECISION_CAP)},
+        bounds={"order": (2, _Cap(1040, 0.3)), "nmax": (1, "order"), "precision": (1, 290000)},
         joint=_check_param_cost,
     ),
     "classical": _Command(
         "exp(T)-1 degeneration: log(1+T) and eta partial sums",
         ("nmax", "order", "s", "format"), _run_classical,
         defaults={"order": 16, "s": (1, 2)},
-        bounds={"nmax": (1, CLASSICAL_NMAX_CAP), "order": (1, CLASSICAL_ORDER_CAP),
-                "s": (1, None)},
+        bounds={"nmax": (1, CLASSICAL_NMAX_CAP), "order": (1, 240), "s": (1, None)},
         joint=_check_classical_work,
     ),
 }
 
 COMMANDS = tuple(_COMMANDS)
+
+
+# Field -> (parser, argparse keywords), in the order flags appear in --help.
+_FLAGS: dict[str, tuple[Callable, dict]] = {
+    "g2": (_rational, {"help": "rational, e.g. 4, -3/7 or 0.25"}),
+    "g3": (_rational, {"help": "rational"}),
+    "order": (_int, {"help": "series truncation order"}),
+    "pmax": (_int, {"help": "check primes 5..pmax"}),
+    "z": (_z, {"help": "upper half-plane point as re,im"}),
+    "nmax": (_int, {"help": "number of q-series terms"}),
+    "what": (_choice, {"choices": tuple(_COMMANDS["expand"].bounds),
+                       "help": "which expansion to emit"}),
+    "s": (_s, {"action": "append", "help": "Dirichlet exponent (repeatable)"}),
+    "precision": (_int, {"help": "working precision in bits (default 53)"}),
+    "format": (_choice, {"choices": ("text", "json")}),
+}
 
 
 # -- flag / config resolution -------------------------------------------------
@@ -584,19 +574,19 @@ def resolve_config(argv=None) -> RunConfig:
             values[name] = values.get(defaults[name], defaults[name])
         else:
             raise UsageError(f"{command} requires --{name}")
-    who = command + (f" --what {values['what']}" if command == "expand" else "")
-    scale = 1.0
-    if "g2" in values:
-        height = _height(values)
-        if height > REFERENCE_HEIGHT:
-            scale = (REFERENCE_HEIGHT / height) ** _HEIGHT_EXPONENTS[who]
-    for name, (low, high) in spec.bounds.items():
-        if command == "expand":  # the one bound that depends on a choice
-            low, high = _WHAT_ORDER_BOUNDS[values["what"]]
+    who, bounds = command, spec.bounds
+    if spec.bounds_by:
+        who += f" --{spec.bounds_by} {values[spec.bounds_by]}"
+        bounds = bounds[values[spec.bounds_by]]
+    height = _height(values) if "g2" in values else None
+    scales = {}  # of each _Cap, for the joint check
+    for name, (low, high) in bounds.items():
+        cap = high if isinstance(high, _Cap) else None
+        if cap:
+            scales[name], high = cap.scale(height), cap.value
+        scaled = scales.get(name, 1.0) < 1
         lo, hi = values.get(low, low), values.get(high, high)
-        scaled = scale < 1 and name in ("order", "pmax") and isinstance(hi, int)
-        if scaled:
-            hi = int(hi * scale)
+        hi = int(hi * scales[name]) if scaled else hi
         items = values[name] if isinstance(values[name], tuple) else (values[name],)
         if any(v < lo or hi is not None and v > hi for v in items):
             low, high = (f"--{b}" if isinstance(b, str) else b for b in (low, high))
@@ -606,10 +596,10 @@ def resolve_config(argv=None) -> RunConfig:
             if scaled:
                 message += (f" on a curve of height {height:.1f}: above height "
                             f"{REFERENCE_HEIGHT:.2f} the cap {high} scales by "
-                            f"({REFERENCE_HEIGHT:.2f}/height)^{_HEIGHT_EXPONENTS[who]}")
+                            f"({REFERENCE_HEIGHT:.2f}/height)^{cap.gamma}")
             raise UsageError(message)
     if spec.joint:
-        spec.joint(values, scale)
+        spec.joint(values, scales)
     return RunConfig(command=command, **values)
 
 

@@ -4,9 +4,10 @@ Feeds q = exp(2*pi*i*z) through the formal-logarithm series to get a
 point w in a small disk around the origin, then evaluates the truncated
 wp Laurent expansion there: alpha(z) = wp(w), beta(z) = wp'(w).  The
 pair must land on y^2 = 4x^3 - g2*x - g3 up to rounding, which is what
-``residual`` measures.  Each evaluation builds its exact wp expansion
-once (``derivative_check`` one for its three points), and each point
-computes q and runs the q-series loop once.
+``residual`` measures.  Each evaluation sums the log q-series first, so
+that a refusal there costs no wp expansion, and then builds its exact wp
+expansion once (``derivative_check`` one for its three points); each
+point computes q and runs the q-series loop once.
 
 Convergence is never assumed.  The wp series is only trusted inside a
 reliability radius computed from its own coefficient magnitudes (last
@@ -268,15 +269,20 @@ def param_point(
 ) -> ParamResult:
     """Evaluate (alpha, beta) = (wp, wp')(log q-series) and its curve residual."""
     num = _Numerics(precision)
+    _same_curve(curve, flog)
     with num.workprec():
-        return _param_point(num, flog, wp_coefficients(curve, order), z, nmax)
+        point = _qseries(num, z, flog.series.coeffs, nmax)
+        return _param_point(num, wp_coefficients(curve, order), *point)
 
 
-def _param_point(num: _Numerics, flog: FormalLog, exp: WpExpansion, z, nmax: int):
-    """:func:`param_point` on a built expansion, run under ``num.workprec()``."""
-    if flog.curve != exp.curve:
+def _same_curve(curve: Curve, flog: FormalLog) -> None:
+    if flog.curve != curve:
         raise ValueError("formal logarithm belongs to a different curve")
-    zc, q, w, estimate = _qseries(num, z, flog.series.coeffs, nmax)
+
+
+def _param_point(num: _Numerics, exp: WpExpansion, zc, q, w, estimate):
+    """:func:`param_point` from a :func:`_qseries` point and a built expansion,
+    run under ``num.workprec()``."""
     # Near the cusp, doubles underflow q (w = 0: the pole) or overflow wp(w) ~ q^-2.
     try:
         alpha, beta = _eval_wp(num, exp, w)
@@ -317,10 +323,10 @@ def derivative_check(
         hr = num.real_of(h)
         if nmax is None:
             nmax = flog.series.order
+        _same_curve(curve, flog)
+        points = [_qseries(num, x, flog.series.coeffs, nmax) for x in (zc + hr, zc - hr, zc)]
         exp = wp_coefficients(curve, order)  # one expansion for the three points
-        plus = _param_point(num, flog, exp, zc + hr, nmax)
-        minus = _param_point(num, flog, exp, zc - hr, nmax)
-        center = _param_point(num, flog, exp, zc, nmax)
+        plus, minus, center = (_param_point(num, exp, *point) for point in points)
         fd = (plus.alpha - minus.alpha) / (2 * hr)
         cusp = _qsum(num, center.q, (0, *flog.an), nmax)[0]
         expected = center.beta * num.two_pi_i() * cusp

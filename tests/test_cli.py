@@ -21,20 +21,46 @@ def run_cli(capsys, *argv):
 
 
 def _forbid_series(monkeypatch):
-    """Fail the test if any formal exponential, logarithm or wp expansion gets built."""
+    """Fail the test if any formal exponential, logarithm or wp expansion gets
+    built, or the classical demo runs."""
     for target in ("ellformal.cli.formal_exponential", "ellformal.cli.formal_logarithm",
                    "ellformal.formal_group._integer_core", "ellformal.cli.wp_coefficients",
-                   "ellformal.weierstrass.wp_coefficients"):
+                   "ellformal.weierstrass.wp_coefficients", "ellformal.cli.classical_demo"):
         monkeypatch.setattr(target, lambda *a, **k: pytest.fail("series built"))
 
 
-def _order_source(tmp_path, source, order):
-    """--order as a flag, or through a config file."""
+def _source(tmp_path, source, **values):
+    """values as flags, or through a config file."""
     if source == "flag":
-        return [f"--order={order}"]
+        return [f"--{key}={value}" for key, value in values.items()]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"order": order}))
+    path.write_text(json.dumps(values))
     return ["--config", str(path)]
+
+
+# The other size fields small, as when each cap was measured.
+_SMALL = {"honda": {"pmax": 5}, "param": {"z": "0.1,0.8", "order": 40}, "classical": {"nmax": 10}}
+
+
+def _at(tmp_path, source, command, name, value, what=None):
+    """argv for command with --name at value, from a flag or a config file, on
+    (-3/7, 5/11), where every cap was measured, with the other size fields small."""
+    fields = cli._COMMANDS[command].fields
+    flags = {"g2": "-3/7", "g3": "5/11", "what": what, **_SMALL.get(command, {})}
+    flags = {k: v for k, v in flags.items() if k in fields and k != name and v is not None}
+    return [command, *_source(tmp_path, "flag", **flags), *_source(tmp_path, source, **{name: value})]
+
+
+def _accepted(command, name, value, what=None):
+    return getattr(cli.resolve_config(_at(None, "flag", command, name, value, what)), name)
+
+
+def _refusal(capsys, tmp_path, monkeypatch, source, command, name, value, what=None):
+    """The stderr of a refusal with exit 2, before any series is built."""
+    _forbid_series(monkeypatch)
+    code, out, err = run_cli(capsys, *_at(tmp_path, source, command, name, value, what))
+    assert code == 2 and out == ""
+    return err
 
 
 class TestParseRational:
@@ -150,23 +176,23 @@ class TestExpand:
         )
         assert code == 2 and out == "" and "order" in err
 
+    # the --order range of each --what, pinned as numbers
+    ORDER_BOUNDS = {"fe": (1, 1450), "fl": (1, 2100), "wp": (2, 1040), "wpp": (2, 1040),
+                    "s": (3, 2450), "an": (1, 2100)}
+
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("what", list(cli._WHAT_ORDER_BOUNDS))
+    @pytest.mark.parametrize("what", list(ORDER_BOUNDS))
     def test_order_above_cap_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, what, source
     ):
-        _forbid_series(monkeypatch)
-        low, cap = cli._WHAT_ORDER_BOUNDS[what]
-        argv = ["expand", "--g2=-3/7", "--g3=5/11", f"--what={what}"]
-        code, out, err = run_cli(capsys, *argv, *_order_source(tmp_path, source, cap + 1))
-        assert code == 2 and out == ""
+        low, cap = self.ORDER_BOUNDS[what]
+        err = _refusal(capsys, tmp_path, monkeypatch, source, "expand", "order", cap + 1, what)
         assert err == f"error: expand --what {what} needs {low} <= --order <= {cap}\n"
 
-    @pytest.mark.parametrize("what", list(cli._WHAT_ORDER_BOUNDS))
+    @pytest.mark.parametrize("what", list(ORDER_BOUNDS))
     def test_cap_is_accepted(self, what):
-        cap = cli._WHAT_ORDER_BOUNDS[what][1]
-        argv = ["expand", "--g2=-3/7", "--g3=5/11", f"--what={what}", f"--order={cap}"]
-        assert cli.resolve_config(argv).order == cap
+        cap = self.ORDER_BOUNDS[what][1]
+        assert _accepted("expand", "order", cap, what) == cap
 
     def test_bad_rational_is_usage_error(self, capsys, tmp_path):
         argv = ["expand", "--g3", "0", "--order", "4", "--what", "fe"]
@@ -194,16 +220,11 @@ class TestGrouplaw:
     def test_order_above_cap_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, source
     ):
-        _forbid_series(monkeypatch)
-        argv = ["grouplaw", "--g2=-3/7", "--g3=5/11",
-                *_order_source(tmp_path, source, cli.GROUPLAW_ORDER_CAP + 1)]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err == f"error: grouplaw needs 2 <= --order <= {cli.GROUPLAW_ORDER_CAP}\n"
+        err = _refusal(capsys, tmp_path, monkeypatch, source, "grouplaw", "order", 83)
+        assert err == "error: grouplaw needs 2 <= --order <= 82\n"
 
     def test_cap_is_accepted(self):
-        argv = ["grouplaw", "--g2=-3/7", "--g3=5/11", f"--order={cli.GROUPLAW_ORDER_CAP}"]
-        assert cli.resolve_config(argv).order == cli.GROUPLAW_ORDER_CAP
+        assert _accepted("grouplaw", "order", 82) == 82
 
 
 class TestHonda:
@@ -223,13 +244,7 @@ class TestHonda:
         self, capsys, tmp_path, monkeypatch, source
     ):
         _forbid_series(monkeypatch)
-        argv = ["honda", "--g2", "4", "--g3", "0"]
-        if source == "flag":
-            argv += ["--pmax", "1000003"]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"pmax": 1000003}))
-            argv += ["--config", str(path)]
+        argv = ["honda", "--g2", "4", "--g3", "0", *_source(tmp_path, source, pmax=1000003)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: honda needs 5 <= --pmax <= 2000\n"
@@ -275,17 +290,11 @@ class TestBernoulli:
     def test_order_above_cap_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, source
     ):
-        _forbid_series(monkeypatch)
-        cap = cli.BERNOULLI_ORDER_CAP
-        argv = ["bernoulli", "--g2=-3/7", "--g3=5/11",
-                *_order_source(tmp_path, source, cap + 1)]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err == f"error: bernoulli needs 0 <= --order <= {cap}\n"
+        err = _refusal(capsys, tmp_path, monkeypatch, source, "bernoulli", "order", 1101)
+        assert err == "error: bernoulli needs 0 <= --order <= 1100\n"
 
     def test_cap_is_accepted(self):
-        argv = ["bernoulli", "--g2=-3/7", "--g3=5/11", f"--order={cli.BERNOULLI_ORDER_CAP}"]
-        assert cli.resolve_config(argv).order == cli.BERNOULLI_ORDER_CAP
+        assert _accepted("bernoulli", "order", 1100) == 1100
 
 
 class TestParam:
@@ -294,49 +303,29 @@ class TestParam:
     def test_above_cap_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, name, source
     ):
-        _forbid_series(monkeypatch)
-        low, cap = {"order": (2, cli.PARAM_ORDER_CAP),
-                    "precision": (1, cli.PARAM_PRECISION_CAP)}[name]
-        values = {"order": 40, name: cap + 1}
-        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8"]
-        if source == "flag":
-            argv += [f"--{key}={value}" for key, value in values.items()]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(values))
-            argv += ["--config", str(path)]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
+        low, cap = {"order": (2, 1040), "precision": (1, 290000)}[name]
+        err = _refusal(capsys, tmp_path, monkeypatch, source, "param", name, cap + 1)
         assert err == f"error: param needs {low} <= --{name} <= {cap}\n"
 
     def test_caps_are_accepted(self):
         # each cap with the other value small: --precision at its default, 53, and
         # --order at 40, where the precision cap was measured
         argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8"]
-        config = cli.resolve_config([*argv, f"--order={cli.PARAM_ORDER_CAP}"])
-        assert (config.order, config.nmax, config.precision) == (
-            cli.PARAM_ORDER_CAP, cli.PARAM_ORDER_CAP, 53)
-        config = cli.resolve_config([*argv, "--order=40",
-                                     f"--precision={cli.PARAM_PRECISION_CAP}"])
-        assert (config.order, config.precision) == (40, cli.PARAM_PRECISION_CAP)
+        config = cli.resolve_config([*argv, "--order=1040"])
+        assert (config.order, config.nmax, config.precision) == (1040, 1040, 53)
+        config = cli.resolve_config([*argv, "--order=40", "--precision=290000"])
+        assert (config.order, config.precision) == (40, 290000)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_both_caps_at_once_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, source
     ):
         _forbid_series(monkeypatch)
-        values = {"order": cli.PARAM_ORDER_CAP, "precision": cli.PARAM_PRECISION_CAP}
-        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8"]
-        if source == "flag":
-            argv += [f"--{key}={value}" for key, value in values.items()]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(values))
-            argv += ["--config", str(path)]
+        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8",
+                *_source(tmp_path, source, order=1040, precision=290000)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: param --order {cli.PARAM_ORDER_CAP} with --precision "
-                              f"{cli.PARAM_PRECISION_CAP} would take about ")
+        assert err.startswith("error: param --order 1040 with --precision 290000 would take about ")
 
     def test_residual_report(self, capsys):
         code, out, _ = run_cli(
@@ -363,6 +352,19 @@ class TestParam:
     def test_overflowing_log_refused_with_a_message(self, capsys, precision, message):
         argv = ["param", f"--g2={10**400}", "--g3=0", "--z=0.1,0.8", "--order=40",
                 f"--precision={precision}"]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("order,message", (
+        (4, "|w| = 0.00656142 outside reliability radius 7.67181e-102 at order 4"),
+        (6, "log coefficient 5 is beyond the double range; use --precision above 53"),
+    ))
+    def test_log_refusal_comes_before_the_wp_expansion(self, capsys, monkeypatch, order, message):
+        # the log q-series is summed first: past the double range at coefficient 5,
+        # it refuses without wp; at order 4 it is summed, and the radius refuses
+        if order > 5:
+            monkeypatch.setattr("ellformal.numeric_eval.wp_coefficients",
+                                lambda *a: pytest.fail("wp built"))
+        argv = ["param", f"--g2={10**400}", "--g3=0", "--z=0.1,0.8", f"--order={order}"]
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("z", ["0,20", "0,100", "0,1e300"])
@@ -430,72 +432,102 @@ class TestClassical:
     def test_above_cap_refused_before_any_work(
         self, capsys, tmp_path, monkeypatch, name, source
     ):
-        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
-        cap = {"order": cli.CLASSICAL_ORDER_CAP, "nmax": cli.CLASSICAL_NMAX_CAP}[name]
-        values = {"nmax": 10, name: cap + 1}
-        if source == "flag":
-            argv = [f"--{key}={value}" for key, value in values.items()]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(values))
-            argv = ["--config", str(path)]
-        code, out, err = run_cli(capsys, "classical", *argv)
-        assert code == 2 and out == ""
+        cap = {"order": 240, "nmax": 250_000_000}[name]
+        err = _refusal(capsys, tmp_path, monkeypatch, source, "classical", name, cap + 1)
         assert err == f"error: classical needs 1 <= --{name} <= {cap}\n"
 
     def test_caps_are_accepted(self):
         # each cap with the other value small: --order at its default, 16, and
         # --nmax at 10
-        config = cli.resolve_config(["classical", f"--nmax={cli.CLASSICAL_NMAX_CAP}"])
-        assert (config.nmax, config.order) == (cli.CLASSICAL_NMAX_CAP, 16)
-        config = cli.resolve_config(["classical", "--nmax=10",
-                                     f"--order={cli.CLASSICAL_ORDER_CAP}"])
-        assert (config.nmax, config.order) == (10, cli.CLASSICAL_ORDER_CAP)
+        config = cli.resolve_config(["classical", "--nmax=250000000"])
+        assert (config.nmax, config.order) == (250_000_000, 16)
+        config = cli.resolve_config(["classical", "--nmax=10", "--order=240"])
+        assert (config.nmax, config.order) == (10, 240)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_both_caps_at_once_refused_before_any_work(
         self, capsys, tmp_path, monkeypatch, source
     ):
         # the reversion (53.3 s) and the two sums (54.2 s) add
-        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
-        values = {"nmax": cli.CLASSICAL_NMAX_CAP, "order": cli.CLASSICAL_ORDER_CAP}
-        if source == "flag":
-            argv = [f"--{key}={value}" for key, value in values.items()]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(values))
-            argv = ["--config", str(path)]
+        _forbid_series(monkeypatch)
+        argv = _source(tmp_path, source, nmax=250_000_000, order=240)
         code, out, err = run_cli(capsys, "classical", *argv)
         assert code == 2 and out == ""
-        assert err == (f"error: classical --order {cli.CLASSICAL_ORDER_CAP} with --nmax "
-                       f"{cli.CLASSICAL_NMAX_CAP} would take about 108 s, above the 60 s "
-                       "the caps allow; lower either\n")
+        assert err == ("error: classical --order 240 with --nmax 250000000 would take about "
+                       "108 s, above the 60 s the caps allow; lower either\n")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_costly_s_values_refused_before_any_work(
         self, capsys, tmp_path, monkeypatch, source
     ):
         # ten full sums at the --nmax cap: five times the work of the default two
-        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
+        _forbid_series(monkeypatch)
         s_values = list(range(1, 11))
         if source == "flag":
-            argv = [f"--nmax={cli.CLASSICAL_NMAX_CAP}", *(f"--s={s}" for s in s_values)]
+            argv = ["--nmax=250000000", *(f"--s={s}" for s in s_values)]
         else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"nmax": cli.CLASSICAL_NMAX_CAP, "s": s_values}))
-            argv = ["--config", str(path)]
+            argv = _source(tmp_path, source, nmax=250_000_000, s=s_values)
         code, out, err = run_cli(capsys, "classical", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: classical needs --s sums to --nmax that cost at most "
-                              f"what --s 1 --s 2 cost at --nmax {cli.CLASSICAL_NMAX_CAP}")
+                              "what --s 1 --s 2 cost at --nmax 250000000")
 
     def test_large_s_whose_sums_end_early_is_accepted(self, capsys):
         # at s = 100 the terms underflow from n = 1723 on, at s = 5000 from n = 2
-        argv = ["classical", f"--nmax={cli.CLASSICAL_NMAX_CAP}", "--s=100", "--s=5000",
-                "--format=json"]
+        argv = ["classical", "--nmax=250000000", "--s=100", "--s=5000", "--format=json"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert [row["within_bound"] for row in json.loads(out)["eta"]] == [True, True]
+
+    @pytest.mark.parametrize("nmax,s", [(10, 10**9), (250_000_000, 10**12)])
+    def test_huge_s_is_priced_by_its_few_terms(self, capsys, nmax, s):
+        # past s = 1075 only the term n = 1 is nonzero; each call takes milliseconds
+        code, out, _ = run_cli(capsys, "classical", f"--nmax={nmax}", f"--s={s}", "--format=json")
+        assert code == 0
+        assert [row["within_bound"] for row in json.loads(out)["eta"]] == [True]
+
+
+def _numeric_caps():
+    """Every bound of _COMMANDS with a numeric cap, as (command, what, field, low, cap)."""
+    for command, spec in cli._COMMANDS.items():
+        for what, bounds in spec.bounds.items() if spec.bounds_by else [(None, spec.bounds)]:
+            for name, (low, high) in bounds.items():
+                if high is not None and not isinstance(high, str):
+                    cap = high.value if isinstance(high, cli._Cap) else high
+                    yield pytest.param(command, what, name, low, cap,
+                                       id="-".join(filter(None, (command, what, name))))
+
+
+class TestCaps:
+    """Each numeric cap of _COMMANDS, from a flag and from --config, with the
+    other size fields small: the cap is accepted, and one more is refused
+    with exit 2 before any work."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,what,name,low,cap", _numeric_caps())
+    def test_cap_is_accepted(self, tmp_path, source, command, what, name, low, cap):
+        argv = _at(tmp_path, source, command, name, cap, what)
+        assert getattr(cli.resolve_config(argv), name) == cap
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,what,name,low,cap", _numeric_caps())
+    def test_above_cap_refused_before_any_work(
+        self, capsys, tmp_path, monkeypatch, source, command, what, name, low, cap
+    ):
+        err = _refusal(capsys, tmp_path, monkeypatch, source, command, name, cap + 1, what)
+        who = command + (f" --what {what}" if what else "")
+        low = f"--{low}" if isinstance(low, str) else low
+        assert err == f"error: {who} needs {low} <= --{name} <= {cap}\n"
+
+    def test_every_order_has_a_height_scaled_cap(self):
+        # every --what choice, and every command with an --order but classical,
+        # which has no curve
+        for command, spec in cli._COMMANDS.items():
+            sets = spec.bounds.values() if spec.bounds_by else [spec.bounds]
+            if "order" in spec.fields and command != "classical":
+                assert all(isinstance(bounds["order"][1], cli._Cap) for bounds in sets), command
+        # the choices are the keys of expand's bounds, in the order --help lists them
+        assert cli._FLAGS["what"][1]["choices"] == ("fe", "fl", "wp", "wpp", "s", "an")
 
 
 TALL_G2 = f"-3/{7**101}"  # with g3 = 5/11: height 288.5
@@ -517,8 +549,8 @@ class TestHeight:
         assert cli._height({"g2": F(g2), "g3": F(g3)}) == height
 
     @staticmethod
-    def _scaled(who: str, cap: int) -> int:
-        return int(cap * (cli.REFERENCE_HEIGHT / (1731 / 6)) ** cli._HEIGHT_EXPONENTS[who])
+    def _scaled(cap: int, gamma: float) -> int:
+        return int(cap * (cli.REFERENCE_HEIGHT / (1731 / 6)) ** gamma)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command,what,order,cap", [
@@ -533,23 +565,18 @@ class TestHeight:
         _forbid_series(monkeypatch)
         values = {"g2": TALL_G2, "g3": "5/11", "order": order}
         values.update({"what": what} if what else {"z": "0.1,0.8"} if command == "param" else {})
-        if source == "flag":
-            argv = [f"--{key}={value}" for key, value in values.items()]
-        else:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(values))
-            argv = ["--config", str(path)]
-        code, out, err = run_cli(capsys, command, *argv)
+        code, out, err = run_cli(capsys, command, *_source(tmp_path, source, **values))
         who = f"expand --what {what}" if what else command
-        low = {"expand": 1, "grouplaw": 2, "param": 2}[command]
-        scaled, gamma = self._scaled(who, cap), cli._HEIGHT_EXPONENTS[who]
+        low, gamma = {"expand --what fe": (1, 0.35), "expand --what an": (1, 0.46),
+                      "grouplaw": (2, 0.165), "param": (2, 0.3)}[who]
+        scaled = self._scaled(cap, gamma)
         assert code == 2 and out == "" and low < scaled < order
         assert err == (f"error: {who} needs {low} <= --order <= {scaled} on a curve of height "
                        f"288.5: above height 7.83 the cap {cap} scales by (7.83/height)^{gamma}\n")
 
     def test_scaled_caps_are_accepted(self):
         argv = ["expand", f"--g2={TALL_G2}", "--g3=5/11", "--what=fe"]
-        order = self._scaled("expand --what fe", 1450)
+        order = self._scaled(1450, 0.35)
         assert cli.resolve_config([*argv, f"--order={order}"]).order == order
         with pytest.raises(cli.UsageError):
             cli.resolve_config([*argv, f"--order={order + 1}"])
@@ -558,7 +585,7 @@ class TestHeight:
         _forbid_series(monkeypatch)
         code, out, err = run_cli(capsys, "honda", f"--g2={TALL_G2}", "--g3=5/11", "--pmax=1000")
         assert code == 2 and out == ""
-        pmax = self._scaled("honda", cli.HONDA_ORDER_CAP)
+        pmax = self._scaled(2000, 0.45)
         assert err.startswith(f"error: honda needs 5 <= --pmax <= {pmax} on a curve of height")
 
     def test_param_joint_estimate_is_scaled(self, capsys, monkeypatch):
@@ -639,7 +666,6 @@ class TestDigitLimit:
     def test_long_config_integer_refused_by_name(self, capsys, tmp_path, monkeypatch,
                                                  limit_640, command, values, field):
         _forbid_series(monkeypatch)
-        monkeypatch.setattr(cli, "classical_demo", lambda *a: pytest.fail("work done"))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values).replace(f'"{field}": {values[field]}',
                                                    f'"{field}": {"9" * 641}'))
