@@ -478,7 +478,7 @@ _COMMANDS = {
         "numeric parametrization point and curve residual",
         ("g2", "g3", "z", "order", "nmax", "precision", "format"), _run_param,
         defaults={"nmax": "order", "precision": 53},
-        bounds={"order": (2, _Cap(1040, 0.3)), "nmax": (1, "order"), "precision": (1, 290000)},
+        bounds={"order": (2, _Cap(1040, 0.3)), "nmax": (1, "order"), "precision": (53, 290000)},
         joint=_check_param_cost,
     ),
     "classical": _Command(

@@ -24,7 +24,7 @@ a formal-log coefficient past the double range, by its index.
 
 Default arithmetic is the machine double / ``complex`` pair; passing
 ``precision`` (binary digits) above 53 switches the same code path onto
-mpmath arbitrary-precision numbers.
+mpmath arbitrary-precision numbers; a precision below 53 is refused.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class _Numerics:
     __slots__ = ("precision", "mp")
 
     def __init__(self, precision: int):
-        if precision < 1:
-            raise ValueError("precision must be a positive bit count")
+        if precision < 53:  # below 53 bits the arithmetic would still be double
+            raise ValueError(f"precision must be at least 53 bits, got {precision}")
         self.precision = precision
         if precision <= 53:
             self.mp = None
@@ -315,8 +315,8 @@ def derivative_check(
     Uses the symmetric difference (alpha(z+h) - alpha(z-h)) / 2h, which
     converges at O(h^2) until rounding takes over.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     num = _Numerics(precision)
     with num.workprec():
         zc = num.complex_of(z)

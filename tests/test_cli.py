@@ -51,10 +51,6 @@ def _at(tmp_path, source, command, name, value, what=None):
     return [command, *_source(tmp_path, "flag", **flags), *_source(tmp_path, source, **{name: value})]
 
 
-def _accepted(command, name, value, what=None):
-    return getattr(cli.resolve_config(_at(None, "flag", command, name, value, what)), name)
-
-
 def _refusal(capsys, tmp_path, monkeypatch, source, command, name, value, what=None):
     """The stderr of a refusal with exit 2, before any series is built."""
     _forbid_series(monkeypatch)
@@ -176,24 +172,6 @@ class TestExpand:
         )
         assert code == 2 and out == "" and "order" in err
 
-    # the --order range of each --what, pinned as numbers
-    ORDER_BOUNDS = {"fe": (1, 1450), "fl": (1, 2100), "wp": (2, 1040), "wpp": (2, 1040),
-                    "s": (3, 2450), "an": (1, 2100)}
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("what", list(ORDER_BOUNDS))
-    def test_order_above_cap_refused_before_any_series(
-        self, capsys, tmp_path, monkeypatch, what, source
-    ):
-        low, cap = self.ORDER_BOUNDS[what]
-        err = _refusal(capsys, tmp_path, monkeypatch, source, "expand", "order", cap + 1, what)
-        assert err == f"error: expand --what {what} needs {low} <= --order <= {cap}\n"
-
-    @pytest.mark.parametrize("what", list(ORDER_BOUNDS))
-    def test_cap_is_accepted(self, what):
-        cap = self.ORDER_BOUNDS[what][1]
-        assert _accepted("expand", "order", cap, what) == cap
-
     def test_bad_rational_is_usage_error(self, capsys, tmp_path):
         argv = ["expand", "--g3", "0", "--order", "4", "--what", "fe"]
         path = tmp_path / "cfg.json"
@@ -215,16 +193,6 @@ class TestGrouplaw:
         assert doc["axioms"]["passed"] is True
         terms = {(t["i"], t["j"]): t["c"] for t in doc["law"]["terms"]}
         assert terms[(1, 0)] == "1" and terms[(0, 1)] == "1"
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_order_above_cap_refused_before_any_series(
-        self, capsys, tmp_path, monkeypatch, source
-    ):
-        err = _refusal(capsys, tmp_path, monkeypatch, source, "grouplaw", "order", 83)
-        assert err == "error: grouplaw needs 2 <= --order <= 82\n"
-
-    def test_cap_is_accepted(self):
-        assert _accepted("grouplaw", "order", 82) == 82
 
 
 class TestHonda:
@@ -286,36 +254,8 @@ class TestBernoulli:
         assert doc["cross_checks"]["universal4_is_minus_6_bh4"] is True
         assert parse_rational(doc["universal"][4]) == -12 * F(-3, 7) / 5
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_order_above_cap_refused_before_any_series(
-        self, capsys, tmp_path, monkeypatch, source
-    ):
-        err = _refusal(capsys, tmp_path, monkeypatch, source, "bernoulli", "order", 1101)
-        assert err == "error: bernoulli needs 0 <= --order <= 1100\n"
-
-    def test_cap_is_accepted(self):
-        assert _accepted("bernoulli", "order", 1100) == 1100
-
 
 class TestParam:
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("name", ["order", "precision"])
-    def test_above_cap_refused_before_any_series(
-        self, capsys, tmp_path, monkeypatch, name, source
-    ):
-        low, cap = {"order": (2, 1040), "precision": (1, 290000)}[name]
-        err = _refusal(capsys, tmp_path, monkeypatch, source, "param", name, cap + 1)
-        assert err == f"error: param needs {low} <= --{name} <= {cap}\n"
-
-    def test_caps_are_accepted(self):
-        # each cap with the other value small: --precision at its default, 53, and
-        # --order at 40, where the precision cap was measured
-        argv = ["param", "--g2=-3/7", "--g3=5/11", "--z=0.1,0.8"]
-        config = cli.resolve_config([*argv, "--order=1040"])
-        assert (config.order, config.nmax, config.precision) == (1040, 1040, 53)
-        config = cli.resolve_config([*argv, "--order=40", "--precision=290000"])
-        assert (config.order, config.precision) == (40, 290000)
-
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_both_caps_at_once_refused_before_any_series(
         self, capsys, tmp_path, monkeypatch, source
@@ -337,6 +277,13 @@ class TestParam:
         assert float(doc["relative_residual"]) < 1e-13
         assert abs(float(doc["w"]["re"]) - 0.001867442731698905) < 1e-15
         assert doc["w"]["precision"] == 53
+        assert doc["config"]["nmax"] == 50  # --nmax defaults to --order
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_precision_below_double_refused(self, capsys, tmp_path, monkeypatch, source):
+        # below 53 bits the point would be computed in doubles all the same
+        err = _refusal(capsys, tmp_path, monkeypatch, source, "param", "precision", 52)
+        assert err == "error: param needs 53 <= --precision <= 290000\n"
 
     def test_out_of_radius_is_failure_not_usage(self, capsys):
         code, out, err = run_cli(
@@ -414,6 +361,7 @@ class TestClassical:
         doc = json.loads(out)
         assert [row["s"] for row in doc["eta"]] == [1, 2]
         assert doc["an"][:4] == ["1", "-1", "1", "-1"]
+        assert doc["config"]["order"] == doc["series_order"] == 16
         assert doc["passed"] is True
 
     @pytest.mark.parametrize("s,nmax,bound", [
@@ -426,23 +374,6 @@ class TestClassical:
         assert code == 0
         row = json.loads(out)["eta"][0]
         assert (row["partial_sum"], row["bound"], row["within_bound"]) == ("1.0", bound, True)
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("name", ["order", "nmax"])
-    def test_above_cap_refused_before_any_work(
-        self, capsys, tmp_path, monkeypatch, name, source
-    ):
-        cap = {"order": 240, "nmax": 250_000_000}[name]
-        err = _refusal(capsys, tmp_path, monkeypatch, source, "classical", name, cap + 1)
-        assert err == f"error: classical needs 1 <= --{name} <= {cap}\n"
-
-    def test_caps_are_accepted(self):
-        # each cap with the other value small: --order at its default, 16, and
-        # --nmax at 10
-        config = cli.resolve_config(["classical", "--nmax=250000000"])
-        assert (config.nmax, config.order) == (250_000_000, 16)
-        config = cli.resolve_config(["classical", "--nmax=10", "--order=240"])
-        assert (config.nmax, config.order) == (10, 240)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_both_caps_at_once_refused_before_any_work(
@@ -487,15 +418,25 @@ class TestClassical:
         assert [row["within_bound"] for row in json.loads(out)["eta"]] == [True]
 
 
-def _numeric_caps():
-    """Every bound of _COMMANDS with a numeric cap, as (command, what, field, low, cap)."""
-    for command, spec in cli._COMMANDS.items():
-        for what, bounds in spec.bounds.items() if spec.bounds_by else [(None, spec.bounds)]:
-            for name, (low, high) in bounds.items():
-                if high is not None and not isinstance(high, str):
-                    cap = high.value if isinstance(high, cli._Cap) else high
-                    yield pytest.param(command, what, name, low, cap,
-                                       id="-".join(filter(None, (command, what, name))))
+# Each numeric bound of cli._COMMANDS: (command, --what, field) -> (low, cap, gamma), gamma None
+# if the cap does not scale with height; a re-measured cap changes _COMMANDS, CAPS and README.
+CAPS = {
+    ("expand", "fe", "order"): (1, 1450, 0.35),
+    ("expand", "fl", "order"): (1, 2100, 0.46),
+    ("expand", "wp", "order"): (2, 1040, 0.25),
+    ("expand", "wpp", "order"): (2, 1040, 0.25),
+    ("expand", "s", "order"): (3, 2450, 0.45),
+    ("expand", "an", "order"): (1, 2100, 0.46),
+    ("grouplaw", None, "order"): (2, 82, 0.165),
+    ("honda", None, "pmax"): (5, 2000, 0.45),
+    ("honda", None, "order"): ("pmax", 2000, 0.45),
+    ("bernoulli", None, "order"): (0, 1100, 0.33),
+    ("param", None, "order"): (2, 1040, 0.3),
+    ("param", None, "precision"): (53, 290000, None),
+    ("classical", None, "nmax"): (1, 250_000_000, None),
+    ("classical", None, "order"): (1, 240, None),
+}
+_EACH_CAP = pytest.mark.parametrize("key", CAPS, ids=lambda key: "-".join(filter(None, key)))
 
 
 class TestCaps:
@@ -503,31 +444,36 @@ class TestCaps:
     other size fields small: the cap is accepted, and one more is refused
     with exit 2 before any work."""
 
+    def test_table_is_the_commands_bounds(self):
+        found = {}
+        for command, spec in cli._COMMANDS.items():
+            for what, bounds in spec.bounds.items() if spec.bounds_by else [(None, spec.bounds)]:
+                for name, (low, high) in bounds.items():
+                    if isinstance(high, (int, cli._Cap)):  # not None, nor a field's name
+                        found[command, what, name] = (low, getattr(high, "value", high),
+                                                      getattr(high, "gamma", None))
+        assert found == CAPS
+        # every --order scales with height but classical's, which has no curve
+        unscaled = [key for key, bound in CAPS.items() if key[2] == "order" and bound[2] is None]
+        assert unscaled == [("classical", None, "order")]
+        # the choices are the keys of expand's bounds, in the order --help lists them
+        assert cli._FLAGS["what"][1]["choices"] == ("fe", "fl", "wp", "wpp", "s", "an")
+
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command,what,name,low,cap", _numeric_caps())
-    def test_cap_is_accepted(self, tmp_path, source, command, what, name, low, cap):
+    @_EACH_CAP
+    def test_cap_is_accepted(self, tmp_path, source, key):
+        (command, what, name), cap = key, CAPS[key][1]
         argv = _at(tmp_path, source, command, name, cap, what)
         assert getattr(cli.resolve_config(argv), name) == cap
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command,what,name,low,cap", _numeric_caps())
-    def test_above_cap_refused_before_any_work(
-        self, capsys, tmp_path, monkeypatch, source, command, what, name, low, cap
-    ):
+    @_EACH_CAP
+    def test_above_cap_refused_before_any_work(self, capsys, tmp_path, monkeypatch, source, key):
+        (command, what, name), (low, cap, _) = key, CAPS[key]
         err = _refusal(capsys, tmp_path, monkeypatch, source, command, name, cap + 1, what)
         who = command + (f" --what {what}" if what else "")
         low = f"--{low}" if isinstance(low, str) else low
         assert err == f"error: {who} needs {low} <= --{name} <= {cap}\n"
-
-    def test_every_order_has_a_height_scaled_cap(self):
-        # every --what choice, and every command with an --order but classical,
-        # which has no curve
-        for command, spec in cli._COMMANDS.items():
-            sets = spec.bounds.values() if spec.bounds_by else [spec.bounds]
-            if "order" in spec.fields and command != "classical":
-                assert all(isinstance(bounds["order"][1], cli._Cap) for bounds in sets), command
-        # the choices are the keys of expand's bounds, in the order --help lists them
-        assert cli._FLAGS["what"][1]["choices"] == ("fe", "fl", "wp", "wpp", "s", "an")
 
 
 TALL_G2 = f"-3/{7**101}"  # with g3 = 5/11: height 288.5
@@ -549,34 +495,28 @@ class TestHeight:
         assert cli._height({"g2": F(g2), "g3": F(g3)}) == height
 
     @staticmethod
-    def _scaled(cap: int, gamma: float) -> int:
-        return int(cap * (cli.REFERENCE_HEIGHT / (1731 / 6)) ** gamma)
+    def _scaled(key) -> int:  # the cap of CAPS[key] on (TALL_G2, 5/11)
+        return int(CAPS[key][1] * (cli.REFERENCE_HEIGHT / (1731 / 6)) ** CAPS[key][2])
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command,what,order,cap", [
-        ("expand", "fe", 1000, 1450),
-        ("expand", "an", 1000, 2100),
-        ("grouplaw", None, 82, 82),
-        ("param", None, 1000, 1040),
-    ])
-    def test_tall_curve_refused_below_the_plain_cap(
-        self, capsys, tmp_path, monkeypatch, source, command, what, order, cap
-    ):
+    @pytest.mark.parametrize("command,what,order", [("expand", "fe", 1000), ("expand", "an", 1000),
+                                                    ("grouplaw", None, 82), ("param", None, 1000)])
+    def test_tall_curve_refused_below_the_plain_cap(self, capsys, tmp_path, monkeypatch, source,
+                                                    command, what, order):
         _forbid_series(monkeypatch)
         values = {"g2": TALL_G2, "g3": "5/11", "order": order}
         values.update({"what": what} if what else {"z": "0.1,0.8"} if command == "param" else {})
         code, out, err = run_cli(capsys, command, *_source(tmp_path, source, **values))
         who = f"expand --what {what}" if what else command
-        low, gamma = {"expand --what fe": (1, 0.35), "expand --what an": (1, 0.46),
-                      "grouplaw": (2, 0.165), "param": (2, 0.3)}[who]
-        scaled = self._scaled(cap, gamma)
+        low, cap, gamma = CAPS[command, what, "order"]
+        scaled = self._scaled((command, what, "order"))
         assert code == 2 and out == "" and low < scaled < order
         assert err == (f"error: {who} needs {low} <= --order <= {scaled} on a curve of height "
                        f"288.5: above height 7.83 the cap {cap} scales by (7.83/height)^{gamma}\n")
 
     def test_scaled_caps_are_accepted(self):
         argv = ["expand", f"--g2={TALL_G2}", "--g3=5/11", "--what=fe"]
-        order = self._scaled(1450, 0.35)
+        order = self._scaled(("expand", "fe", "order"))
         assert cli.resolve_config([*argv, f"--order={order}"]).order == order
         with pytest.raises(cli.UsageError):
             cli.resolve_config([*argv, f"--order={order + 1}"])
@@ -585,7 +525,7 @@ class TestHeight:
         _forbid_series(monkeypatch)
         code, out, err = run_cli(capsys, "honda", f"--g2={TALL_G2}", "--g3=5/11", "--pmax=1000")
         assert code == 2 and out == ""
-        pmax = self._scaled(2000, 0.45)
+        pmax = self._scaled(("honda", None, "pmax"))
         assert err.startswith(f"error: honda needs 5 <= --pmax <= {pmax} on a curve of height")
 
     def test_param_joint_estimate_is_scaled(self, capsys, monkeypatch):

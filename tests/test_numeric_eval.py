@@ -158,6 +158,11 @@ class TestParamPoint:
         fields = (res.q, res.w, res.alpha, res.beta, res.residual)
         assert res.q != 0 and all(mpmath.isfinite(v) for v in fields)
 
+    def test_precision_below_53_refused(self, flog_lemniscatic):
+        # below 53 bits the arithmetic would be double, and the result would claim less
+        with pytest.raises(ValueError, match=r"^precision must be at least 53 bits, got 52$"):
+            param_point(LEMNISCATIC, flog_lemniscatic, 1j, 50, 20, precision=52)
+
     def test_log_of_other_curve_rejected(self, flog_lemniscatic):
         with pytest.raises(ValueError, match="different curve"):
             param_point(Curve(-7, 13), flog_lemniscatic, 1j, 50, 20)
@@ -200,8 +205,9 @@ class TestDerivativeCheck:
             assert abs(got - total) < 1e-18
 
     def test_h_validation(self, flog_lemniscatic):
-        with pytest.raises(ValueError):
-            derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, 0.0)
+        for h in (0.0, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^h must be positive and finite, got {h}$"):
+                derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, h)
 
 
 class TestOneExpansionPerEvaluation:
