@@ -44,7 +44,7 @@ from .formal_group import (
     universal_bernoulli,
     verify_axioms,
 )
-from .lseries import _term_counts, classical_demo, honda_check
+from .lseries import classical_demo, honda_check
 from .numeric_eval import param_point
 from .series import BiSeries, UniSeries
 from .weierstrass import Curve, _bernoulli_hurwitz, wp_coefficients
@@ -124,39 +124,15 @@ def _check_param_cost(values: dict, scales: dict) -> None:
                          "lower either")
 
 
-# Largest classical --nmax, measured with --order small on a 2-vCPU x86 host:
-# the eta sums at the default s = 1, 2 take 21.8 / 54.2 / 60.7 s at nmax 10^8 /
-# 2.5*10^8 / 2.8*10^8 (each --s adds one).
-CLASSICAL_NMAX_CAP = 250_000_000
-
-
-def _classical_work(nmax: int, s_values) -> int:
-    """The eta sums' cost, priced per term from times measured on the same host
-    near n = 10^8: an inline term 1/n^s costs about 2 + s units (s = 1..37), and
-    an ``_inverse_power`` term at most twice that (s = 37..200).  Past s = 200 a
-    term costs no more than at 200, so it is priced as there (README)."""
-    return sum((inline + 2 * tail) * (2 + min(s, 200))
-               for s in s_values for inline, tail in [_term_counts(nmax, s)])
-
-
-# All --s values together may cost what the default --s 1 --s 2 cost at the
-# --nmax cap (54.2 s): ten --s values at that cap would run for minutes.
-CLASSICAL_WORK_CAP = _classical_work(CLASSICAL_NMAX_CAP, (1, 2))
-
-
 def _check_classical_work(values: dict, scales: dict) -> None:
-    """Refuse --s sums past the work cap, and sums with a reversion whose
-    estimated seconds pass 60: the sums at 54.2 s per work cap, the reversion
-    as order^4 (53.3 s at order 240)."""
-    work = _classical_work(values["nmax"], values["s"])
-    if work > CLASSICAL_WORK_CAP:
-        raise UsageError(f"classical needs --s sums to --nmax that cost at most what "
-                         f"--s 1 --s 2 cost at --nmax {CLASSICAL_NMAX_CAP}; these cost "
-                         f"{work / CLASSICAL_WORK_CAP:.3g} times that")
-    order = values["order"]
-    seconds = 54.2 * work / CLASSICAL_WORK_CAP + order**4 / 6.2e7
+    """Refuse --order with --s values whose estimated seconds pass 60: the
+    reversion as order^4 (53.3 s at order 230), and each --s at 2 ms, above
+    the dearest value measured at any --nmax (34000 of s = 47 at --nmax 10^18
+    take 1.8 ms each, report included)."""
+    order, count = values["order"], len(values["s"])
+    seconds = order**4 / 5.25e7 + count * 2e-3
     if seconds > 60:
-        raise UsageError(f"classical --order {order} with --nmax {values['nmax']} would take "
+        raise UsageError(f"classical --order {order} with {count} --s values would take "
                          f"about {seconds:.0f} s, above the 60 s the caps allow; lower either")
 
 
@@ -447,7 +423,7 @@ class _Command:
 #   honda --pmax and --order: 45, the log;  bernoulli --order: 53 (1150: 66);
 #   param, the other value small: --order 53 at 53 bits (1050: 63), most of it
 #     the wp expansion; --precision 54 at order 40 (300000: 61);
-#   classical --order, with --nmax small: 53.3 (250: 60.4), the reversion.
+#   classical --order: 52.8, 53.0 (235: 63.1, 67.0), the reversion.
 # Each gamma is fitted so that the scaled cap takes 30..60 s on
 # (-3/7^101, 5/11), height 288.5, same host; the timed calls are in the README.
 _COMMANDS = {
@@ -485,7 +461,7 @@ _COMMANDS = {
         "exp(T)-1 degeneration: log(1+T) and eta partial sums",
         ("nmax", "order", "s", "format"), _run_classical,
         defaults={"order": 16, "s": (1, 2)},
-        bounds={"nmax": (1, CLASSICAL_NMAX_CAP), "order": (1, 240), "s": (1, None)},
+        bounds={"nmax": (1, 10**18), "order": (1, 230), "s": (1, None)},
         joint=_check_classical_work,
     ),
 }

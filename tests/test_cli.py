@@ -51,6 +51,14 @@ def _at(tmp_path, source, command, name, value, what=None):
     return [command, *_source(tmp_path, "flag", **flags), *_source(tmp_path, source, **{name: value})]
 
 
+def _many_s(tmp_path, source, count, **values):
+    """values with count --s values (s = 1, 2, ..., count), from flags or a config file."""
+    s_values = list(range(1, count + 1))
+    if source == "flag":
+        return [*_source(tmp_path, source, **values), *(f"--s={s}" for s in s_values)]
+    return _source(tmp_path, source, **values, s=s_values)
+
+
 def _refusal(capsys, tmp_path, monkeypatch, source, command, name, value, what=None):
     """The stderr of a refusal with exit 2, before any series is built."""
     _forbid_series(monkeypatch)
@@ -379,29 +387,36 @@ class TestClassical:
     def test_both_caps_at_once_refused_before_any_work(
         self, capsys, tmp_path, monkeypatch, source
     ):
-        # the reversion (53.3 s) and the two sums (54.2 s) add
+        # both caps together are accepted: a sum costs milliseconds at any --nmax,
+        # so the reversion (about 53.3 s at order 230) leaves room for 3348 --s
+        # values, and only the count of --s values pushes the estimate over 60 s
+        config = cli.resolve_config(["classical", *_source(tmp_path, source, nmax=10**18,
+                                                           order=230)])
+        assert (config.nmax, config.order) == (10**18, 230)
         _forbid_series(monkeypatch)
-        argv = _source(tmp_path, source, nmax=250_000_000, order=240)
+        argv = _many_s(tmp_path, source, 4000, nmax=10**18, order=230)
         code, out, err = run_cli(capsys, "classical", *argv)
         assert code == 2 and out == ""
-        assert err == ("error: classical --order 240 with --nmax 250000000 would take about "
-                       "108 s, above the 60 s the caps allow; lower either\n")
+        assert err == ("error: classical --order 230 with 4000 --s values would take about "
+                       "61 s, above the 60 s the caps allow; lower either\n")
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    # argparse reads n flags in time quadratic in n (29000 take 32 s), so from
+    # flags --order 229 shrinks the budget to about 3800 values
+    @pytest.mark.parametrize("source,order,count", [("flag", 229, 3800), ("config", 16, 30000)],
+                             ids=["flag", "config"])
     def test_costly_s_values_refused_before_any_work(
-        self, capsys, tmp_path, monkeypatch, source
+        self, capsys, tmp_path, monkeypatch, source, order, count
     ):
-        # ten full sums at the --nmax cap: five times the work of the default two
+        # each --s is priced at 2 ms, above the dearest sum, whatever its s:
+        # 1000 values fewer than fill the budget are accepted, 1000 more refused
+        argv = _many_s(tmp_path, source, count - 1000, nmax=10, order=order)
+        assert len(cli.resolve_config(["classical", *argv]).s) == count - 1000
         _forbid_series(monkeypatch)
-        s_values = list(range(1, 11))
-        if source == "flag":
-            argv = ["--nmax=250000000", *(f"--s={s}" for s in s_values)]
-        else:
-            argv = _source(tmp_path, source, nmax=250_000_000, s=s_values)
+        argv = _many_s(tmp_path, source, count + 1000, nmax=10, order=order)
         code, out, err = run_cli(capsys, "classical", *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: classical needs --s sums to --nmax that cost at most "
-                              "what --s 1 --s 2 cost at --nmax 250000000")
+        assert err == (f"error: classical --order {order} with {count + 1000} --s values would "
+                       "take about 62 s, above the 60 s the caps allow; lower either\n")
 
     def test_large_s_whose_sums_end_early_is_accepted(self, capsys):
         # at s = 100 the terms underflow from n = 1723 on, at s = 5000 from n = 2
@@ -416,6 +431,20 @@ class TestClassical:
         code, out, _ = run_cli(capsys, "classical", f"--nmax={nmax}", f"--s={s}", "--format=json")
         assert code == 0
         assert [row["within_bound"] for row in json.loads(out)["eta"]] == [True]
+
+    def test_thousand_digit_s_at_the_nmax_cap_takes_milliseconds(self):
+        # from s = 54 on a sum is 1.0 with no Hurwitz zeta, which takes a minute
+        # at a 1000-digit s
+        s = 10**999
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ellformal", "classical",
+                               f"--nmax={10**18}", f"--s={s}", "--format=json"],
+                              capture_output=True, text=True)
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 0
+        row = json.loads(proc.stdout)["eta"][0]
+        assert (row["partial_sum"], row["within_bound"]) == ("1.0", True)
+        assert elapsed < 1.0
 
 
 # Each numeric bound of cli._COMMANDS: (command, --what, field) -> (low, cap, gamma), gamma None
@@ -433,8 +462,8 @@ CAPS = {
     ("bernoulli", None, "order"): (0, 1100, 0.33),
     ("param", None, "order"): (2, 1040, 0.3),
     ("param", None, "precision"): (53, 290000, None),
-    ("classical", None, "nmax"): (1, 250_000_000, None),
-    ("classical", None, "order"): (1, 240, None),
+    ("classical", None, "nmax"): (1, 10**18, None),
+    ("classical", None, "order"): (1, 230, None),
 }
 _EACH_CAP = pytest.mark.parametrize("key", CAPS, ids=lambda key: "-".join(filter(None, key)))
 

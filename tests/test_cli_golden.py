@@ -184,10 +184,10 @@ GOLDEN: dict[str, tuple[int, str]] = {
     'bernoulli --g2=-3/7 --g3=5/11 --order=8 --format=json': (0, 'e2b4edf73ffda89b'),
     'param --g2=-3/7 --g3=5/11 --z=0,1 --order=40 --format=json': (0, '0f15ec47c5f0814a'),
     'param --g2=-3/7 --g3=5/11 --z=0,1 --order=40 --precision=150 --format=json': (0, '67ef60a3ee2d1359'),
-    'classical --nmax=100 --format=text': (0, 'de804d21370fd3e2'),
-    'classical --nmax=100 --s=1 --s=3 --order=8 --format=text': (0, '81bb14ef5c59b501'),
-    'classical --nmax=100 --format=json': (0, 'dea3af449ae18058'),
-    'classical --nmax=100 --s=1 --s=3 --order=8 --format=json': (0, '299fe1bffe964fdd'),
+    'classical --nmax=100 --format=text': (0, '84d91ad5ab296e58'),
+    'classical --nmax=100 --s=1 --s=3 --order=8 --format=text': (0, 'a2692f0e9a6a0470'),
+    'classical --nmax=100 --format=json': (0, '8d4aebc961f9234a'),
+    'classical --nmax=100 --s=1 --s=3 --order=8 --format=json': (0, '3918fd13aca61a72'),
     'classical --nmax=1000 --s=102 --format=text': (0, 'ab9dbae863beb530'),
     'classical --nmax=1000 --s=102 --format=json': (0, 'cf3e47b55e90c928'),
     'honda --g2=4 --g3=0 --pmax=20 --order=23': (0, 'cf1c761f0bbd7aca'),
