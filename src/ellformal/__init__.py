@@ -43,6 +43,7 @@ from .formal_group import (
     FormalExp,
     FormalLog,
     GroupLaw,
+    InexactLawError,
     PullbackIdentities,
     SCoordinate,
     coordinate_pullback,
@@ -97,6 +98,7 @@ __all__ = [
     "HalfPlaneError",
     "HondaEntry",
     "HondaReport",
+    "InexactLawError",
     "NonUnitDivisorError",
     "OrderMismatchError",
     "OutOfRadiusError",

@@ -293,7 +293,9 @@ def _run_grouplaw(config: RunConfig) -> tuple[bool, dict]:
     law_exp = group_law_exp_log(fexp, flog, config.order)
     law_closed = group_law_closed_form(curve, config.order)
     agree = law_exp.series == law_closed.series
-    report = verify_axioms(law_exp)
+    # checked on the closed form, built from s alone: the ODE law meets the
+    # differential check by construction, and agreement carries the verdict over
+    report = verify_axioms(law_closed)
     ok = agree and report.passed
     return ok, {
         "law": _bi_doc(law_exp.series),
@@ -418,14 +420,14 @@ class _Command:
 # test corpus, passes 60 s on a 2-vCPU x86 host; seconds at the cap (and above):
 #   expand --order: fe 58 (1500: 68), fl 59 (2150: 60), an 56, s 58 (2500: 62),
 #     wp 55;
-#   grouplaw --order: 51 (84: 66, where the prime 83 joins the common
-#     denominator of the exp-log law);
+#   grouplaw --order: 57.6 (120: 63.5), the closed form and the axiom check;
 #   honda --pmax and --order: 45, the log;  bernoulli --order: 53 (1150: 66);
 #   param, the other value small: --order 53 at 53 bits (1050: 63), most of it
 #     the wp expansion; --precision 54 at order 40 (300000: 61);
 #   classical --order: 52.8, 53.0 (235: 63.1, 67.0), the reversion.
 # Each gamma is fitted so that the scaled cap takes 30..60 s on
-# (-3/7^101, 5/11), height 288.5, same host; the timed calls are in the README.
+# (-3/7^101, 5/11), height 288.5, same host; the timed calls are in the README,
+# and tools/time_cap.py times one.
 _COMMANDS = {
     "expand": _Command(
         "emit one series expansion",
@@ -437,7 +439,7 @@ _COMMANDS = {
     "grouplaw": _Command(
         "build the group law both ways and verify axioms",
         ("g2", "g3", "order", "format"), _run_grouplaw,
-        bounds={"order": (2, _Cap(82, 0.165))},
+        bounds={"order": (2, _Cap(116, 0.24))},
     ),
     "honda": _Command(
         "congruence a(p) = p+1-#E(F_p) mod p for good primes",

@@ -261,15 +261,15 @@ def classical_demo(nmax: int, s_values, series_order: int = 16) -> ClassicalRepo
     an = tuple(n * log_series.coeffs[n] for n in range(1, series_order + 1))
     alternating = all(an[n - 1] == (-1) ** (n - 1) for n in range(1, series_order + 1))
 
-    sums = []
+    rows, sums = {}, []  # each distinct s is computed once, however often it is asked for
     for s in s_values:
         if not isinstance(s, int) or s < 1:
             raise ValueError(f"s must be a positive integer, got {s!r}")
-        partial = _eta_partial_sum(nmax, s)
-        ref = _eta_reference(s)
-        sums.append(
-            EtaPartialSum(s, nmax, partial, ref, abs(partial - ref), _inverse_power(nmax + 1, s))
-        )
+        if s not in rows:
+            partial, ref = _eta_partial_sum(nmax, s), _eta_reference(s)
+            rows[s] = EtaPartialSum(s, nmax, partial, ref, abs(partial - ref),
+                                    _inverse_power(nmax + 1, s))
+        sums.append(rows[s])
     return ClassicalReport(series_order, an, alternating, tuple(sums))
 
 

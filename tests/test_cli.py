@@ -456,7 +456,7 @@ CAPS = {
     ("expand", "wpp", "order"): (2, 1040, 0.25),
     ("expand", "s", "order"): (3, 2450, 0.45),
     ("expand", "an", "order"): (1, 2100, 0.46),
-    ("grouplaw", None, "order"): (2, 82, 0.165),
+    ("grouplaw", None, "order"): (2, 116, 0.24),
     ("honda", None, "pmax"): (5, 2000, 0.45),
     ("honda", None, "order"): ("pmax", 2000, 0.45),
     ("bernoulli", None, "order"): (0, 1100, 0.33),

@@ -179,6 +179,23 @@ class TestClassicalDemo:
         with pytest.raises(ValueError):
             classical_demo(10, [0])
 
+    def test_each_distinct_s_is_summed_once(self, monkeypatch):
+        calls = []
+        summed = lseries._eta_partial_sum
+
+        def counting(nmax, s):
+            calls.append(s)
+            return summed(nmax, s)
+
+        monkeypatch.setattr(lseries, "_eta_partial_sum", counting)
+        report = classical_demo(10**6, [3] * 50)
+        assert calls == [3] and len(report.sums) == 50
+        calls.clear()
+        mixed = classical_demo(1000, [2, 1, 2, 5, 1])
+        assert calls == [2, 1, 5]
+        assert [row.s for row in mixed.sums] == [2, 1, 2, 5, 1]
+        assert mixed.sums[0] is mixed.sums[2]
+
     @pytest.mark.parametrize("n,s", [
         (1000, 103), (1001, 103), (3, 700), (2, 1023), (2, 1074), (2, 1075), (2, 1076),
         (10**6, 5000), (1, 10**18),
