@@ -19,9 +19,9 @@ the two must agree coefficient for coefficient.  Both laws and the axiom
 check run on the scaled law F~(t1, t2) = F(u t1, u t2) / u, which has
 integer coefficients and passes each axiom exactly when F does.
 Associativity is checked by the invariant differential: dF/dt1 (t1, t2)
-P(t1) = P(F(t1, t2)) with P = dF/dt1 (0, .).  The pullback composes an
-exact outer series with an integer inner one over one common denominator,
-by the rule of :func:`_compose_over`.
+P(t1) = P(F(t1, t2)) with P = dF/dt1 (0, .).  The pullback composes wp
+with the scaled log in Hurwitz series, n! [tau^n] at degree n, so it runs
+in integers whose denominator grows with the degree.
 """
 
 from __future__ import annotations
@@ -473,53 +473,52 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     With log = t v (v a unit), P = t^2 wp(log) = v^-2 p(log^2), where
     p(Z) = 1 + sum c_k Z^k, and by the chain rule t^3 wp'(log) =
     (t P' - 2P) / log'; the chart side is 1/w and -2/w.  All are even in
-    t, so they are computed in T = t^2 through T^h, h = order // 2.  On the
+    t, so they are kept in T = t^2 through T^h, h = order // 2.  On the
     curve scaled by weight u (t = u tau, see :func:`_integer_core`) w is the
-    integer W, log' the integer unit sum u^(2i) a(2i + 1) T^i and v the
-    series v~ = sum u^(2i) a(2i + 1) / (2i + 1) T^i, so with
-    D = lcm(1, 3, ..., 2h + 1) the series M = D v~ and I = T M^2 are
-    integers.  :func:`_compose_over`, which holds the common-denominator
-    rule, composes p (with c~_k = u^(2k) c_k) with I / D^2 as one integer
-    composition R over Q D^(2h): R = Q D^(2h) p(T v~^2).  Three
-    exact divisions (by Q D^(2h - 2) M^2 for P, by log' for the T^i
-    coefficients (2i - 2) P_i, and by W) give the scaled bodies, which are
-    unscaled by u^(2i) once, at the end.
+    integer W and log' the integer unit sum u^(2i) a(2i + 1) T^i.
+
+    p is composed in Hurwitz series in tau, held as n! [tau^n] at degree n
+    (Keigher, Comm. Algebra 25, 1997).  A product is a binomial convolution,
+    so integers stay integers, and the scaled log L~ is integral: (2j)!
+    u^(2j) a(2j + 1) at degree 2j + 1.  So Z = L~^2 and R = Q p~(Z), with
+    c~_k = u^(2k) c_k and Q the lcm of their denominators, are integer
+    series, R by truncated Horner; a coefficient at degree 2i carries
+    (2i)!, a denominator that grows with the degree.  In T, Q P is R / (2i)!
+    over Z / T, an integer series; with both scaled by (2h + 2)! it is one
+    exact integer division, and P is Q P / Q.  Two more exact divisions (by
+    log' for the T^i coefficients (2i - 2) P_i, and by W) give the scaled
+    bodies, which are unscaled by u^(2i) once, at the end.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     h = order // 2
     u, w, an = _integer_core(curve, h + 1)
     c = wp_coefficients(curve, max(2, h)).c[: max(h - 1, 0)]  # c_2 .. c_h
-    d = math.lcm(*range(1, 2 * h + 2, 2))
-    m = UniSeries(h, [a * (d // (2 * i + 1)) for i, a in enumerate(an)])  # M = D v~
-    m2 = m * m
-    p = [1, 0, *(ck * u ** (2 * k) for k, ck in enumerate(c, 2))][: h + 1]
-    numerators, den = _compose_over(p, m2.shifted(1), d * d)  # inner I = T M^2
-    # by Q D^(2h - 2) M^2 with D^2 on the numerator: no power of D is negative at h = 0
-    x = d * d * numerators / (den * m2)
+    outer = [ck * u ** (2 * k) for k, ck in enumerate(c, 2)]  # c~_k
+    q = math.lcm(*(x.denominator for x in outer))
+    p = [q, 0, *(x.numerator * (q // x.denominator) for x in outer)][: h + 1]  # Q c~_k
+    binomials, row = [], [1]  # rows 0, 2, .., 2h + 2 of Pascal's triangle
+    for n in range(2 * h + 3):
+        if n % 2 == 0:
+            binomials.append(row)
+        row = [1, *map(add, row, row[1:]), 1]
+    log = [math.factorial(2 * j) * a for j, a in enumerate(an)]  # L~ at degree 2j + 1
+    z = [0, *(sum(map(mul, map(mul, binomials[i][1::2], log[:i]), reversed(log[:i])))
+              for i in range(1, h + 2))]  # Z at degrees 0, 2, .., 2h + 2
+    # row i: C(2i, 2j) Z_j for j = i down to 1, the weights of r_0 .. r_(i-1) in (Z r)_i
+    weights = [[x * y for x, y in zip(binomials[i][2 * i : 1 : -2], z[i:0:-1])]
+               for i in range(1, h + 1)]
+    r = [p[h]]
+    for k in range(h - 1, -1, -1):  # r = Q c~_k + Z r, through degree 2 (h - k)
+        r = [p[k]] + [sum(map(mul, weight, r)) for weight in weights[: h - k]]
+    top = math.factorial(2 * h + 2)
+    scale = [top // math.factorial(2 * i) for i in range(h + 2)]  # (2h + 2)! / (2i)!
+    qx = UniSeries(h, map(mul, r, scale)) / UniSeries(h, map(mul, z[1:], scale[1:]))  # Q P
+    x = UniSeries(h, [_div(v, q) for v in qx.coeffs])
     y = UniSeries(h, [(2 * i - 2) * xi for i, xi in enumerate(x.coeffs)]) / UniSeries(h, an)
     chart = UniSeries.one(h) / UniSeries(h, w)
 
     def spread(series: UniSeries) -> UniSeries:
         return UniSeries(order, _unscale(u, series.coeffs, order + 1))
 
-    x_coords = spread(chart)
-    return PullbackIdentities(order, spread(x), x_coords, spread(y), -2 * x_coords)
-
-
-def _compose_over(outer: list, inner, d: int) -> tuple:
-    """(R, Q d^n) with sum_k f_k (inner / d)^k = R / (Q d^n), for the exact
-    f_0 .. f_n of ``outer`` and an integer UniSeries ``inner``.
-
-    Q is the lcm of the denominators of the f_k d^(n - k), so the outer
-    series with coefficients Q f_k d^(n - k) is an integer one, and its one
-    composition with ``inner`` runs on ints and is R.
-    """
-    n = len(outer) - 1
-    powers = [1]
-    for _ in range(n):
-        powers.append(powers[-1] * d)
-    terms = [f * p for f, p in zip(outer, reversed(powers))]  # f_k d^(n - k)
-    q = math.lcm(*(x.denominator for x in terms))
-    scaled = UniSeries(n, [x.numerator * (q // x.denominator) for x in terms])
-    return scaled.compose(inner), q * powers[-1]
+    return PullbackIdentities(order, spread(x), spread(chart), spread(y), spread(-2 * chart))

@@ -400,6 +400,19 @@ class TestClassical:
         assert err == ("error: classical --order 230 with 4000 --s values would take about "
                        "61 s, above the 60 s the caps allow; lower either\n")
 
+    def test_s_flags_over_the_limit_refused_before_parsing(self, capsys, tmp_path, monkeypatch):
+        # argparse reads n flags in time quadratic in n (5000 take about 1 s,
+        # 29000 took 32 s), so the count of --s flags is checked first
+        _forbid_series(monkeypatch)
+        argv = ["classical", *_many_s(tmp_path, "flag", 5001, nmax=10)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == ("error: 5001 --s flags are more than the 5000 read from the command "
+                       'line; give the values as "s" in a --config file\n')
+        assert len(cli.resolve_config(argv[:-1]).s) == 5000
+
     # argparse reads n flags in time quadratic in n (29000 take 32 s), so from
     # flags --order 229 shrinks the budget to about 3800 values
     @pytest.mark.parametrize("source,order,count", [("flag", 229, 3800), ("config", 16, 30000)],
