@@ -238,7 +238,7 @@ class InexactLawError(ArithmeticError):
     or a division by k + 1 that left a remainder."""
 
 
-def group_law_exp_log(fexp: FormalExp, flog: FormalLog, order: int) -> GroupLaw:
+def group_law_exp_log(flog: FormalLog, order: int) -> GroupLaw:
     """F(t1, t2) = exp(log t1 + log t2) through total degree ``order``, by the
     two-variable chord ODE, in integers.
 
@@ -252,23 +252,21 @@ def group_law_exp_log(fexp: FormalExp, flog: FormalLog, order: int) -> GroupLaw:
         dSigma/dt1 = L~'(t1) (3 Phi^2 + a Sigma^2).
 
     :func:`_chord_flow` solves it: no composition, no W and no common
-    denominator.  ``fexp`` fixes the curve and the order; its chord ODE is
-    the flow.  The coefficient (i, j) of F is F~_ij / u^(i + j - 1), one
+    denominator.  ``flog.curve`` fixes the curve, whose chord ODE is the
+    flow.  The coefficient (i, j) of F is F~_ij / u^(i + j - 1), one
     Fraction each, made once, at the end.  F~ is integral, so a log that
     makes the flow divide inexactly, or whose L~' is not an even integer
     series, is not the curve's: it raises :class:`InexactLawError`, and no
     Fraction is made.
     """
-    if fexp.curve != flog.curve:
-        raise ValueError("exponential and logarithm belong to different curves")
-    if flog.series.order < order or fexp.series.order < order:
-        raise ValueError(f"need exp/log series of order >= {order}")
-    u, a, b = _weights(fexp.curve)
+    if flog.series.order < order:
+        raise ValueError(f"need a log series of order >= {order}")
+    u, a, b = _weights(flog.curve)
     ell = [(k + 1) * c * u**k for k, c in enumerate(flog.series.coeffs[1 : order + 1])]
     if any(x.denominator != 1 for x in ell) or any(ell[1::2]):
         raise InexactLawError("the log's scaled derivative L~' is not an even integer series")
     law = _chord_flow([x.numerator for x in ell], a, b, order)
-    return GroupLaw(fexp.curve, _unscale_law(BiSeries(order, law), u), "exp-log")
+    return GroupLaw(flog.curve, _unscale_law(BiSeries(order, law), u), "exp-log")
 
 
 def _chord_flow(ell: list, a: int, b: int, n: int) -> list:
@@ -368,11 +366,11 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     return GroupLaw(curve, _unscale_law(scaled, u), "buchstaber-bunkova")
 
 
-def _unscale_law(scaled: BiSeries, u: int, den: int = 1) -> BiSeries:
-    """The law F of a curve from numerators over ``den`` of its law scaled by
-    weight u: coefficient (i, j) is scaled_ij / (den u^(i + j - 1)), one
-    Fraction each; a law has no constant term."""
-    powers = [den]  # den u^(k - 1) at total degree k >= 1
+def _unscale_law(scaled: BiSeries, u: int) -> BiSeries:
+    """The law F of a curve from its law scaled by weight u: coefficient
+    (i, j) is scaled_ij / u^(i + j - 1), one Fraction each; a law has no
+    constant term."""
+    powers = [1]  # u^(k - 1) at total degree k >= 1
     for _ in range(1, scaled.order):
         powers.append(powers[-1] * u)
     return BiSeries(scaled.order, (

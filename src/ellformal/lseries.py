@@ -151,16 +151,16 @@ def count_points(rc: ReducedCurve) -> int:
     return total
 
 
-def honda_check(curve: Curve, pmax: int, flog: FormalLog) -> HondaReport:
-    """Congruence a(p) = p + 1 - #E(F_p) (mod p) for all good 5 <= p <= pmax.
+def honda_check(flog: FormalLog, pmax: int) -> HondaReport:
+    """Congruence a(p) = p + 1 - #E(F_p) (mod p) for all good 5 <= p <= pmax,
+    on the curve of ``flog``.
 
     a(p) is reduced mod p by inverting its denominator; a denominator
     divisible by p yields a skip, not a failure.  The ``exact`` flag
     records whether a(p) equals the trace on the nose (an empirical
     observation, not something the congruence requires).
     """
-    if flog.curve != curve:
-        raise ValueError("formal logarithm belongs to a different curve")
+    curve = flog.curve
     if flog.series.order < pmax:
         raise ValueError(
             f"formal log order {flog.series.order} does not cover pmax={pmax}"

@@ -3,10 +3,12 @@
 Every series tracks coefficients up to a fixed truncation order N and all
 arithmetic stays inside that window, so results are exact as elements of
 Q[[T]] / T^(N+1).  A coefficient is an ``int`` or a
-:class:`fractions.Fraction`, never a float: integer rows stay integer through
-``+``, ``-``, products, composition and division by a series whose constant
-term is 1 (a quotient that is not integral becomes a Fraction), so the same
-kernels serve Z[[T]] and Q[[T]].
+:class:`fractions.Fraction`: every row, given or computed, passes one type
+check when its series is built, and any other type (bool, float, str,
+Decimal, complex) raises :class:`TypeError` naming it.  Integer rows stay
+integer through ``+``, ``-``, products, composition and division by a
+series whose constant term is 1 (a quotient that is not integral becomes a
+Fraction), so the same kernels serve Z[[T]] and Q[[T]].
 
 Two containers on one core live in this module:
 
@@ -19,12 +21,15 @@ i + j <= N), whose ``+``, ``-``, negation, scalar scaling, ``==``,
 ``is_zero``, ``repr``, order check and immutability guard are written once,
 row by row, over the hooks ``_rows()`` and ``_from_rows(order, rows)``.
 
-Each operation has one kernel.  Products are schoolbook on each class;
-division is by a unit ``UniSeries`` only; composition is the
-baby-step/giant-step ``_substitute``, which ``UniSeries.compose``,
-:func:`bi_substitute` and ``BiSeries.reciprocal`` (a geometric series in
-1 - F/c) all call; reversion is Lagrange inversion in ``UniSeries.reverse``.
-The module keeps only what the engine and its checks call.
+Each operation has one kernel.  A product, on either class, pairs the
+nonzero terms of its left operand with those of its right one, taken in
+order of degree, and stops each run at the truncation, so zero terms (half
+of every odd series) cost nothing; division is by a unit ``UniSeries``
+only; composition is the baby-step/giant-step ``_substitute``, which
+``UniSeries.compose``, :func:`bi_substitute` and ``BiSeries.reciprocal`` (a
+geometric series in 1 - F/c) all call; reversion is Lagrange inversion in
+``UniSeries.reverse``.  The module keeps only what the engine and its
+checks call.
 
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -54,15 +59,6 @@ class ReversionDomainError(ValueError):
     """Reverting a series that is not T + O(T^2)."""
 
 
-def _coerce(value):
-    """An exact coefficient: an int or Fraction as it is, a bool as its int
-    (1, not True), anything else through Fraction."""
-    kind = type(value)
-    if kind is int or kind is Fraction:
-        return value
-    return int(value) if isinstance(value, int) else Fraction(value)
-
-
 def _div(a, b):
     """a / b exactly: an int when b divides a, else a Fraction (never the
     float that int / int gives)."""
@@ -72,9 +68,16 @@ def _div(a, b):
     return a / b
 
 
+_EXACT = frozenset((int, Fraction))
+
+
 def _row(values, length: int) -> tuple:
-    """``values`` as exact coefficients, zero-padded to ``length`` entries."""
-    row = tuple(map(_coerce, values))
+    """``values`` as a tuple zero-padded to ``length`` entries, each an int or
+    a Fraction (:class:`TypeError` naming the first other type)."""
+    row = tuple(values)
+    if not _EXACT.issuperset(map(type, row)):
+        kind = next(type(c) for c in row if type(c) not in _EXACT)
+        raise TypeError(f"a series coefficient is an int or a Fraction, not {kind.__name__}")
     if len(row) > length:
         raise ValueError(f"got {len(row)} coefficients where at most {length} fit")
     return row + (0,) * (length - len(row))
@@ -168,14 +171,6 @@ class UniSeries(_Series):
             raise IndexError(f"coefficient T^{k} outside order-{self.order} window")
         return self.coeffs[k]
 
-    def shifted(self, k: int) -> "UniSeries":
-        """Multiply by T^k inside the same truncation window (top terms drop)."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        if k == 0:
-            return self
-        return UniSeries(self.order, (0,) * k + self.coeffs[: self.order + 1 - k])
-
     # -- ring operations ----------------------------------------------
 
     def __mul__(self, other):
@@ -183,12 +178,13 @@ class UniSeries(_Series):
             self._check_order(other)
             n = self.order
             out = [0] * (n + 1)
+            right = [(j, b) for j, b in enumerate(other.coeffs) if b]
             for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
+                if a:
+                    top = n - i
+                    for j, b in right:
+                        if j > top:
+                            break
                         out[i + j] += a * b
             return UniSeries(n, out)
         if isinstance(other, (int, Fraction)):
@@ -324,17 +320,13 @@ class BiSeries(_Series):
         self._check_order(other)
         n = self.order
         out = [[0] * (n - i + 1) for i in range(n + 1)]
-        for i1, row1 in enumerate(self.rows):
-            for j1, a in enumerate(row1):
-                if not a:
-                    continue
-                imax = n - i1 - j1
-                for i2 in range(imax + 1):
-                    row2 = other.rows[i2]
-                    for j2 in range(imax - i2 + 1):
-                        b = row2[j2]
-                        if b:
-                            out[i1 + i2][j1 + j2] += a * b
+        right = sorted(((i + j, i, j, b) for i, j, b in other.terms()), key=operator.itemgetter(0))
+        for i1, j1, a in self.terms():
+            top = n - i1 - j1
+            for d, i2, j2, b in right:
+                if d > top:
+                    break
+                out[i1 + i2][j1 + j2] += a * b
         return BiSeries(n, out)
 
     __rmul__ = __mul__

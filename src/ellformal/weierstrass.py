@@ -140,7 +140,8 @@ def differential_equation_residual(curve: Curve, order: int) -> UniSeries:
     n = p.order
     lhs = q * q                       # z^6 (wp')^2
     rhs = 4 * (p * p * p)             # z^6 * 4 wp^3
-    rhs = rhs - curve.g2 * p.shifted(4)   # z^6 * g2 wp = g2 z^4 (z^2 wp)
+    z4p = UniSeries(n, ((0,) * 4 + p.coeffs)[: n + 1])  # z^4 (z^2 wp), in the window
+    rhs = rhs - curve.g2 * z4p        # z^6 * g2 wp
     rhs = rhs - UniSeries(n, ((0,) * 6 + (curve.g3,))[: n + 1])  # z^6 * g3, in the window
     return lhs - rhs
 

@@ -105,7 +105,7 @@ class TestHondaCheck:
     def test_lemniscatic_spot_values(self):
         c = Curve(4, 0)
         fl = formal_logarithm(c, 23)
-        report = honda_check(c, 20, fl)
+        report = honda_check(fl, 20)
         assert [e.p for e in report.entries] == [5, 7, 11, 13, 17, 19]
         assert report.all_congruent
         by_p = {e.p: e for e in report.entries}
@@ -116,14 +116,14 @@ class TestHondaCheck:
         for _ in range(5):
             c = random_curve(rng)
             fl = formal_logarithm(c, 30)
-            report = honda_check(c, 30, fl)
+            report = honda_check(fl, 30)
             bad = [e for e in report.entries if e.congruent is False]
             assert not bad, (c, bad)
 
     def test_entries_sorted_and_unique(self, rng):
         c = random_curve(rng)
         fl = formal_logarithm(c, 30)
-        report = honda_check(c, 30, fl)
+        report = honda_check(fl, 30)
         ps = [e.p for e in report.entries]
         assert ps == sorted(set(ps))
         assert set(ps) == {p for p in primes_upto(30) if p >= 5}
@@ -131,7 +131,7 @@ class TestHondaCheck:
     def test_all_skipped_for_singular_model(self):
         c = Curve(0, 0)
         fl = formal_logarithm(c, 12)
-        report = honda_check(c, 12, fl)
+        report = honda_check(fl, 12)
         assert report.n_checked == 0
         assert all(e.skipped_reason == "bad reduction" for e in report.entries)
         assert report.all_congruent  # vacuously: nothing checked, nothing failed
@@ -140,12 +140,7 @@ class TestHondaCheck:
         c = Curve(4, 0)
         fl = formal_logarithm(c, 10)
         with pytest.raises(ValueError):
-            honda_check(c, 20, fl)
-
-    def test_log_of_other_curve_rejected(self):
-        fl = formal_logarithm(Curve(4, 0), 20)
-        with pytest.raises(ValueError, match="different curve"):
-            honda_check(Curve(-7, 13), 20, fl)
+            honda_check(fl, 20)
 
 
 class TestClassicalDemo:

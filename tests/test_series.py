@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -141,7 +142,7 @@ class TestRingOps:
 
 class TestExactCoefficients:
     """Integer rows stay integer where the value is one; a coefficient is
-    always an int or a Fraction, never a float or a bool."""
+    always an int or a Fraction, and any other type is refused."""
 
     A = UniSeries(4, (1, 2, 3, 4, 5))
 
@@ -173,11 +174,14 @@ class TestExactCoefficients:
         assert g.coeffs == (0, 1, -1, 2, -5) and all(type(c) is int for c in g.coeffs)
         assert self._exact(UniSeries(4, (0, 1, 0, 1)).reverse())
 
-    def test_bool_becomes_int(self):
-        s = UniSeries(2, (True, False, True))
-        assert [type(c) for c in s.coeffs] == [int, int, int] and s.coeffs == (1, 0, 1)
-        assert type(BiSeries.constant(1, True)[0, 0]) is int
-        assert type(UniSeries(2, (0, True))[1]) is int
+    def test_other_types_refused(self):
+        builds = (lambda v: UniSeries(2, (0, v)), lambda v: BiSeries(2, ((0,), (1, v))),
+                  lambda v: BiSeries.constant(1, v))
+        for value in (True, 1.0, "1", Decimal(1), 1j):
+            name = type(value).__name__
+            for build in builds:
+                with pytest.raises(TypeError, match=f"not {name}$"):
+                    build(value)
 
 
 class TestDivision:
@@ -354,7 +358,7 @@ class TestBiSeries:
         assert d.reciprocal() == _reciprocal_by_newton(d)
 
     def test_repr_is_a_summary(self):
-        assert repr(UniSeries(2, (True, False, True))) == "UniSeries(order=2, 2 nonzero terms)"
+        assert repr(UniSeries(2, (1, 0, 1))) == "UniSeries(order=2, 2 nonzero terms)"
         assert repr(BiSeries(2, ((0, 3), (F(1, 2),)))) == "BiSeries(order=2, 2 nonzero terms)"
 
     def test_swap_and_slice(self):

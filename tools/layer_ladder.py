@@ -1,0 +1,89 @@
+"""Time the pullback, the closed-form group law and the axiom check over a
+ladder of orders, next to their sizes.
+
+For each bench curve, (4, 0), (-7, 13) and (-3/7, 5/11), and each order,
+prints the minimum over ``--repeat`` calls of the wall time of one
+``coordinate_pullback(curve, order)``, one ``group_law_closed_form(curve,
+order)`` and one ``verify_axioms`` of that law, in ms.  Next to them: the
+largest bit size of an int entering the pullback's first series division
+(``UniSeries.__truediv__``), where the composed coefficients are divided
+out, read in one extra, untimed call; and the largest bit size of a
+numerator or denominator of the law.  Run from the repository root, for
+example
+
+    python3 tools/layer_ladder.py
+    python3 tools/layer_ladder.py --orders 20 40 --repeat 15
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ellformal import (  # noqa: E402
+    Curve, UniSeries, coordinate_pullback, group_law_closed_form, verify_axioms,
+)
+
+CURVES = (Curve(4, 0), Curve(-7, 13), Curve(Fraction(-3, 7), Fraction(5, 11)))
+
+
+def bits(values) -> int:
+    """Largest bit size of a numerator or denominator among int or Fraction values."""
+    return max(max(abs(Fraction(c).numerator).bit_length(), Fraction(c).denominator.bit_length())
+               for c in values)
+
+
+def first_division_bits(curve: Curve, order: int) -> int:
+    """Largest bit size in the operands of the first ``UniSeries.__truediv__``
+    of one pullback."""
+    original, seen = UniSeries.__truediv__, []
+
+    def recording(a, b):
+        if not seen:
+            seen.extend(c for s in (a, b) for c in s.coeffs)
+        return original(a, b)
+
+    UniSeries.__truediv__ = recording
+    try:
+        coordinate_pullback(curve, order)
+    finally:
+        UniSeries.__truediv__ = original
+    return bits(seen)
+
+
+def best_ms(call, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--orders", type=int, nargs="+", default=[18, 40, 60, 82])
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    print(f"{'curve':>12} {'order':>5} {'pullback ms':>11} {'bits':>5}"
+          f" {'law ms':>10} {'axioms ms':>10} {'law bits':>8}")
+    for curve in CURVES:
+        for order in args.orders:
+            pullback = best_ms(lambda: coordinate_pullback(curve, order), args.repeat)
+            law = group_law_closed_form(curve, order)
+            closed = best_ms(lambda: group_law_closed_form(curve, order), args.repeat)
+            axioms = best_ms(lambda: verify_axioms(law), args.repeat)
+            law_bits = bits(c for row in law.series.rows for c in row)
+            print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {pullback:>11.3f}"
+                  f" {first_division_bits(curve, order):>5} {closed:>10.3f} {axioms:>10.3f}"
+                  f" {law_bits:>8}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
