@@ -5,9 +5,11 @@ point w in a small disk around the origin, then evaluates the truncated
 wp Laurent expansion there: alpha(z) = wp(w), beta(z) = wp'(w).  The
 pair must land on y^2 = 4x^3 - g2*x - g3 up to rounding, which is what
 ``residual`` measures.  Each evaluation sums the log q-series first, so
-that a refusal there costs no wp expansion, and then builds its exact wp
-expansion once (``derivative_check`` one for its three points); each
-point computes q and runs the q-series loop once.
+that a refusal there costs no wp expansion, and then asks
+:func:`wp_coefficients` for its exact wp expansion once
+(``derivative_check`` once for its three points); its memo keeps the last
+16 expansions, so points on one curve at one order share one build.
+Each point computes q and runs the q-series loop once.
 
 Convergence is never assumed.  The wp series is only trusted inside a
 reliability radius computed from its own coefficient magnitudes (last
@@ -325,7 +327,7 @@ def derivative_check(
             nmax = flog.series.order
         _same_curve(curve, flog)
         points = [_qseries(num, x, flog.series.coeffs, nmax) for x in (zc + hr, zc - hr, zc)]
-        exp = wp_coefficients(curve, order)  # one expansion for the three points
+        exp = wp_coefficients(curve, order)  # asked for once, for the three points
         plus, minus, center = (_param_point(num, exp, *point) for point in points)
         fd = (plus.alpha - minus.alpha) / (2 * hr)
         cusp = _qsum(num, center.q, (0, *flog.an), nmax)[0]

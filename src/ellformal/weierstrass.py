@@ -28,6 +28,7 @@ everything here is formal in (g2, g3).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,6 +97,7 @@ class WpExpansion:
         return UniSeries(2 * self.order, [(i - 2) * c for i, c in enumerate(self.body().coeffs)])
 
 
+@functools.lru_cache(maxsize=16)
 def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     """Expansion coefficients c_2..c_order, exactly.
 
@@ -106,6 +108,11 @@ def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     pairs' d_j d_(k-j), and makes one ``Fraction`` per k, so each c_k is
     reduced once.  The recursion denominators (2k+1)(k-3) are positive
     for k >= 4, so no division by zero can occur.
+
+    The last 16 expansions are kept, keyed by (curve, order), so a caller
+    that asks again for one gets the same object back, shared with every
+    other caller; it is immutable.  ``cache_info()`` and ``cache_clear()``
+    read and empty that memo.
     """
     if order < 2:
         raise ValueError("order must be >= 2")

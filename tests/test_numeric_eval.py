@@ -211,7 +211,7 @@ class TestDerivativeCheck:
 
 
 class TestOneExpansionPerEvaluation:
-    """Each evaluation builds its exact wp expansion once."""
+    """Each evaluation asks for its exact wp expansion once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -241,3 +241,14 @@ class TestOneExpansionPerEvaluation:
     def test_derivative_check(self, flog_lemniscatic, calls):
         derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, 1e-4, nmax=50)
         assert calls == [20]
+
+    def test_one_build_for_every_evaluation(self, flog_lemniscatic):
+        wp = numeric_eval.wp_coefficients
+        wp.cache_clear()
+        param_point(LEMNISCATIC, flog_lemniscatic, 0.3 + 0.9j, 50, 20)
+        with pytest.raises(OutOfRadiusError):
+            param_point(LEMNISCATIC, flog_lemniscatic, 0.01j, 50, 20)
+        derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, 1e-4, nmax=50, order=20)
+        eval_wp(LEMNISCATIC, 0.1, 20)
+        reliability_radius(LEMNISCATIC, 20)
+        assert wp.cache_info().misses == 1

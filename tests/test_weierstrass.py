@@ -222,3 +222,27 @@ class TestOneExpansion:
         curve = Curve(-7, 13)
         assert [v["k"] for v in values] == list(range(4, 41))
         assert all(F(v["value"]) == bernoulli_hurwitz(curve, v["k"]) for v in values)
+
+
+class TestMemo:
+    """wp_coefficients keeps the last 16 expansions, keyed by (curve, order)."""
+
+    @given(curves=st.lists(CURVE_FAMILIES, min_size=2, max_size=3), order=st.integers(2, 40))
+    def test_memo_gives_a_fresh_build(self, curves, order):
+        # several curves at one order: each must get its own expansion
+        for curve in curves:
+            assert wp_coefficients(curve, order) == wp_coefficients.__wrapped__(curve, order)
+
+    def test_spellings_of_one_curve_share_an_entry(self):
+        wp_coefficients.cache_clear()
+        first = wp_coefficients(Curve(4, 0), 10)
+        assert wp_coefficients(Curve(F(8, 2), F(0)), 10) is first
+        info = wp_coefficients.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_bound(self):
+        wp_coefficients.cache_clear()
+        for order in range(2, 19):  # 17 distinct orders
+            wp_coefficients(Curve(-7, 13), order)
+        info = wp_coefficients.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (16, 16, 17)

@@ -1,5 +1,5 @@
-"""Time the pullback, the closed-form group law and the axiom check over a
-ladder of orders, next to their sizes.
+"""Time the pullback, the closed-form group law, the axiom check and
+``param_point`` over a ladder of orders, next to their sizes.
 
 For each bench curve, (4, 0), (-7, 13) and (-3/7, 5/11), and each order,
 prints the minimum over ``--repeat`` calls of the wall time of one
@@ -8,8 +8,15 @@ order)`` and one ``verify_axioms`` of that law, in ms.  Next to them: the
 largest bit size of an int entering the pullback's first series division
 (``UniSeries.__truediv__``), where the composed coefficients are divided
 out, read in one extra, untimed call; and the largest bit size of a
-numerator or denominator of the law.  Run from the repository root, for
-example
+numerator or denominator of the law.  The pullback is timed with the
+``wp_coefficients`` memo emptied before each call, as in one CLI call.
+
+A second table times ``param_point`` at z = 0.1 + 0.8i, nmax 50, with wp
+order the ladder's order, at 53 and 150 bits: cold, with the
+``wp_coefficients`` memo emptied before each call, so the expansion is
+built in the timed call, and warm, on a filled memo.  Next to them: the
+largest bit size of a numerator or denominator among the c_k.  Run from
+the repository root, for example
 
     python3 tools/layer_ladder.py
     python3 tools/layer_ladder.py --orders 20 40 --repeat 15
@@ -26,10 +33,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ellformal import (  # noqa: E402
-    Curve, UniSeries, coordinate_pullback, group_law_closed_form, verify_axioms,
+    Curve, UniSeries, coordinate_pullback, formal_logarithm, group_law_closed_form,
+    param_point, verify_axioms, wp_coefficients,
 )
 
 CURVES = (Curve(4, 0), Curve(-7, 13), Curve(Fraction(-3, 7), Fraction(5, 11)))
+Z, NMAX = 0.1 + 0.8j, 50
 
 
 def bits(values) -> int:
@@ -65,6 +74,29 @@ def best_ms(call, repeat: int) -> float:
     return 1e3 * min(times)
 
 
+def cold(call):
+    """``call`` with the ``wp_coefficients`` memo emptied first."""
+    def run():
+        wp_coefficients.cache_clear()
+        call()
+    return run
+
+
+def param_rows(orders, repeat: int) -> None:
+    print(f"{'curve':>12} {'order':>5} {'bits':>5} {'cold ms':>10} {'warm ms':>10} {'c_k bits':>8}")
+    for curve in CURVES:
+        flog = formal_logarithm(curve, NMAX)
+        for order in orders:
+            for precision in (53, 150):
+                def point():
+                    param_point(curve, flog, Z, NMAX, order, precision)
+                first = best_ms(cold(point), repeat)
+                point()  # fill the memo
+                warm = best_ms(point, repeat)
+                print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {precision:>5} {first:>10.3f}"
+                      f" {warm:>10.3f} {bits(wp_coefficients(curve, order).c):>8}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--orders", type=int, nargs="+", default=[18, 40, 60, 82])
@@ -74,7 +106,7 @@ def main(argv=None) -> int:
           f" {'law ms':>10} {'axioms ms':>10} {'law bits':>8}")
     for curve in CURVES:
         for order in args.orders:
-            pullback = best_ms(lambda: coordinate_pullback(curve, order), args.repeat)
+            pullback = best_ms(cold(lambda: coordinate_pullback(curve, order)), args.repeat)
             law = group_law_closed_form(curve, order)
             closed = best_ms(lambda: group_law_closed_form(curve, order), args.repeat)
             axioms = best_ms(lambda: verify_axioms(law), args.repeat)
@@ -82,6 +114,8 @@ def main(argv=None) -> int:
             print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {pullback:>11.3f}"
                   f" {first_division_bits(curve, order):>5} {closed:>10.3f} {axioms:>10.3f}"
                   f" {law_bits:>8}")
+    print()
+    param_rows(args.orders, args.repeat)
     return 0
 
 
