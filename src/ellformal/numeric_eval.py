@@ -11,6 +11,16 @@ that a refusal there costs no wp expansion, and then asks
 16 expansions, so points on one curve at one order share one build.
 Each point computes q and runs the q-series loop once.
 
+Exact coefficients are converted to the working type once per object and
+precision: a formal log gets a table of its log coefficients and one of
+its a(n), an expansion one of (2k - 2) c_k and c_k and one of (g2, g3).
+Every evaluation reads these tables, in the order and with the arithmetic
+of a direct conversion, so its results are the same to the bit.  A table
+lives as long as its object (it is dropped when the object is collected)
+and holds one or two numbers per coefficient, about 2 * order * precision
+bits of mantissa: one point at order 40 on an order-60 log leaves about
+8 kB of tables at 53 bits and 33 kB at 150 bits, object headers included.
+
 Convergence is never assumed.  The wp series is only trusted inside a
 reliability radius computed from its own coefficient magnitudes (last
 retained term contributing at most 1e-12 relative to the pole term);
@@ -153,35 +163,80 @@ class DerivativeCheck:
     relative_deviation: float
 
 
-def _qseries(num: _Numerics, z, coeffs, nmax: int):
+def _qseries(num: _Numerics, z, flog: FormalLog, build, nmax: int):
     """The checked q-series entry, run under ``num.workprec()``: returns z,
-    q = exp(2*pi*i*z) and the :func:`_qsum` pair at that q."""
+    q = exp(2*pi*i*z) and the :func:`_qsum` pair at that q over the
+    ``build`` table of ``flog``."""
     zc = num.complex_of(z)
     if not zc.imag > 0:
         raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
-    if nmax > len(coeffs) - 1:
-        raise ValueError(f"nmax={nmax} exceeds formal log order {len(coeffs) - 1}")
+    if nmax > flog.series.order:
+        raise ValueError(f"nmax={nmax} exceeds formal log order {flog.series.order}")
     q = num.exp(num.two_pi_i() * zc)
-    return (zc, q, *_qsum(num, q, coeffs, nmax))
+    return (zc, q, *_qsum(q, _table(num, flog, build), nmax))
 
 
-def _qsum(num: _Numerics, q, coeffs, nmax: int):
-    """The one q-series loop: sum of coeffs[n] q^n over 1..nmax and
-    |coeffs[nmax] q^nmax|."""
+def _qsum(q, terms, nmax: int):
+    """The one q-series loop: sum of terms[n] q^n over 1..nmax and
+    |terms[nmax] q^nmax|, on a :func:`_log_terms` or :func:`_cusp_terms` table."""
+    if nmax >= len(terms):
+        raise OverflowError(f"log coefficient {len(terms)} is beyond the double range; "
+                            "use --precision above 53")
     total = q - q  # typed zero
     qpow = 1
-    for n in range(1, nmax + 1):
+    for cf in terms[1:nmax + 1]:
         qpow = qpow * q
-        c = coeffs[n]
-        if c:
-            try:
-                cf = num.rational(c)
-            except OverflowError:  # from float(c): past the largest double
-                raise OverflowError(f"log coefficient {n} is beyond the double range; "
-                                    "use --precision above 53") from None
+        if cf is not None:
             total = total + cf * qpow
-    estimate = abs(num.rational(coeffs[nmax])) * abs(q) ** nmax
-    return total, estimate
+    return total, abs(terms[nmax] or 0) * abs(q) ** nmax  # None, an exact zero, reads 0
+
+
+# Each exact object's coefficients are converted once per working precision:
+# (id(obj), build, precision) -> the tuple build(num, obj) returned, dropped
+# when obj dies.  Keyed by identity, since hashing a Fraction costs about as
+# much as converting it.  Two threads may both build a table: equal ones.
+_TABLES: dict = {}
+
+
+def _table(num: _Numerics, obj, build):
+    key = (id(obj), build, num.precision)
+    terms = _TABLES.get(key)
+    if terms is None:
+        import weakref
+
+        _TABLES[key] = terms = build(num, obj)
+        weakref.finalize(obj, _TABLES.pop, key, None)
+    return terms
+
+
+def _exact_terms(num: _Numerics, coeffs) -> tuple:
+    """coeffs converted, None for an exact zero; cut at the first coefficient
+    past the double range, which :func:`_qsum` then names."""
+    terms = []
+    for c in coeffs:
+        try:
+            terms.append(num.rational(c) if c else None)
+        except OverflowError:  # from float(c): past the largest double
+            break
+    return tuple(terms)
+
+
+def _log_terms(num: _Numerics, flog: FormalLog) -> tuple:
+    return _exact_terms(num, flog.series.coeffs)
+
+
+def _cusp_terms(num: _Numerics, flog: FormalLog) -> tuple:
+    return _exact_terms(num, (0, *flog.an))
+
+
+def _wp_terms(num: _Numerics, exp: WpExpansion) -> tuple:
+    """((2k - 2) c_k, c_k) for k = 2..order, None for an exact zero."""
+    cs = (num.rational(c) if c else None for c in exp.c)
+    return tuple(cf if cf is None else ((2 * k - 2) * cf, cf) for k, cf in enumerate(cs, 2))
+
+
+def _curve_terms(num: _Numerics, exp: WpExpansion) -> tuple:
+    return num.rational(exp.curve.g2), num.rational(exp.curve.g3)
 
 
 def eval_log_qseries(flog: FormalLog, z, nmax: int, precision: int = 53):
@@ -192,7 +247,7 @@ def eval_log_qseries(flog: FormalLog, z, nmax: int, precision: int = 53):
     """
     num = _Numerics(precision)
     with num.workprec():
-        _, _, total, estimate = _qseries(num, z, flog.series.coeffs, nmax)
+        _, _, total, estimate = _qseries(num, z, flog, _log_terms, nmax)
         return total, estimate
 
 
@@ -200,7 +255,7 @@ def eval_cusp_qseries(flog: FormalLog, z, nmax: int, precision: int = 53):
     """Partial sum of the weight-two series sum a(n) q^n at q = exp(2*pi*i*z)."""
     num = _Numerics(precision)
     with num.workprec():
-        return _qseries(num, z, (0, *flog.an), nmax)[2]
+        return _qseries(num, z, flog, _cusp_terms, nmax)[2]
 
 
 def _radius(exp: WpExpansion) -> float:
@@ -256,12 +311,11 @@ def _eval_wp(num: _Numerics, exp: WpExpansion, w):
     wp_val = inv * inv
     wpp_val = -2 * inv * inv * inv
     power = inv  # becomes w^(2k-3) after the multiply below
-    for k in range(2, exp.order + 1):
+    for term in _table(num, exp, _wp_terms):
         power = power * w2
-        c = exp.coefficient(k)
-        if c:
-            cf = num.rational(c)
-            wpp_val = wpp_val + (2 * k - 2) * cf * power
+        if term is not None:
+            dcf, cf = term
+            wpp_val = wpp_val + dcf * power
             wp_val = wp_val + cf * power * wc
     return wp_val, wpp_val
 
@@ -273,7 +327,7 @@ def param_point(
     num = _Numerics(precision)
     _same_curve(curve, flog)
     with num.workprec():
-        point = _qseries(num, z, flog.series.coeffs, nmax)
+        point = _qseries(num, z, flog, _log_terms, nmax)
         return _param_point(num, wp_coefficients(curve, order), *point)
 
 
@@ -288,7 +342,7 @@ def _param_point(num: _Numerics, exp: WpExpansion, zc, q, w, estimate):
     # Near the cusp, doubles underflow q (w = 0: the pole) or overflow wp(w) ~ q^-2.
     try:
         alpha, beta = _eval_wp(num, exp, w)
-        g2, g3 = num.rational(exp.curve.g2), num.rational(exp.curve.g3)
+        g2, g3 = _table(num, exp, _curve_terms)
         residual = abs(beta * beta - (4 * alpha**3 - g2 * alpha - g3))
         finite = num.mp is not None or all(
             map(cmath.isfinite, (alpha, beta, residual)))
@@ -326,11 +380,11 @@ def derivative_check(
         if nmax is None:
             nmax = flog.series.order
         _same_curve(curve, flog)
-        points = [_qseries(num, x, flog.series.coeffs, nmax) for x in (zc + hr, zc - hr, zc)]
+        points = [_qseries(num, x, flog, _log_terms, nmax) for x in (zc + hr, zc - hr, zc)]
         exp = wp_coefficients(curve, order)  # asked for once, for the three points
         plus, minus, center = (_param_point(num, exp, *point) for point in points)
         fd = (plus.alpha - minus.alpha) / (2 * hr)
-        cusp = _qsum(num, center.q, (0, *flog.an), nmax)[0]
+        cusp = _qsum(center.q, _table(num, flog, _cusp_terms), nmax)[0]
         expected = center.beta * num.two_pi_i() * cusp
         scale = abs(expected)
         if scale == 0:

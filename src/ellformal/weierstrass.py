@@ -97,7 +97,7 @@ class WpExpansion:
         return UniSeries(2 * self.order, [(i - 2) * c for i, c in enumerate(self.body().coeffs)])
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     """Expansion coefficients c_2..c_order, exactly.
 
@@ -112,8 +112,11 @@ def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     The last 16 expansions are kept, keyed by (curve, order), so a caller
     that asks again for one gets the same object back, shared with every
     other caller; it is immutable.  ``cache_info()`` and ``cache_clear()``
-    read and empty that memo.
+    read and empty that memo.  The memo keys on the order's type too, and
+    an order that is not an ``int``, or is a ``bool``, raises ``TypeError``.
     """
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise TypeError(f"order must be an int, not {type(order).__name__}")
     if order < 2:
         raise ValueError("order must be >= 2")
     c = [curve.g2 / 20, curve.g3 / 28][: order - 1]

@@ -1,9 +1,13 @@
 import cmath
+import dataclasses
+import gc
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given
 
 from ellformal import (
     Curve,
@@ -18,8 +22,9 @@ from ellformal import (
     numeric_eval,
     param_point,
     reliability_radius,
+    wp_coefficients,
 )
-from conftest import random_curve
+from conftest import CURVE_FAMILIES, random_curve
 
 LEMNISCATIC = Curve(4, 0)
 
@@ -252,3 +257,72 @@ class TestOneExpansionPerEvaluation:
         eval_wp(LEMNISCATIC, 0.1, 20)
         reliability_radius(LEMNISCATIC, 20)
         assert wp.cache_info().misses == 1
+
+
+def _fields(result) -> tuple:
+    """Every field of a result as its repr: equal reprs are equal bits."""
+    return tuple(repr(getattr(result, f.name)) for f in dataclasses.fields(result))
+
+
+class TestConversionTables:
+    """Each formal log and wp expansion is converted once per working precision,
+    and the converted tables live as long as their exact objects."""
+
+    @given(curve=CURVE_FAMILIES)
+    def test_repeated_calls_match_fresh_objects(self, curve):
+        z = 0.1 + 0.8j
+        for precision in (53, 150):
+            calls = (lambda flog: param_point(curve, flog, z, 12, 12, precision),
+                     lambda flog: derivative_check(curve, flog, z, 1e-4, 12, 12, precision))
+            flog = formal_logarithm(curve, 12)
+            for call in calls:
+                call(flog)  # fills the tables
+                again = _fields(call(flog))
+                # a new log and an unmemoized expansion: no table exists for either
+                unmemoized = wp_coefficients.__wrapped__
+                with mock.patch.object(numeric_eval, "wp_coefficients", unmemoized):
+                    fresh = _fields(call(formal_logarithm(curve, 12)))
+                assert again == fresh
+
+    @pytest.mark.parametrize("precision", (53, 150))
+    def test_second_call_converts_nothing(self, flog_lemniscatic, monkeypatch, precision):
+        converted = []
+        rational = numeric_eval._Numerics.rational
+        monkeypatch.setattr(numeric_eval._Numerics, "rational",
+                            lambda num, q: converted.append(q) or rational(num, q))
+        curve, flog, z = LEMNISCATIC, flog_lemniscatic, 0.3 + 0.9j
+        calls = (lambda: param_point(curve, flog, z, 50, 20, precision),
+                 lambda: derivative_check(curve, flog, z, 1e-4, 50, 20, precision),
+                 lambda: eval_wp(curve, 0.1, 20, precision),
+                 lambda: eval_log_qseries(flog, z, 50, precision),
+                 lambda: eval_cusp_qseries(flog, z, 50, precision))
+        for call in calls:
+            call()
+            converted.clear()
+            call()
+            assert converted == []
+
+    def test_tables_die_with_their_objects(self):
+        curve = Curve(-7, 13)
+        flog = formal_logarithm(curve, 20)
+        wp_coefficients.cache_clear()
+        for precision in (53, 150):
+            derivative_check(curve, flog, 0.1 + 0.8j, 1e-4, 20, 20, precision)
+        ids = id(flog), id(wp_coefficients(curve, 20))
+        held = [key for key in numeric_eval._TABLES if key[0] in ids]
+        assert len(held) == 8  # log, cusp, wp and (g2, g3), at each precision
+        del flog
+        wp_coefficients.cache_clear()  # the memo held the only other reference
+        gc.collect()
+        assert not [key for key in numeric_eval._TABLES if key[0] in ids]
+
+    def test_overflow_refusals_repeat(self):
+        curve = Curve(10**400, 0)
+        flog = formal_logarithm(curve, 40)
+        for _ in range(2):  # the second call reads the cut table, and refuses alike
+            with pytest.raises(OverflowError, match=r"^log coefficient 5 is beyond the double "):
+                param_point(curve, flog, 0.1 + 0.8j, 40, 40)
+        with pytest.raises(OutOfRadiusError, match=r"^\|w\| = 8\.49167e\+3516 outside"):
+            param_point(curve, flog, 0.1 + 0.8j, 40, 40, 150)
+        with pytest.raises(OutOfRadiusError, match=r"radius 7\.67181e-102 at order 4$"):
+            param_point(curve, flog, 0.1 + 0.8j, 4, 4)  # coefficient 5 is not read

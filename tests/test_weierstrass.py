@@ -246,3 +246,14 @@ class TestMemo:
             wp_coefficients(Curve(-7, 13), order)
         info = wp_coefficients.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (16, 16, 17)
+
+    @pytest.mark.parametrize("order", (20.0, True, F(20), "20"))
+    def test_order_of_another_type_refused_before_and_after_an_int_call(self, order):
+        # 20.0 and F(20) equal 20 and hash like it: the memo must not hand them its entry
+        name = type(order).__name__
+        wp_coefficients.cache_clear()
+        with pytest.raises(TypeError, match=f"^order must be an int, not {name}$"):
+            wp_coefficients(Curve(4, 0), order)
+        wp_coefficients(Curve(4, 0), 20)
+        with pytest.raises(TypeError, match=f"^order must be an int, not {name}$"):
+            wp_coefficients(Curve(4, 0), order)

@@ -12,11 +12,12 @@ numerator or denominator of the law.  The pullback is timed with the
 ``wp_coefficients`` memo emptied before each call, as in one CLI call.
 
 A second table times ``param_point`` at z = 0.1 + 0.8i, nmax 50, with wp
-order the ladder's order, at 53 and 150 bits: cold, with the
-``wp_coefficients`` memo emptied before each call, so the expansion is
-built in the timed call, and warm, on a filled memo.  Next to them: the
-largest bit size of a numerator or denominator among the c_k.  Run from
-the repository root, for example
+order the ladder's order, at 53 and 150 bits: cold, on a new formal log
+with the ``wp_coefficients`` memo emptied before each call (both untimed),
+so the expansion is built and every coefficient converted in the timed
+call, as in one CLI call; and warm, on a filled memo and filled conversion
+tables.  Next to them: the largest bit size of a numerator or denominator
+among the c_k.  Run from the repository root, for example
 
     python3 tools/layer_ladder.py
     python3 tools/layer_ladder.py --orders 20 40 --repeat 15
@@ -65,11 +66,13 @@ def first_division_bits(curve: Curve, order: int) -> int:
     return bits(seen)
 
 
-def best_ms(call, repeat: int) -> float:
+def best_ms(call, repeat: int, fresh=tuple) -> float:
+    """Minimum over ``repeat`` of one ``call(*fresh())``, ``fresh`` untimed."""
     times = []
     for _ in range(repeat):
+        args = fresh()
         start = time.perf_counter()
-        call()
+        call(*args)
         times.append(time.perf_counter() - start)
     return 1e3 * min(times)
 
@@ -82,16 +85,23 @@ def cold(call):
     return run
 
 
+def fresh_log(curve: Curve) -> tuple:
+    """A new formal log, with the ``wp_coefficients`` memo emptied: a
+    ``param_point`` on it finds no expansion and no conversion table."""
+    wp_coefficients.cache_clear()
+    return (formal_logarithm(curve, NMAX),)
+
+
 def param_rows(orders, repeat: int) -> None:
     print(f"{'curve':>12} {'order':>5} {'bits':>5} {'cold ms':>10} {'warm ms':>10} {'c_k bits':>8}")
     for curve in CURVES:
         flog = formal_logarithm(curve, NMAX)
         for order in orders:
             for precision in (53, 150):
-                def point():
+                def point(flog=flog):
                     param_point(curve, flog, Z, NMAX, order, precision)
-                first = best_ms(cold(point), repeat)
-                point()  # fill the memo
+                first = best_ms(point, repeat, lambda: fresh_log(curve))
+                point()  # fill the memo and the tables
                 warm = best_ms(point, repeat)
                 print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {precision:>5} {first:>10.3f}"
                       f" {warm:>10.3f} {bits(wp_coefficients(curve, order).c):>8}")
