@@ -1,12 +1,13 @@
 """Exact formal-group engine for curves y^2 = 4x^3 - g2*x - g3 over Q.
 
-Pipeline: from (g2, g3), that is (A, B) = (-g2/4, -g3/4), two flows that
-read neither each other nor wp, both in integers on the curve scaled by
-weight.  (A, B) -> exp by the chord ODE: the formal exponential
+Pipeline: from (g2, g3), that is (A, B) = (-g2/4, -g3/4), three routes
+that read neither each other nor wp, all in integers on the curve scaled
+by weight.  (A, B) -> exp by the chord ODE: the formal exponential
 t = -2x/y along z, with s = -2/y, from E' = 1 - 2A E S - 3B S^2 and
-S' = 3E^2 + A S^2.  (A, B) -> log by the invariant differential: the
-chart coordinate s = -2/y, and dx/y integrated into the formal logarithm.  wp is expanded on its own and
-checks both: the pullback identities bind it to the log, the
+S' = 3E^2 + A S^2.  (A, B) -> log in closed form: dx/y integrated, its
+coefficients the middle coefficients of the powers of the scaled cubic.
+(A, B) -> the chart coordinate s = -2/y.  wp is expanded on its own and
+checks them: the pullback identities bind it to the log and the chart, the
 ``bernoulli`` cross-checks to the exp, and exp and log invert each other
 (reverting the exponential stays as a check too).  Candidate L-series
 coefficients are read off the logarithm and verified prime by prime

@@ -6,18 +6,20 @@ Every series here comes from the curve itself, in the chord coordinates
 B s^3 is Silverman's w = z^3 + a4 z w^2 + a6 w^3, whose formal group lies
 in Z[A, B].  Each route runs in integers on the curve scaled by weight
 u = lcm(den A, den B), (a, b) = (u^4 A, u^6 B), and turns into Fractions
-once, at the end.  Two flows read neither each other nor wp: (A, B) -> exp
-by the chord ODE, and (A, B) -> log by the invariant differential, whose
-a(n) are the candidate L-series coefficients handled downstream.  wp
-checks them from outside: the pullback identity wp(log t) = t/s binds it
-to the log, wp'(log t) = -2/s, taken from wp(log t) by the chain rule,
-binds the log's derivative to the chart, and the ``bernoulli``
-cross-checks bind wp to the exp; exp and log invert each other
-(acceptance criterion 4).  The group law is exp of the sum of logs, solved
-as the two-variable chord ODE, or the closed rational expression in (t, s);
-the two must agree coefficient for coefficient.  Both laws and the axiom
-check run on the scaled law F~(t1, t2) = F(u t1, u t2) / u, which has
-integer coefficients and passes each axiom exactly when F does.
+once, at the end.  Three routes read neither each other nor wp: (A, B) ->
+exp by the chord ODE; (A, B) -> log in closed form, u^(2k) a(2k + 1) =
+[x^(2k)] (x^3 + a x + b)^k, whose a(n) are the candidate L-series
+coefficients handled downstream; and (A, B) -> W, the chart s = t^3 w, by
+its own recursion.  wp checks them from outside: the pullback identity
+wp(log t) = t/s binds wp, the closed-form log and W together,
+wp'(log t) = -2/s, taken from wp(log t) by the chain rule, binds the
+log's derivative to the chart, and the ``bernoulli`` cross-checks bind wp
+to the exp; exp and log invert each other (acceptance criterion 4).  The
+group law is exp of the sum of logs, solved as the two-variable chord ODE,
+or the closed rational expression in (t, s); the two must agree
+coefficient for coefficient.  Both laws and the axiom check run on the
+scaled law F~(t1, t2) = F(u t1, u t2) / u, which has integer coefficients
+and passes each axiom exactly when F does.
 Associativity is checked by the invariant differential: dF/dt1 (t1, t2)
 P(t1) = P(F(t1, t2)) with P = dF/dt1 (0, .).  The pullback composes wp
 with the scaled log in Hurwitz series, n! [tau^n] at degree n, so it runs
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .series import (
@@ -57,10 +60,11 @@ class FormalLog:
 
     Here A = -g2/4, B = -g3/4 and s = T^3 w.  ``an[n-1]`` holds
     a(n) = n * [T^n] log-series; these are the candidate L-series
-    coefficients.  They are computed as the integers u^(n-1) a(n) of the
-    curve scaled by weight u (see :func:`_integer_core`) and divided by
-    u^(n-1) once.  Reverting the exponential gives the same series and is
-    kept as a check.  Odd model, so a(n) = 0 for all even n.
+    coefficients.  They are computed as the integers u^(n-1) a(n) =
+    [x^(n-1)] (x^3 + a x + b)^((n-1)/2) of the curve scaled by weight u
+    (see :func:`_log_core`), one Fraction each for a(n) and a(n)/n.  The
+    same series from W by a division, and by reverting the exponential,
+    are kept as checks.  Odd model, so a(n) = 0 for all even n.
     """
 
     curve: Curve
@@ -143,7 +147,7 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
 
 
 def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
-    """Integrate the invariant differential through t^order, in integers."""
+    """Integrate the invariant differential through t^order, in closed form."""
     # formal_logarithm(fexp) reads (fexp.curve, fexp.series.order); that form
     # stays only while perfbench/workloads.py calls it (ROADMAP item 1).
     if isinstance(curve, FormalExp):
@@ -152,10 +156,43 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
         raise TypeError("formal_logarithm(curve, order) needs an order")
     if order < 1:
         raise ValueError("order must be >= 1")
-    u, _, scaled = _integer_core(curve, (order + 1) // 2)
-    an = tuple(_unscale(u, scaled, order))
-    series = UniSeries(order, (_ZERO, *(a / n for n, a in enumerate(an, 1))))
-    return FormalLog(curve, series, an)
+    u, values = _log_core(curve, range((order + 1) // 2))
+    an, coeffs, scale = [_ZERO] * order, [_ZERO] * (order + 1), 1
+    for k, v in enumerate(values):  # one Fraction per coefficient: v / u^(2k), over 2k + 1
+        an[2 * k], coeffs[2 * k + 1] = Fraction(v, scale), Fraction(v, scale * (2 * k + 1))
+        scale *= u * u
+    return FormalLog(curve, UniSeries(order, coeffs), tuple(an))
+
+
+def _log_core(curve: Curve, ks) -> tuple:
+    """(u, V): V[m] = u^(2k) a(2k + 1) = [x^(2k)] (x^3 + a x + b)^k at k = ks[m].
+
+    With u, a and b the weights of :func:`_weights`, the invariant
+    differential of the scaled curve has as coefficients the middle
+    coefficients of the powers of its cubic, so each is the multinomial sum
+
+        sum C(k, i) C(k - i, j) a^j b^l,  ceil(k/2) <= i <= floor(2k/3),
+
+    with j = 2k - 3i and l = 2i - k, about k/6 terms of integers, on powers
+    of a and b built once per call.  A term with a zero factor is skipped:
+    at b = 0 only l = 0 is left and at a = 0 only j = 0.  It reads neither
+    W nor a series inversion.  At k = (p - 1)/2 it is, mod p, the Hasse
+    invariant (Silverman, AEC, Theorem V.4.1): a(p) = p + 1 - #E(F_p) mod p.
+    """
+    u, a, b = _weights(curve)
+    top = max(ks, default=0)
+    apow = list(accumulate(repeat(a, top // 2), mul, initial=1))  # a^j, j <= k/2
+    bpow = list(accumulate(repeat(b, top // 3), mul, initial=1))  # b^l, l <= k/3
+    values = []
+    for k in ks:
+        lo, hi = (k + 1) // 2, 2 * k // 3
+        if not b:  # l = 0: i = k/2
+            hi = lo if 2 * lo == k else lo - 1
+        if not a:  # j = 0: i = 2k/3
+            lo = hi if 3 * hi == 2 * k else hi + 1
+        values.append(sum(math.comb(k, i) * math.comb(k - i, 2 * k - 3 * i)
+                          * apow[2 * k - 3 * i] * bpow[2 * i - k] for i in range(lo, hi + 1)))
+    return u, values
 
 
 def universal_bernoulli(fexp, order: int):
@@ -181,35 +218,28 @@ def s_coordinate(curve: Curve, order: int) -> SCoordinate:
     """s = t^3 w through t^order, from the integer w of the core."""
     if order < 3:
         raise ValueError("order must be >= 3")
-    u, w, _ = _integer_core(curve, (order - 1) // 2, log=False)
+    u, w = _integer_core(curve, (order - 1) // 2)
     return SCoordinate(curve, UniSeries(order, _unscale(u, w, order + 1, first=3)))
 
 
-def _integer_core(curve: Curve, terms: int, log: bool = True) -> tuple:
-    """(u, W, N): W[i] = u^(2i) [t^(2i)] w and N[i] = u^(2i) a(2i + 1), i < terms.
+def _integer_core(curve: Curve, terms: int) -> tuple:
+    """(u, W): W[i] = u^(2i) [t^(2i)] w for i < terms.
 
     With A = -g2/4, B = -g3/4 and u = lcm(den A, den B) (no factoring), the
     weights a = u^4 A and b = u^6 B are integers, and W(t) = w(u t) solves
     W = 1 + a t^4 W^2 + b t^6 W^3 in integers.  W is even in t, so only even
     exponents are kept: [t^(2i)] W needs [t^(2i-4)] W^2 and [t^(2i-6)] W^3,
-    which running lists of W^2 and W^3 already hold.  The invariant
-    differential dt / (1 - 2A t^4 w - 3B t^6 w^2) scales the same way, so N
-    holds the coefficients of 1 / (1 - 2a t^4 W - 3b t^6 W^2), an integer
-    series with constant term 1, inverted with no division.  With log False
-    only W is solved and N is [1].
+    which running lists of W^2 and W^3 already hold.  W is the chart's
+    route; the log has its own, :func:`_log_core`.
     """
     u, a, b = _weights(curve)
     w, sq, cube = [1], [], []
-    an, e = [1], []  # e[i-1] = [t^(2i)] of 2a t^4 W + 3b t^6 W^2
     for i in range(1, terms):
         h = i // 2  # (W^2)_(i-1): the products W_j W_(i-1-j), j < h, count twice
         sq.append(2 * sum(map(mul, w[:h], w[: i - 1 - h : -1])) + (w[h] ** 2 if i % 2 else 0))
         cube.append(sum(map(mul, w, reversed(sq))))
         w.append((a * sq[i - 2] if i >= 2 else 0) + (b * cube[i - 3] if i >= 3 else 0))
-        if log:
-            e.append((2 * a * w[i - 2] if i >= 2 else 0) + (3 * b * sq[i - 3] if i >= 3 else 0))
-            an.append(sum(map(mul, e, reversed(an))))
-    return u, w, an
+    return u, w
 
 
 def _weights(curve: Curve) -> tuple:
@@ -354,7 +384,7 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
         raise ValueError("order must be >= 2")
     u, a, b = _weights(curve)
     s = [0] * (order + 2)
-    s[3::2] = _integer_core(curve, order // 2, log=False)[1]
+    s[3::2] = _integer_core(curve, order // 2)[1]
     s = UniSeries(order + 1, s)
     m = divided_difference(s)
     t1, t2 = BiSeries.variable(order, 1), BiSeries.variable(order, 2)
@@ -472,8 +502,10 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     p(Z) = 1 + sum c_k Z^k, and by the chain rule t^3 wp'(log) =
     (t P' - 2P) / log'; the chart side is 1/w and -2/w.  All are even in
     t, so they are kept in T = t^2 through T^h, h = order // 2.  On the
-    curve scaled by weight u (t = u tau, see :func:`_integer_core`) w is the
-    integer W and log' the integer unit sum u^(2i) a(2i + 1) T^i.
+    curve scaled by weight u (t = u tau) w is the integer W of
+    :func:`_integer_core` and log' the integer unit sum u^(2i) a(2i + 1) T^i
+    of the closed form, :func:`_log_core`: three routes, bound by one
+    identity.
 
     p is composed in Hurwitz series in tau, held as n! [tau^n] at degree n
     (Keigher, Comm. Algebra 25, 1997).  A product is a binomial convolution,
@@ -490,7 +522,8 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     if order < 0:
         raise ValueError("order must be >= 0")
     h = order // 2
-    u, w, an = _integer_core(curve, h + 1)
+    u, w = _integer_core(curve, h + 1)
+    an = _log_core(curve, range(h + 1))[1]
     c = wp_coefficients(curve, max(2, h)).c[: max(h - 1, 0)]  # c_2 .. c_h
     outer = [ck * u ** (2 * k) for k, ck in enumerate(c, 2)]  # c~_k
     q = math.lcm(*(x.denominator for x in outer))

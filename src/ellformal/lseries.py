@@ -3,10 +3,11 @@
 The scaled formal-logarithm coefficients a(n) = n * [T^n] log-series are
 checked prime by prime against an independent oracle: for a good odd
 prime p >= 5, a(p) must be congruent mod p to the trace p + 1 - #E(F_p),
-with #E(F_p) obtained by exhaustive enumeration.  The model
-y^2 = 4x^3 - g2*x - g3 is rewritten as (y/2)^2 = x^3 + A*x + B with
-A = -g2/4, B = -g3/4 before reducing, so primes 2 and 3 are never
-touched.
+with #E(F_p) obtained by exhaustive enumeration.  a(p) is read at the
+primes only, from the log's closed form (the Hasse invariant mod p), so
+no other a(n) is built.  The model y^2 = 4x^3 - g2*x - g3 is rewritten
+as (y/2)^2 = x^3 + A*x + B with A = -g2/4, B = -g3/4 before reducing,
+so primes 2 and 3 are never touched.
 
 Because the formal logarithm of this model is odd, a(n) = 0 for every
 even n; only prime-index congruences are meaningful and the report
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formal_group import FormalLog
+from .formal_group import _log_core
 from .series import UniSeries
 from .weierstrass import Curve
 
@@ -151,41 +152,36 @@ def count_points(rc: ReducedCurve) -> int:
     return total
 
 
-def honda_check(flog: FormalLog, pmax: int) -> HondaReport:
-    """Congruence a(p) = p + 1 - #E(F_p) (mod p) for all good 5 <= p <= pmax,
-    on the curve of ``flog``.
+def honda_check(curve: Curve, pmax: int) -> HondaReport:
+    """Congruence a(p) = p + 1 - #E(F_p) (mod p) for all good 5 <= p <= pmax.
 
-    a(p) is reduced mod p by inverting its denominator; a denominator
-    divisible by p yields a skip, not a failure.  The ``exact`` flag
-    records whether a(p) equals the trace on the nose (an empirical
-    observation, not something the congruence requires).
+    a(p) is read at the good primes only, from the closed form of the log
+    (:func:`~ellformal.formal_group._log_core`, one call for all of them),
+    as u^(1-p) times the middle coefficient [x^(p-1)] (x^3 + a x + b)^((p-1)/2)
+    of the weight-scaled cubic, and reduced mod p by inverting its
+    denominator.  The ``exact`` flag records whether a(p) equals the trace
+    on the nose (an empirical observation, not something the congruence
+    requires).
     """
-    curve = flog.curve
-    if flog.series.order < pmax:
-        raise ValueError(
-            f"formal log order {flog.series.order} does not cover pmax={pmax}"
-        )
-    entries = []
+    entries, good = {}, []
     for p in primes_upto(pmax):
         if p < 5:
             continue
         try:
-            rc = reduce_curve(curve, p)
+            good.append(reduce_curve(curve, p))
         except ReductionSkip as skip:
-            entries.append(HondaEntry(p, None, None, None, None, skip.reason))
-            continue
-        a_p = flog.a(p)
-        if a_p.denominator % p == 0:
-            entries.append(
-                HondaEntry(p, None, a_p, None, None, "a(p) denominator divisible by p")
-            )
-            continue
+            entries[p] = HondaEntry(p, None, None, None, None, skip.reason)
+    # The denominator of a(p) divides u^(p-1); a p dividing u = lcm(den A, den B)
+    # divides den A or den B, so reduce_curve skipped it above ("denominator
+    # divisible by p"), and the inverse below always exists.
+    u, values = _log_core(curve, [(rc.p - 1) // 2 for rc in good])
+    for rc, v in zip(good, values):
+        p = rc.p
+        a_p = Fraction(v, u ** (p - 1))
         trace = p + 1 - count_points(rc)
         residue = a_p.numerator * pow(a_p.denominator, -1, p) % p
-        entries.append(
-            HondaEntry(p, trace, a_p, (residue - trace) % p == 0, a_p == trace)
-        )
-    return HondaReport(curve, pmax, tuple(entries))
+        entries[p] = HondaEntry(p, trace, a_p, (residue - trace) % p == 0, a_p == trace)
+    return HondaReport(curve, pmax, tuple(entries[p] for p in sorted(entries)))
 
 
 # -- classical degeneration -------------------------------------------------

@@ -147,7 +147,7 @@ def test_criterion_07_honda_congruences():
     t0 = time.perf_counter()
     lemniscatic = Curve(4, 0)
     flog = formal_logarithm(lemniscatic, 97)
-    report = honda_check(flog, 97)
+    report = honda_check(lemniscatic, 97)
     by_p = {entry.p: entry for entry in report.entries}
     spot = (
         by_p[5].a_formal == -2
@@ -155,12 +155,13 @@ def test_criterion_07_honda_congruences():
         and by_p[7].a_formal == 0
         and by_p[7].trace == 0
     )
-    failures = [] if report.all_congruent else [
-        e for e in report.entries if e.congruent is False
-    ]
+    # honda reads a(p) from the closed form; each must be the log's own a(p)
+    failures = [e for e in report.entries
+                if e.congruent is False or (not e.skipped and e.a_formal != flog.a(e.p))]
     for curve in _curves(10, seed=SEED + 7):
-        r = honda_check(formal_logarithm(curve, 50), 50)
-        failures.extend(e for e in r.entries if e.congruent is False)
+        flog = formal_logarithm(curve, 50)
+        failures.extend(e for e in honda_check(curve, 50).entries
+                        if e.congruent is False or (not e.skipped and e.a_formal != flog.a(e.p)))
     elapsed = time.perf_counter() - t0
     ok = spot and not failures and elapsed < 30.0
     _report(7, "a(p) = p + 1 - #E(F_p) mod p: primes to 97, plus 10 curves to 50", ok, t0)

@@ -24,7 +24,8 @@ def _forbid_series(monkeypatch):
     """Fail the test if any formal exponential, logarithm or wp expansion gets
     built, or the classical demo runs."""
     for target in ("ellformal.cli.formal_exponential", "ellformal.cli.formal_logarithm",
-                   "ellformal.formal_group._integer_core", "ellformal.cli.wp_coefficients",
+                   "ellformal.formal_group._integer_core", "ellformal.formal_group._log_core",
+                   "ellformal.lseries._log_core", "ellformal.cli.wp_coefficients",
                    "ellformal.weierstrass.wp_coefficients", "ellformal.cli.classical_demo"):
         monkeypatch.setattr(target, lambda *a, **k: pytest.fail("series built"))
 

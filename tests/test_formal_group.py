@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import ellformal
-from ellformal import cli, formal_group, numeric_eval, weierstrass
+from ellformal import cli, formal_group, lseries, numeric_eval, weierstrass
 from ellformal.series import _combination
 from ellformal import (
     BiSeries,
@@ -143,16 +143,18 @@ class TestFormalLogarithm:
 
 
 class TestOneLogRoute:
-    """The log is read off the invariant differential by one integer core,
-    not by reversion or a series division, and nothing that needs only the
-    log builds the exponential or its wp; the exponential reads no wp either."""
+    """The log is read off the closed form of the invariant differential by
+    one integer kernel, not by W, reversion or a series division; W comes
+    from the core alone.  Nothing that needs only the log builds the
+    exponential or its wp, and the exponential reads no wp either."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counted = []
-        bindings = (ellformal, cli, formal_group, numeric_eval, weierstrass, UniSeries)
+        bindings = (ellformal, cli, formal_group, lseries, numeric_eval, weierstrass, UniSeries)
         for home, name in ((UniSeries, "reverse"), (UniSeries, "__truediv__"),
                            (formal_group, "s_coordinate"), (formal_group, "_integer_core"),
+                           (formal_group, "_log_core"), (formal_group, "formal_logarithm"),
                            (formal_group, "formal_exponential"),
                            (weierstrass, "wp_coefficients")):
             original = vars(home)[name]
@@ -168,7 +170,7 @@ class TestOneLogRoute:
 
     def test_counts(self, calls):
         formal_logarithm(Curve(-7, 13), 97)
-        assert calls == ["_integer_core"]  # no s_coordinate, no series division
+        assert calls == ["_log_core"]  # no W, no s_coordinate, no series division
 
     def test_exponential_reads_no_wp(self, calls):
         formal_group.formal_exponential(Curve(-7, 13), 97)
@@ -179,11 +181,13 @@ class TestOneLogRoute:
         assert calls == ["s_coordinate", "_integer_core"]
 
     @pytest.mark.parametrize("argv,expected", (
-        (("honda", "--g2=-7", "--g3=13", "--pmax=97"), ("_integer_core",)),
-        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=an"), ("_integer_core",)),
-        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=fl"), ("_integer_core",)),
+        (("honda", "--g2=-7", "--g3=13", "--pmax=97"), ("_log_core",)),  # a(p) only, no log
+        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=an"),
+         ("formal_logarithm", "_log_core")),
+        (("expand", "--g2=-7", "--g3=13", "--order=40", "--what=fl"),
+         ("formal_logarithm", "_log_core")),
         (("param", "--g2=-7", "--g3=13", "--z=0.1,0.8", "--order=30"),
-         ("_integer_core", "wp_coefficients")),  # wp for the point, not for an exp
+         ("formal_logarithm", "_log_core", "wp_coefficients")),  # wp for the point, not for an exp
     ), ids=" ".join)
     def test_log_commands_build_no_exponential(self, calls, capsys, argv, expected):
         assert cli.main(list(argv)) == 0
@@ -191,9 +195,11 @@ class TestOneLogRoute:
 
     def test_pullback_solves_s_once(self, calls):
         coordinate_pullback(Curve(-7, 13), 40)
-        # the three exact divisions are by (2h + 2)! v~^2 (the scaled unit's
-        # square), by the scaled log' (wp' by the chain rule) and by the chart's W
-        assert calls == ["_integer_core", "wp_coefficients"] + ["__truediv__"] * 3
+        # W from the core, log' from the closed form; the three exact divisions
+        # are by (2h + 2)! v~^2 (the scaled unit's square), by the scaled log'
+        # (wp' by the chain rule) and by the chart's W
+        assert calls == (["_integer_core", "_log_core", "wp_coefficients"]
+                         + ["__truediv__"] * 3)
 
 
 class TestIntegerCore:
@@ -214,8 +220,9 @@ class TestIntegerCore:
     @pytest.mark.parametrize("g2,g3,u", ((4, 0, 1), (-7, 13, 4), (F(-3, 7), F(5, 11), 308),
                                          (F(5, 6), F(-7, 9), 72), (0, 0, 1)))
     def test_scaled_values_are_integers(self, g2, g3, u):
-        got_u, w, an = formal_group._integer_core(Curve(g2, g3), 30)
-        assert got_u == u
+        got_u, w = formal_group._integer_core(Curve(g2, g3), 30)
+        log_u, an = formal_group._log_core(Curve(g2, g3), range(30))
+        assert got_u == log_u == u
         assert all(type(v) is int for v in w + an)
         flog = formal_logarithm(Curve(g2, g3), 59)
         assert [flog.a(2 * i + 1) * u ** (2 * i) for i in range(30)] == an
@@ -242,6 +249,28 @@ def _an_by_division(s: UniSeries, order: int) -> tuple:
     w = UniSeries(order - 1, s.coeffs[3 : order + 3])
     numer = UniSeries(order - 1, [(k + 2) * c for k, c in enumerate(w.coeffs)])
     return (numer / (2 * w)).coeffs
+
+
+class TestClosedFormLog:
+    """The log's closed form, u^(2k) a(2k + 1) = [x^(2k)] (x^3 + a x + b)^k,
+    against the W route: the invariant differential read off s = t^3 w by a
+    series division.  The two share only the weights."""
+
+    @given(curve=CURVE_FAMILIES, order=st.integers(1, 200))
+    @example(curve=Curve(4, 0), order=200)  # b = 0: only l = 0 survives
+    @example(curve=Curve(0, 5), order=200)  # a = 0: only j = 0 survives
+    @example(curve=Curve(0, 0), order=200)
+    @example(curve=Curve(53568, 4321728), order=200)  # 11a, the short model scaled by 6
+    def test_matches_w_route(self, curve, order):
+        flog = formal_logarithm(curve, order)
+        assert flog.an == _an_by_division(s_coordinate(curve, order + 2).series, order)
+        assert flog.series.coeffs == (0, *(a / n for n, a in enumerate(flog.an, 1)))
+
+    def test_kernel_takes_any_indices(self):
+        u, values = formal_group._log_core(Curve(F(-3, 7), F(5, 11)), range(40))
+        assert formal_group._log_core(Curve(F(-3, 7), F(5, 11)), [39, 2, 17]) == (
+            u, [values[39], values[2], values[17]])
+        assert formal_group._log_core(Curve(4, 0), []) == (1, [])
 
 
 class TestExpLogInverse:
@@ -810,14 +839,14 @@ class TestPullbackIdentities:
 
     @pytest.mark.parametrize("i", (1, 4, 15))
     def test_perturbed_scaled_an_fails(self, i, monkeypatch):
-        original = formal_group._integer_core
+        original = formal_group._log_core
 
-        def perturbed(curve, terms, log=True):
-            u, w, an = original(curve, terms, log)
+        def perturbed(curve, ks):
+            u, an = original(curve, ks)
             an[i] += 1  # u^(2i) a(2i + 1)
-            return u, w, an
+            return u, an
 
-        monkeypatch.setattr(formal_group, "_integer_core", perturbed)
+        monkeypatch.setattr(formal_group, "_log_core", perturbed)
         pb = coordinate_pullback(Curve(-7, 13), 30)
         assert pb.x_pullback != pb.x_coords and pb.y_pullback != pb.y_coords
 

@@ -17,6 +17,7 @@ from ellformal import (
     reduce_curve,
 )
 from ellformal import lseries
+from ellformal.cli import main
 from conftest import random_curve
 
 
@@ -103,9 +104,7 @@ class TestCountPoints:
 
 class TestHondaCheck:
     def test_lemniscatic_spot_values(self):
-        c = Curve(4, 0)
-        fl = formal_logarithm(c, 23)
-        report = honda_check(fl, 20)
+        report = honda_check(Curve(4, 0), 20)
         assert [e.p for e in report.entries] == [5, 7, 11, 13, 17, 19]
         assert report.all_congruent
         by_p = {e.p: e for e in report.entries}
@@ -115,32 +114,42 @@ class TestHondaCheck:
     def test_randomized_curves(self, rng):
         for _ in range(5):
             c = random_curve(rng)
-            fl = formal_logarithm(c, 30)
-            report = honda_check(fl, 30)
+            report = honda_check(c, 30)
             bad = [e for e in report.entries if e.congruent is False]
             assert not bad, (c, bad)
 
     def test_entries_sorted_and_unique(self, rng):
-        c = random_curve(rng)
-        fl = formal_logarithm(c, 30)
-        report = honda_check(fl, 30)
+        report = honda_check(random_curve(rng), 30)
         ps = [e.p for e in report.entries]
         assert ps == sorted(set(ps))
         assert set(ps) == {p for p in primes_upto(30) if p >= 5}
 
     def test_all_skipped_for_singular_model(self):
-        c = Curve(0, 0)
-        fl = formal_logarithm(c, 12)
-        report = honda_check(fl, 12)
+        report = honda_check(Curve(0, 0), 12)
         assert report.n_checked == 0
         assert all(e.skipped_reason == "bad reduction" for e in report.entries)
         assert report.all_congruent  # vacuously: nothing checked, nothing failed
 
-    def test_order_guard(self):
-        c = Curve(4, 0)
-        fl = formal_logarithm(c, 10)
-        with pytest.raises(ValueError):
-            honda_check(fl, 20)
+    def test_order_guard(self, capsys):
+        # --order sizes no computation, yet stays bounded below by --pmax
+        assert main(["honda", "--g2=4", "--g3=0", "--pmax=20", "--order=10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--order" in captured.err
+
+    def test_primes_dividing_the_weight_are_skipped(self):
+        # u = 308 = 4 * 7 * 11: a(7) and a(11) would carry 7 and 11 in their
+        # denominators, and the reduction refuses both primes first
+        report = honda_check(Curve(F(-3, 7), F(5, 11)), 13)
+        assert [(e.p, e.skipped_reason) for e in report.entries] == [
+            (5, None), (7, "denominator divisible by p"),
+            (11, "denominator divisible by p"), (13, None)]
+        assert report.all_congruent and report.n_checked == 2
+
+    @pytest.mark.parametrize("curve", (Curve(-7, 13), Curve(F(-3, 7), F(5, 11))))  # u = 4, 308
+    def test_a_p_is_the_logs(self, curve):
+        flog = formal_logarithm(curve, 97)
+        checked = [e for e in honda_check(curve, 97).entries if not e.skipped]
+        assert checked and all(e.a_formal == flog.a(e.p) for e in checked)
 
 
 class TestClassicalDemo:

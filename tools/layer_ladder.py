@@ -1,5 +1,6 @@
-"""Time the pullback, the closed-form group law, the axiom check and
-``param_point`` over a ladder of orders, next to their sizes.
+"""Time the pullback, the closed-form group law, the axiom check,
+``param_point``, the log and ``honda_check`` over a ladder of orders, next
+to their sizes.
 
 For each bench curve, (4, 0), (-7, 13) and (-3/7, 5/11), and each order,
 prints the minimum over ``--repeat`` calls of the wall time of one
@@ -17,10 +18,18 @@ with the ``wp_coefficients`` memo emptied before each call (both untimed),
 so the expansion is built and every coefficient converted in the timed
 call, as in one CLI call; and warm, on a filled memo and filled conversion
 tables.  Next to them: the largest bit size of a numerator or denominator
-among the c_k.  Run from the repository root, for example
+among the c_k.
+
+A third table times one ``formal_logarithm(curve, order)`` and one
+``honda_check(curve, order)`` (a(p) at the good primes p <= order, and
+their point counts) over ``--log-orders``, in ms, next to the largest bit
+size of a numerator or denominator of the log's coefficients.
+``--tables`` picks which tables run.  Run from the repository root, for
+example
 
     python3 tools/layer_ladder.py
     python3 tools/layer_ladder.py --orders 20 40 --repeat 15
+    python3 tools/layer_ladder.py --tables log --log-orders 41 97 201
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ellformal import (  # noqa: E402
     Curve, UniSeries, coordinate_pullback, formal_logarithm, group_law_closed_form,
-    param_point, verify_axioms, wp_coefficients,
+    honda_check, param_point, verify_axioms, wp_coefficients,
 )
 
 CURVES = (Curve(4, 0), Curve(-7, 13), Curve(Fraction(-3, 7), Fraction(5, 11)))
@@ -92,6 +101,21 @@ def fresh_log(curve: Curve) -> tuple:
     return (formal_logarithm(curve, NMAX),)
 
 
+def pullback_rows(orders, repeat: int) -> None:
+    print(f"{'curve':>12} {'order':>5} {'pullback ms':>11} {'bits':>5}"
+          f" {'law ms':>10} {'axioms ms':>10} {'law bits':>8}")
+    for curve in CURVES:
+        for order in orders:
+            pullback = best_ms(cold(lambda: coordinate_pullback(curve, order)), repeat)
+            law = group_law_closed_form(curve, order)
+            closed = best_ms(lambda: group_law_closed_form(curve, order), repeat)
+            axioms = best_ms(lambda: verify_axioms(law), repeat)
+            law_bits = bits(c for row in law.series.rows for c in row)
+            print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {pullback:>11.3f}"
+                  f" {first_division_bits(curve, order):>5} {closed:>10.3f} {axioms:>10.3f}"
+                  f" {law_bits:>8}")
+
+
 def param_rows(orders, repeat: int) -> None:
     print(f"{'curve':>12} {'order':>5} {'bits':>5} {'cold ms':>10} {'warm ms':>10} {'c_k bits':>8}")
     for curve in CURVES:
@@ -107,25 +131,31 @@ def param_rows(orders, repeat: int) -> None:
                       f" {warm:>10.3f} {bits(wp_coefficients(curve, order).c):>8}")
 
 
+def log_rows(orders, repeat: int) -> None:
+    print(f"{'curve':>12} {'order':>5} {'log ms':>10} {'honda ms':>10} {'log bits':>8}")
+    for curve in CURVES:
+        for order in orders:
+            log = best_ms(lambda: formal_logarithm(curve, order), repeat)
+            honda = best_ms(lambda: honda_check(curve, order), repeat)
+            print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {log:>10.3f} {honda:>10.3f}"
+                  f" {bits(formal_logarithm(curve, order).series.coeffs):>8}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--orders", type=int, nargs="+", default=[18, 40, 60, 82])
+    parser.add_argument("--log-orders", type=int, nargs="+", default=[41, 97, 201, 401, 1001])
+    parser.add_argument("--tables", nargs="+", choices=("pullback", "param", "log"),
+                        default=["pullback", "param", "log"])
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
-    print(f"{'curve':>12} {'order':>5} {'pullback ms':>11} {'bits':>5}"
-          f" {'law ms':>10} {'axioms ms':>10} {'law bits':>8}")
-    for curve in CURVES:
-        for order in args.orders:
-            pullback = best_ms(cold(lambda: coordinate_pullback(curve, order)), args.repeat)
-            law = group_law_closed_form(curve, order)
-            closed = best_ms(lambda: group_law_closed_form(curve, order), args.repeat)
-            axioms = best_ms(lambda: verify_axioms(law), args.repeat)
-            law_bits = bits(c for row in law.series.rows for c in row)
-            print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {pullback:>11.3f}"
-                  f" {first_division_bits(curve, order):>5} {closed:>10.3f} {axioms:>10.3f}"
-                  f" {law_bits:>8}")
-    print()
-    param_rows(args.orders, args.repeat)
+    runs = {"pullback": lambda: pullback_rows(args.orders, args.repeat),
+            "param": lambda: param_rows(args.orders, args.repeat),
+            "log": lambda: log_rows(args.log_orders, args.repeat)}
+    for n, table in enumerate(args.tables):
+        if n:
+            print()
+        runs[table]()
     return 0
 
 
