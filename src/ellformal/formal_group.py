@@ -17,9 +17,10 @@ log's derivative to the chart, and the ``bernoulli`` cross-checks bind wp
 to the exp; exp and log invert each other (acceptance criterion 4).  The
 group law is exp of the sum of logs, solved as the two-variable chord ODE,
 or the closed rational expression in (t, s); the two must agree
-coefficient for coefficient.  Both laws and the axiom check run on the
-scaled law F~(t1, t2) = F(u t1, u t2) / u, which has integer coefficients
-and passes each axiom exactly when F does.
+coefficient for coefficient.  A law is held as the scaled law
+F~(t1, t2) = F(u t1, u t2) / u, which has integer coefficients and passes
+each axiom exactly when F does: both constructions return it, agreement
+and the axiom check read it, and F is unscaled from it only when read.
 Associativity is checked by the invariant differential: dF/dt1 (t1, t2)
 P(t1) = P(F(t1, t2)) with P = dF/dt1 (0, .).  The pullback composes wp
 with the scaled log in Hurwitz series, n! [tau^n] at degree n, so it runs
@@ -92,15 +93,24 @@ class SCoordinate:
 
 @dataclass(frozen=True)
 class GroupLaw:
-    """A commutative formal group law F(t1, t2) = t1 + t2 + higher order."""
+    """A commutative formal group law F(t1, t2) = t1 + t2 + higher order.
+
+    Held as ``scaled``, the law F~(t1, t2) = F(u t1, u t2) / u of the curve
+    scaled by its weight u (see :func:`_weights`), an integer series for
+    the curve's own law.  ``series`` is F, unscaled on each read.
+    """
 
     curve: Curve
-    series: BiSeries
+    scaled: BiSeries
     provenance: str  # "exp-log" or "buchstaber-bunkova"
 
     @property
+    def series(self) -> BiSeries:
+        return _unscale_law(self.scaled, _weights(self.curve)[0])
+
+    @property
     def order(self) -> int:
-        return self.series.order
+        return self.scaled.order
 
 
 @dataclass(frozen=True)
@@ -283,11 +293,10 @@ def group_law_exp_log(flog: FormalLog, order: int) -> GroupLaw:
 
     :func:`_chord_flow` solves it: no composition, no W and no common
     denominator.  ``flog.curve`` fixes the curve, whose chord ODE is the
-    flow.  The coefficient (i, j) of F is F~_ij / u^(i + j - 1), one
-    Fraction each, made once, at the end.  F~ is integral, so a log that
-    makes the flow divide inexactly, or whose L~' is not an even integer
-    series, is not the curve's: it raises :class:`InexactLawError`, and no
-    Fraction is made.
+    flow.  The law is returned as F~, in ints; :attr:`GroupLaw.series`
+    unscales it.  F~ is integral, so a log that makes the flow divide
+    inexactly, or whose L~' is not an even integer series, is not the
+    curve's: it raises :class:`InexactLawError`.
     """
     if flog.series.order < order:
         raise ValueError(f"need a log series of order >= {order}")
@@ -296,7 +305,7 @@ def group_law_exp_log(flog: FormalLog, order: int) -> GroupLaw:
     if any(x.denominator != 1 for x in ell) or any(ell[1::2]):
         raise InexactLawError("the log's scaled derivative L~' is not an even integer series")
     law = _chord_flow([x.numerator for x in ell], a, b, order)
-    return GroupLaw(flog.curve, _unscale_law(BiSeries(order, law), u), "exp-log")
+    return GroupLaw(flog.curve, BiSeries(order, law), "exp-log")
 
 
 def _chord_flow(ell: list, a: int, b: int, n: int) -> list:
@@ -377,12 +386,12 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
 
     one univariate division by a unit denominator, so every step stays in
     integers.  Since m = t1^2 + t1 t2 + t2^2 + ..., m^k starts at total
-    degree 2k, so G is needed only through x^(order // 2).  The coefficient
-    (i, j) of F is that of F~ over u^(i + j - 1), divided once, at the end.
+    degree 2k, so G is needed only through x^(order // 2).  The law is
+    returned as F~, in ints; :attr:`GroupLaw.series` unscales it.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    u, a, b = _weights(curve)
+    _, a, b = _weights(curve)
     s = [0] * (order + 2)
     s[3::2] = _integer_core(curve, order // 2)[1]
     s = UniSeries(order + 1, s)
@@ -392,53 +401,29 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     c = BiSeries.from_uni(s, order, 2) - t2m
     h = order // 2
     g = UniSeries(h, (0, -2 * a, -3 * b)[: h + 1]) / UniSeries(h, (1, 0, a, b)[: h + 1])
-    scaled = t1 + t2 - c * bi_substitute(g, m)
-    return GroupLaw(curve, _unscale_law(scaled, u), "buchstaber-bunkova")
+    return GroupLaw(curve, t1 + t2 - c * bi_substitute(g, m), "buchstaber-bunkova")
 
 
 def _unscale_law(scaled: BiSeries, u: int) -> BiSeries:
     """The law F of a curve from its law scaled by weight u: coefficient
-    (i, j) is scaled_ij / u^(i + j - 1), one Fraction each; a law has no
-    constant term."""
-    powers = [1]  # u^(k - 1) at total degree k >= 1
-    for _ in range(1, scaled.order):
-        powers.append(powers[-1] * u)
+    (i, j) is u scaled_ij / u^(i + j), one Fraction each."""
+    powers = list(accumulate(repeat(u, scaled.order), mul, initial=1))  # u^k at total degree k
     return BiSeries(scaled.order, (
-        [Fraction(x, powers[i + j - 1]) if i + j else _ZERO for j, x in enumerate(row)]
+        [Fraction(x * u, powers[i + j]) for j, x in enumerate(row)]
         for i, row in enumerate(scaled.rows)
     ))
-
-
-def _conjugate(series: BiSeries, v) -> BiSeries:
-    """F(v t1, v t2) / v: coefficient (i, j) times v^(i + j - 1), an int where integral.
-
-    An exact change of variable: v = u takes a curve's law to the integer law
-    of the curve scaled by weight u, and :func:`_unscale_law` takes it back.
-    """
-    scale = [_div(1, v)]
-    for _ in range(series.order):
-        scale.append(scale[-1] * v)
-    return BiSeries(series.order, (
-        [_integral(x * scale[i + j]) for j, x in enumerate(row)]
-        for i, row in enumerate(series.rows)
-    ))
-
-
-def _integral(x):
-    """An int or Fraction x, as an int when it is one."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def verify_axioms(law) -> AxiomReport:
     """Check neutrality, commutativity and associativity coefficient-wise.
 
     Accepts a :class:`GroupLaw` or a bare :class:`BiSeries`.  A GroupLaw is
-    checked on its conjugate F(u t1, u t2) / u by its curve's weight u (see
-    :func:`_weights`), whose coefficients are integers when F is that
-    curve's law, so the products run on ints.  Conjugation is an exact
-    change of variable: it keeps t1 + t2 as the linear part and maps a
-    neutral, commutative or associative law to one, and back, so the
-    verdicts are those of F.  A bare BiSeries is checked as given.
+    checked on the law it holds, F~(t1, t2) = F(u t1, u t2) / u for its
+    curve's weight u, whose coefficients are integers when F is that
+    curve's law, so the products run on ints.  F -> F~ is an exact change
+    of variable: it keeps t1 + t2 as the linear part and maps a neutral,
+    commutative or associative law to one, and back, so the verdicts are
+    those of F.  A bare BiSeries is checked as given.
 
     Associativity is checked by the invariant differential.  With
     P(t) = dF/dt1 (0, t), differentiating F(x, F(t1, t2)) = F(F(x, t1), t2)
@@ -454,10 +439,7 @@ def verify_axioms(law) -> AxiomReport:
     one as not associative, even one that is (F = t1, say, or a constant
     term on a law of order 2 or 3).  Failures are reported, never raised.
     """
-    if isinstance(law, GroupLaw):
-        series = _conjugate(law.series, _weights(law.curve)[0])
-    else:
-        series = law
+    series = law.scaled if isinstance(law, GroupLaw) else law
     n = series.order
     expected = UniSeries(n, (0, 1)[: n + 1])
     neutral = series.at_t2_zero() == expected

@@ -171,14 +171,9 @@ def bernoulli_hurwitz(curve: Curve, k: int) -> Fraction:
     """Elliptic Bernoulli analogue: 2k * G_k for even k >= 4, zero for odd."""
     if k < 4:
         raise ValueError("Bernoulli-Hurwitz numbers need k >= 4")
-    return _bernoulli_hurwitz(wp_coefficients(curve, k // 2), k)
+    return 2 * k * _eisenstein(wp_coefficients(curve, k // 2), k)
 
 
 def _eisenstein(wp: WpExpansion, k: int) -> Fraction:
     """G_k read off an expansion through c_(k//2): zero for odd k."""
     return _ZERO if k % 2 else math.factorial(k - 2) * wp.coefficient(k // 2) / 2
-
-
-def _bernoulli_hurwitz(wp: WpExpansion, k: int) -> Fraction:
-    """2k * G_k read off an expansion through c_(k//2)."""
-    return 2 * k * _eisenstein(wp, k)

@@ -460,7 +460,7 @@ class TestAxioms:
         c = Curve(4, 0)
         fl = formal_logarithm(c, 9)
         law = group_law_exp_log(fl, 9)
-        rows = [list(row) for row in law.series.rows]
+        rows = [list(row) for row in law.scaled.rows]  # u = 1: F~ = F
         rows[4][1] += 1
         corrupted = GroupLaw(c, BiSeries(9, rows), "exp-log")
         report = verify_axioms(corrupted)
@@ -470,7 +470,7 @@ class TestAxioms:
     def test_neutral_commutative_corruption_fails_associativity_only(self):
         c = Curve(4, 0)
         law = group_law_exp_log(formal_logarithm(c, 9), 9)
-        rows = [list(row) for row in law.series.rows]
+        rows = [list(row) for row in law.scaled.rows]  # u = 1: F~ = F
         rows[3][2] += 1
         rows[2][3] += 1
         report = verify_axioms(GroupLaw(c, BiSeries(9, rows), "exp-log"))
@@ -506,11 +506,11 @@ class TestAxioms:
 
     @pytest.mark.parametrize("curve", WEIGHTED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
     def test_axiom_products_run_on_integers(self, curve, monkeypatch):
-        law = GroupLaw(curve, _law_by_exp_log(curve, 18), "exp-log")
-        assert not _integer_rows(law.series)
+        law = group_law_exp_log(formal_logarithm(curve, 18), 18)
+        assert law.series == _law_by_exp_log(curve, 18) and not _integer_rows(law.series)
         operands = _record_operands(monkeypatch, BiSeries, "__mul__")
         assert verify_axioms(law).passed
-        # conjugated by the weight u, the Fraction law is an integer one
+        # the check reads F~ = F(u t1, u t2) / u, the integer law the law holds
         assert 0 < len(operands) <= 8
         assert all(_integer_rows(x) for pair in operands for x in pair)
 
@@ -579,29 +579,32 @@ def _sides_checked_against_reference(law: BiSeries) -> tuple:
 
 
 class TestIntegerLaw:
-    """Both laws built on the weight-scaled integer law, and the axioms
-    checked on the conjugate, against the Fraction routes they replaced."""
+    """Both laws held as the weight-scaled integer law F~, compared and
+    checked on it, against the Fraction routes they replaced; F is unscaled
+    from F~ only when read."""
 
     @given(curve=CURVE_FAMILIES, order=st.integers(2, 12))
     @example(curve=Curve(0, 0), order=12)  # singular examples drawn on every run
     @example(curve=Curve(3, 1), order=12)
     @example(curve=Curve(F(4, 3), F(-8, 27)), order=12)
     def test_closed_form_matches_fraction_routes(self, curve, order):
-        law = group_law_closed_form(curve, order).series
-        assert law == _closed_form_by_reciprocal(curve, order)
-        assert law == _law_by_exp_log(curve, order)
-        u = formal_group._weights(curve)[0]
-        assert _integer_rows(formal_group._conjugate(law, u))  # F(u t1, u t2) / u
+        law = group_law_closed_form(curve, order)
+        assert law.series == _closed_form_by_reciprocal(curve, order)
+        assert law.series == _law_by_exp_log(curve, order)
+        assert _integer_rows(law.scaled)  # F(u t1, u t2) / u
 
     @given(curve=CURVE_FAMILIES, order=st.integers(2, 12), data=st.data())
     def test_axioms_match_fraction_check(self, curve, order, data):
-        law = GroupLaw(curve, _law_by_exp_log(curve, order), "exp-log")
+        law = group_law_exp_log(formal_logarithm(curve, order), order)
+        assert law.series == _law_by_exp_log(curve, order)
         report = verify_axioms(law)
         assert report.passed and report == _axioms_by_fraction(law.series)
         i = data.draw(st.integers(0, order), label="i")
         j = data.draw(st.integers(0, order - i), label="j")
         delta = data.draw(st.sampled_from((1, -1, F(1, 2), F(-5, 7), F(3, 308))), label="delta")
-        rows = [list(row) for row in law.series.rows]
+        # F~ + delta t1^i t2^j is F + u delta / u^(i + j) t1^i t2^j: the
+        # reference reads the same corrupted law through its series
+        rows = [list(row) for row in law.scaled.rows]
         rows[i][j] += delta
         corrupted = GroupLaw(curve, BiSeries(order, rows), "exp-log")
         report, reference = verify_axioms(corrupted), _axioms_by_fraction(corrupted.series)
@@ -690,6 +693,26 @@ class TestIntegerLaw:
         assert all(type(x) is int for x in values)
         assert _integer_rows(unscaled[0][0])
 
+    def test_grouplaw_command_unscales_once_and_multiplies_ints(self, monkeypatch, capsys):
+        unscaled = _record_operands(monkeypatch, formal_group, "_unscale_law")
+        products = _record_operands(monkeypatch, BiSeries, "__mul__")
+        assert cli.main(["grouplaw", "--g2=-3/7", "--g3=5/11", "--order=18"]) == 0
+        capsys.readouterr()
+        # both laws are compared and checked as F~; F is made once, for the report
+        assert len(unscaled) == 1
+        assert products and all(_integer_rows(x) for pair in products for x in pair)
+
+    def test_series_unscales_every_coefficient(self):
+        # any F~, the constant term and Fraction entries included: F_ij = F~_ij / u^(i + j - 1)
+        curve = Curve(F(-3, 7), F(5, 11))
+        u = formal_group._weights(curve)[0]
+        rows = [[F(1 + i + 2 * j, 3 + i) if (i + j) % 3 else 5 + i for j in range(7 - i)]
+                for i in range(7)]
+        law = GroupLaw(curve, BiSeries(6, rows), "exp-log")
+        assert u == 308 and law.scaled[0, 0] == 5 and law.order == 6
+        for i, j in ((i, j) for i in range(7) for j in range(7 - i)):
+            assert law.series[i, j] * F(u) ** (i + j - 1) == law.scaled[i, j]
+
     @pytest.mark.parametrize("k", (1, 4, 9, 17))
     def test_perturbed_log_coefficient_fails(self, k):
         curve = Curve(F(-3, 7), F(5, 11))
@@ -739,8 +762,8 @@ class TestIntegerLaw:
 
 
 def _bumped_closed_form(curve: Curve, order: int, i: int, j: int) -> GroupLaw:
-    """The closed-form law with 1 added at (i, j) and at (j, i), once if i = j."""
-    rows = [list(row) for row in group_law_closed_form(curve, order).series.rows]
+    """The closed-form law with 1 added to F~ at (i, j) and at (j, i), once if i = j."""
+    rows = [list(row) for row in group_law_closed_form(curve, order).scaled.rows]
     rows[i][j] += 1
     if i != j:
         rows[j][i] += 1
@@ -756,7 +779,7 @@ def _group_law_by_fraction(fexp, flog, order: int) -> BiSeries:
 
 def _axioms_by_fraction(series: BiSeries) -> formal_group.AxiomReport:
     """Reference: the axioms checked on the law as given, in its own
-    (Fraction) coefficients, with no conjugation."""
+    (Fraction) coefficients, with no change of variable."""
     n = series.order
     neutral = series.at_t2_zero() == UniSeries(n, (0, 1)[: n + 1])
     lhs, rhs = _associativity_sides(series)

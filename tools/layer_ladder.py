@@ -8,9 +8,11 @@ prints the minimum over ``--repeat`` calls of the wall time of one
 order)`` and one ``verify_axioms`` of that law, in ms.  Next to them: the
 largest bit size of an int entering the pullback's first series division
 (``UniSeries.__truediv__``), where the composed coefficients are divided
-out, read in one extra, untimed call; and the largest bit size of a
-numerator or denominator of the law.  The pullback is timed with the
-``wp_coefficients`` memo emptied before each call, as in one CLI call.
+out, read in one extra, untimed call; and the largest bit size of an
+entry of the law as held, the scaled law F~ = F(u t1, u t2) / u, whose
+ints the timed closed form and axiom check multiply.  The pullback is
+timed with the ``wp_coefficients`` memo emptied before each call, as in
+one CLI call.
 
 A second table times ``param_point`` at z = 0.1 + 0.8i, nmax 50, with wp
 order the ladder's order, at 53 and 150 bits: cold, on a new formal log
@@ -103,14 +105,14 @@ def fresh_log(curve: Curve) -> tuple:
 
 def pullback_rows(orders, repeat: int) -> None:
     print(f"{'curve':>12} {'order':>5} {'pullback ms':>11} {'bits':>5}"
-          f" {'law ms':>10} {'axioms ms':>10} {'law bits':>8}")
+          f" {'law ms':>10} {'axioms ms':>10} {'F~ bits':>8}")
     for curve in CURVES:
         for order in orders:
             pullback = best_ms(cold(lambda: coordinate_pullback(curve, order)), repeat)
             law = group_law_closed_form(curve, order)
             closed = best_ms(lambda: group_law_closed_form(curve, order), repeat)
             axioms = best_ms(lambda: verify_axioms(law), repeat)
-            law_bits = bits(c for row in law.series.rows for c in row)
+            law_bits = bits(c for row in law.scaled.rows for c in row)
             print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {pullback:>11.3f}"
                   f" {first_division_bits(curve, order):>5} {closed:>10.3f} {axioms:>10.3f}"
                   f" {law_bits:>8}")
