@@ -15,9 +15,10 @@ wp(log t) = t/s binds wp, the closed-form log and W together,
 wp'(log t) = -2/s, taken from wp(log t) by the chain rule, binds the
 log's derivative to the chart, and the ``bernoulli`` cross-checks bind wp
 to the exp; exp and log invert each other (acceptance criterion 4).  The
-group law is exp of the sum of logs, solved as the two-variable chord ODE,
-or the closed rational expression in (t, s); the two must agree
-coefficient for coefficient.  A law is held as the scaled law
+group law is built from the curve two ways: exp of the sum of logs, solved
+as the two-variable chord ODE on the closed-form log's integers, or the
+closed rational expression in (t, s) on W; the two must agree coefficient
+for coefficient.  A law is held as the scaled law
 F~(t1, t2) = F(u t1, u t2) / u, which has integer coefficients and passes
 each axiom exactly when F does: both constructions return it, agreement
 and the axiom check read it, and F is unscaled from it only when read.
@@ -273,39 +274,32 @@ def _unscale(u: int, values: list, length: int, first: int = 0) -> list:
 
 
 class InexactLawError(ArithmeticError):
-    """The chord ODE of :func:`group_law_exp_log` met a log that is not its
-    curve's: a scaled derivative L~' with a non-integer or odd-degree term,
-    or a division by k + 1 that left a remainder."""
+    """The chord ODE of :func:`group_law_exp_log` divided by k + 1 and left
+    a remainder: the flow and the closed-form log, :func:`_log_core`, do not
+    describe one curve."""
 
 
-def group_law_exp_log(flog: FormalLog, order: int) -> GroupLaw:
+def group_law_exp_log(curve: Curve, order: int) -> GroupLaw:
     """F(t1, t2) = exp(log t1 + log t2) through total degree ``order``, by the
     two-variable chord ODE, in integers.
 
     On the curve scaled by weight u (see :func:`_weights`), with (E~, S~)
     the chord ODE's pair (see :func:`formal_exponential`) and L~ the scaled
-    log, [t^k] L~' = (k + 1) u^k [t^(k+1)] log read from ``flog.series``,
-    the scaled law F~ = F(u t1, u t2) / u is Phi = E~(L~ t1 + L~ t2), and
-    with Sigma = S~(L~ t1 + L~ t2), along t1
+    log, L~' = sum u^(2k) a(2k + 1) t^(2k) is read off the closed form,
+    :func:`_log_core`, and the scaled law F~ = F(u t1, u t2) / u is
+    Phi = E~(L~ t1 + L~ t2).  With Sigma = S~(L~ t1 + L~ t2), along t1
 
         dPhi/dt1 = L~'(t1) (1 - 2a Phi Sigma - 3b Sigma^2),
         dSigma/dt1 = L~'(t1) (3 Phi^2 + a Sigma^2).
 
     :func:`_chord_flow` solves it: no composition, no W and no common
-    denominator.  ``flog.curve`` fixes the curve, whose chord ODE is the
-    flow.  The law is returned as F~, in ints; :attr:`GroupLaw.series`
-    unscales it.  F~ is integral, so a log that makes the flow divide
-    inexactly, or whose L~' is not an even integer series, is not the
-    curve's: it raises :class:`InexactLawError`.
+    denominator.  The law is returned as F~, in ints; :attr:`GroupLaw.series`
+    unscales it.
     """
-    if flog.series.order < order:
-        raise ValueError(f"need a log series of order >= {order}")
-    u, a, b = _weights(flog.curve)
-    ell = [(k + 1) * c * u**k for k, c in enumerate(flog.series.coeffs[1 : order + 1])]
-    if any(x.denominator != 1 for x in ell) or any(ell[1::2]):
-        raise InexactLawError("the log's scaled derivative L~' is not an even integer series")
-    law = _chord_flow([x.numerator for x in ell], a, b, order)
-    return GroupLaw(flog.curve, BiSeries(order, law), "exp-log")
+    _, a, b = _weights(curve)
+    ell = [0] * order
+    ell[::2] = _log_core(curve, range((order + 1) // 2))[1]
+    return GroupLaw(curve, BiSeries(order, _chord_flow(ell, a, b, order)), "exp-log")
 
 
 def _chord_flow(ell: list, a: int, b: int, n: int) -> list:
@@ -315,12 +309,13 @@ def _chord_flow(ell: list, a: int, b: int, n: int) -> list:
 
     The rows at t1 = 0, E~(L~ t2) and S~(L~ t2), come from the same flow in
     one variable from (0, 0).  For the curve's own log they are t2 and
-    s~(t2), but solving them keeps Phi = exp(log t1 + log t2) for any log
-    given, so a wrong log changes the law.  Then row k of R and S needs rows
-    0 .. k of Phi and Sigma, and (k + 1) Phi_(k+1) = sum_j ell_j R_(k-j),
-    likewise for Sigma.  All four are symmetric in t1 and t2, so entry
-    (k, c) with c < k is copied from entry (c, k), and only c >= k is
-    solved; ell is even and Phi and Sigma odd, so every sum steps by two.
+    s~(t2), but they are solved from ell, not read from W, so the law stays
+    Phi = exp(log t1 + log t2) for whatever ell holds, and a wrong ell
+    changes the law.  Then row k of R and S needs rows 0 .. k of Phi and
+    Sigma, and (k + 1) Phi_(k+1) = sum_j ell_j R_(k-j), likewise for Sigma.
+    All four are symmetric in t1 and t2, so entry (k, c) with c < k is
+    copied from entry (c, k), and only c >= k is solved; ell is even and
+    Phi and Sigma odd, so every sum steps by two.
     """
     phi, sigma, r, s = [0], [0], [], []  # E~(L~ t) and S~(L~ t); [t^k] of R and S
     for k in range(n):
@@ -414,16 +409,15 @@ def _unscale_law(scaled: BiSeries, u: int) -> BiSeries:
     ))
 
 
-def verify_axioms(law) -> AxiomReport:
+def verify_axioms(law: GroupLaw) -> AxiomReport:
     """Check neutrality, commutativity and associativity coefficient-wise.
 
-    Accepts a :class:`GroupLaw` or a bare :class:`BiSeries`.  A GroupLaw is
-    checked on the law it holds, F~(t1, t2) = F(u t1, u t2) / u for its
-    curve's weight u, whose coefficients are integers when F is that
-    curve's law, so the products run on ints.  F -> F~ is an exact change
-    of variable: it keeps t1 + t2 as the linear part and maps a neutral,
-    commutative or associative law to one, and back, so the verdicts are
-    those of F.  A bare BiSeries is checked as given.
+    The :class:`GroupLaw` is checked on the law it holds, F~(t1, t2) =
+    F(u t1, u t2) / u for its curve's weight u, whose coefficients are
+    integers when F is that curve's law, so the products run on ints.
+    F -> F~ is an exact change of variable: it keeps t1 + t2 as the linear
+    part and maps a neutral, commutative or associative law to one, and
+    back, so the verdicts are those of F.
 
     Associativity is checked by the invariant differential.  With
     P(t) = dF/dt1 (0, t), differentiating F(x, F(t1, t2)) = F(F(x, t1), t2)
@@ -439,7 +433,7 @@ def verify_axioms(law) -> AxiomReport:
     one as not associative, even one that is (F = t1, say, or a constant
     term on a law of order 2 or 3).  Failures are reported, never raised.
     """
-    series = law.scaled if isinstance(law, GroupLaw) else law
+    series = law.scaled
     n = series.order
     expected = UniSeries(n, (0, 1)[: n + 1])
     neutral = series.at_t2_zero() == expected

@@ -406,15 +406,14 @@ def _substitute(coeffs, inner):
     return result
 
 
-def _combination(weights, series, top=None):
-    """sum_j weights[j] * series[j] (series of one type and one order) through
-    total degree ``top``, by default that order; no product is formed."""
-    n = series[0].order if top is None else top
-    out = [[0] * (n - i + 1) for i in range(min(len(series[0]._rows()), n + 1))]
+def _combination(weights, series):
+    """sum_j weights[j] * series[j] (series of one type and one order); no
+    product is formed."""
+    out = [[0] * len(row) for row in series[0]._rows()]
     for w, p in zip(weights, series):
         if w:
             for acc, row in zip(out, p._rows()):
-                for j, a in enumerate(row[: len(acc)]):
+                for j, a in enumerate(row):
                     if a:
                         acc[j] += w * a
-    return series[0]._from_rows(n, out)
+    return series[0]._from_rows(series[0].order, out)

@@ -1,11 +1,11 @@
-"""Time the pullback, the closed-form group law, the axiom check,
-``param_point``, the log and ``honda_check`` over a ladder of orders, next
-to their sizes.
+"""Time the pullback, both group laws, the axiom check, ``param_point``,
+the log and ``honda_check`` over a ladder of orders, next to their sizes.
 
 For each bench curve, (4, 0), (-7, 13) and (-3/7, 5/11), and each order,
 prints the minimum over ``--repeat`` calls of the wall time of one
 ``coordinate_pullback(curve, order)``, one ``group_law_closed_form(curve,
-order)`` and one ``verify_axioms`` of that law, in ms.  Next to them: the
+order)``, one ``group_law_exp_log(curve, order)`` and one
+``verify_axioms`` of the closed-form law, in ms.  Next to them: the
 largest bit size of an int entering the pullback's first series division
 (``UniSeries.__truediv__``), where the composed coefficients are divided
 out, read in one extra, untimed call; and the largest bit size of an
@@ -46,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ellformal import (  # noqa: E402
     Curve, UniSeries, coordinate_pullback, formal_logarithm, group_law_closed_form,
-    honda_check, param_point, verify_axioms, wp_coefficients,
+    group_law_exp_log, honda_check, param_point, verify_axioms, wp_coefficients,
 )
 
 CURVES = (Curve(4, 0), Curve(-7, 13), Curve(Fraction(-3, 7), Fraction(5, 11)))
@@ -105,17 +105,18 @@ def fresh_log(curve: Curve) -> tuple:
 
 def pullback_rows(orders, repeat: int) -> None:
     print(f"{'curve':>12} {'order':>5} {'pullback ms':>11} {'bits':>5}"
-          f" {'law ms':>10} {'axioms ms':>10} {'F~ bits':>8}")
+          f" {'law ms':>10} {'exp-log ms':>10} {'axioms ms':>10} {'F~ bits':>8}")
     for curve in CURVES:
         for order in orders:
             pullback = best_ms(cold(lambda: coordinate_pullback(curve, order)), repeat)
             law = group_law_closed_form(curve, order)
             closed = best_ms(lambda: group_law_closed_form(curve, order), repeat)
+            exp_log = best_ms(lambda: group_law_exp_log(curve, order), repeat)
             axioms = best_ms(lambda: verify_axioms(law), repeat)
             law_bits = bits(c for row in law.scaled.rows for c in row)
             print(f"{f'{curve.g2},{curve.g3}':>12} {order:>5} {pullback:>11.3f}"
-                  f" {first_division_bits(curve, order):>5} {closed:>10.3f} {axioms:>10.3f}"
-                  f" {law_bits:>8}")
+                  f" {first_division_bits(curve, order):>5} {closed:>10.3f} {exp_log:>10.3f}"
+                  f" {axioms:>10.3f} {law_bits:>8}")
 
 
 def param_rows(orders, repeat: int) -> None:
