@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .formal_group import (
-    _weights,
     formal_exponential,
     formal_logarithm,
     group_law_closed_form,
@@ -104,8 +103,8 @@ class _Cap:
 
 def _height(values: dict) -> float:
     """max(bits(a) / 4, bits(b) / 6) for the integer weights (a, b) of the curve
-    scaled by weight (formal_group._weights): the size every exact route starts from."""
-    _, a, b = _weights(Curve(values["g2"], values["g3"]))
+    scaled by weight (Curve.weights): the size every exact route starts from."""
+    _, a, b = Curve(values["g2"], values["g3"]).weights
     return max(a.bit_length() / 4, b.bit_length() / 6)
 
 

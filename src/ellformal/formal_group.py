@@ -5,16 +5,16 @@ Every series here comes from the curve itself, in the chord coordinates
 (t, s) = (-2x/y, -2/y): with A = -g2/4 and B = -g3/4, s = t^3 + A t s^2 +
 B s^3 is Silverman's w = z^3 + a4 z w^2 + a6 w^3, whose formal group lies
 in Z[A, B].  Each route runs in integers on the curve scaled by weight
-u = lcm(den A, den B), (a, b) = (u^4 A, u^6 B), and turns into Fractions
-once, at the end.  Three routes read neither each other nor wp: (A, B) ->
-exp by the chord ODE; (A, B) -> log in closed form, u^(2k) a(2k + 1) =
-[x^(2k)] (x^3 + a x + b)^k, whose a(n) are the candidate L-series
-coefficients handled downstream; and (A, B) -> W, the chart s = t^3 w, by
-its own recursion.  wp checks them from outside: the pullback identity
-wp(log t) = t/s binds wp, the closed-form log and W together,
-wp'(log t) = -2/s, taken from wp(log t) by the chain rule, binds the
-log's derivative to the chart, and the ``bernoulli`` cross-checks bind wp
-to the exp; exp and log invert each other (acceptance criterion 4).  The
+u = lcm(den A, den B), (a, b) = (u^4 A, u^6 B), held as :attr:`Curve.weights`,
+and turns into Fractions once, at the end.  Three routes read neither each
+other nor wp: (A, B) -> exp by the chord ODE; (A, B) -> log in closed form,
+u^(2k) a(2k + 1) = [x^(2k)] (x^3 + a x + b)^k, whose a(n) are the candidate
+L-series coefficients handled downstream; and (A, B) -> W, the chart
+s = t^3 w, by its own recursion.  wp checks them from outside: the
+pullback identity wp(log t) = t/s binds wp, the closed-form log and W
+together, wp'(log t) = -2/s, taken from wp(log t) by the chain rule, binds
+the log's derivative to the chart, and the ``bernoulli`` cross-checks bind
+wp to the exp; exp and log invert each other (acceptance criterion 4).  The
 group law is built from the curve two ways: exp of the sum of logs, solved
 as the two-variable chord ODE on the closed-form log's integers, or the
 closed rational expression in (t, s) on W; the two must agree coefficient
@@ -97,7 +97,7 @@ class GroupLaw:
     """A commutative formal group law F(t1, t2) = t1 + t2 + higher order.
 
     Held as ``scaled``, the law F~(t1, t2) = F(u t1, u t2) / u of the curve
-    scaled by its weight u (see :func:`_weights`), an integer series for
+    scaled by its weight u (see :attr:`Curve.weights`), an integer series for
     the curve's own law.  ``series`` is F, unscaled on each read.
     """
 
@@ -107,7 +107,7 @@ class GroupLaw:
 
     @property
     def series(self) -> BiSeries:
-        return _unscale_law(self.scaled, _weights(self.curve)[0])
+        return _unscale_law(self.scaled, self.curve.weights[0])
 
     @property
     def order(self) -> int:
@@ -133,7 +133,7 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
 
     E = exp(z) and S = s(E) = -2/wp'(z) solve E' = 1 - 2A E S - 3B S^2 (the
     invariant differential) and S' = 3E^2 + A S^2 (wp'' = 6 wp^2 - g2/2 at
-    wp = E/S) from E(0) = S(0) = 0.  With weight u (see :func:`_weights`),
+    wp = E/S) from E(0) = S(0) = 0.  With weight u (see :attr:`Curve.weights`),
     e_n = n! [z^n] E(u z) / u and s_n = n! [z^n] S(u z) / u^3 are integers:
     e_(m+1) = [m = 0] - sum_k C(m, k) (2a e_k + 3b s_k) s_(m-k) and
     s_(m+1) = sum_k C(m, k) (3 e_k e_(m-k) + a s_k s_(m-k)), over odd k as
@@ -142,7 +142,7 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    u, a, b = _weights(curve)
+    u, a, b = curve.weights
     e, s, row = [1], [0], [1]  # e_n and s_n at n = 1, 3, 5, ...; row m of Pascal's triangle
 
     def conv(x, y):  # sum over odd k of C(m, k) x_k y_(m-k), at even m
@@ -167,7 +167,7 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
         raise TypeError("formal_logarithm(curve, order) needs an order")
     if order < 1:
         raise ValueError("order must be >= 1")
-    u, values = _log_core(curve, range((order + 1) // 2))
+    u, values = curve.weights[0], _log_core(curve, range((order + 1) // 2))
     an, coeffs, scale = [_ZERO] * order, [_ZERO] * (order + 1), 1
     for k, v in enumerate(values):  # one Fraction per coefficient: v / u^(2k), over 2k + 1
         an[2 * k], coeffs[2 * k + 1] = Fraction(v, scale), Fraction(v, scale * (2 * k + 1))
@@ -175,10 +175,10 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
     return FormalLog(curve, UniSeries(order, coeffs), tuple(an))
 
 
-def _log_core(curve: Curve, ks) -> tuple:
-    """(u, V): V[m] = u^(2k) a(2k + 1) = [x^(2k)] (x^3 + a x + b)^k at k = ks[m].
+def _log_core(curve: Curve, ks) -> list:
+    """V[m] = u^(2k) a(2k + 1) = [x^(2k)] (x^3 + a x + b)^k at k = ks[m].
 
-    With u, a and b the weights of :func:`_weights`, the invariant
+    With u, a and b the weights of :attr:`Curve.weights`, the invariant
     differential of the scaled curve has as coefficients the middle
     coefficients of the powers of its cubic, so each is the multinomial sum
 
@@ -190,7 +190,7 @@ def _log_core(curve: Curve, ks) -> tuple:
     W nor a series inversion.  At k = (p - 1)/2 it is, mod p, the Hasse
     invariant (Silverman, AEC, Theorem V.4.1): a(p) = p + 1 - #E(F_p) mod p.
     """
-    u, a, b = _weights(curve)
+    _, a, b = curve.weights
     top = max(ks, default=0)
     apow = list(accumulate(repeat(a, top // 2), mul, initial=1))  # a^j, j <= k/2
     bpow = list(accumulate(repeat(b, top // 3), mul, initial=1))  # b^l, l <= k/3
@@ -203,7 +203,7 @@ def _log_core(curve: Curve, ks) -> tuple:
             lo = hi if 3 * hi == 2 * k else hi + 1
         values.append(sum(math.comb(k, i) * math.comb(k - i, 2 * k - 3 * i)
                           * apow[2 * k - 3 * i] * bpow[2 * i - k] for i in range(lo, hi + 1)))
-    return u, values
+    return values
 
 
 def universal_bernoulli(fexp, order: int):
@@ -229,38 +229,27 @@ def s_coordinate(curve: Curve, order: int) -> SCoordinate:
     """s = t^3 w through t^order, from the integer w of the core."""
     if order < 3:
         raise ValueError("order must be >= 3")
-    u, w = _integer_core(curve, (order - 1) // 2)
-    return SCoordinate(curve, UniSeries(order, _unscale(u, w, order + 1, first=3)))
+    w = _integer_core(curve, (order - 1) // 2)
+    return SCoordinate(curve, UniSeries(order, _unscale(curve.weights[0], w, order + 1, first=3)))
 
 
-def _integer_core(curve: Curve, terms: int) -> tuple:
-    """(u, W): W[i] = u^(2i) [t^(2i)] w for i < terms.
+def _integer_core(curve: Curve, terms: int) -> list:
+    """W[i] = u^(2i) [t^(2i)] w for i < terms.
 
-    With A = -g2/4, B = -g3/4 and u = lcm(den A, den B) (no factoring), the
-    weights a = u^4 A and b = u^6 B are integers, and W(t) = w(u t) solves
-    W = 1 + a t^4 W^2 + b t^6 W^3 in integers.  W is even in t, so only even
-    exponents are kept: [t^(2i)] W needs [t^(2i-4)] W^2 and [t^(2i-6)] W^3,
-    which running lists of W^2 and W^3 already hold.  W is the chart's
-    route; the log has its own, :func:`_log_core`.
+    With u, a and b the weights of :attr:`Curve.weights`, W(t) = w(u t)
+    solves W = 1 + a t^4 W^2 + b t^6 W^3 in integers.  W is even in t, so
+    only even exponents are kept: [t^(2i)] W needs [t^(2i-4)] W^2 and
+    [t^(2i-6)] W^3, which running lists of W^2 and W^3 already hold.  W is
+    the chart's route; the log has its own, :func:`_log_core`.
     """
-    u, a, b = _weights(curve)
+    _, a, b = curve.weights
     w, sq, cube = [1], [], []
     for i in range(1, terms):
         h = i // 2  # (W^2)_(i-1): the products W_j W_(i-1-j), j < h, count twice
         sq.append(2 * sum(map(mul, w[:h], w[: i - 1 - h : -1])) + (w[h] ** 2 if i % 2 else 0))
         cube.append(sum(map(mul, w, reversed(sq))))
         w.append((a * sq[i - 2] if i >= 2 else 0) + (b * cube[i - 3] if i >= 3 else 0))
-    return u, w
-
-
-def _weights(curve: Curve) -> tuple:
-    """(u, a, b): u = lcm(den A, den B) for A = -g2/4, B = -g3/4 (no factoring)
-    and the integer weights a = u^4 A, b = u^6 B of the curve scaled by u."""
-    qa, qb = -curve.g2 / 4, -curve.g3 / 4
-    u = math.lcm(qa.denominator, qb.denominator)
-    a = qa.numerator * (u // qa.denominator) * u**3
-    b = qb.numerator * (u // qb.denominator) * u**5
-    return u, a, b
+    return w
 
 
 def _unscale(u: int, values: list, length: int, first: int = 0) -> list:
@@ -283,7 +272,7 @@ def group_law_exp_log(curve: Curve, order: int) -> GroupLaw:
     """F(t1, t2) = exp(log t1 + log t2) through total degree ``order``, by the
     two-variable chord ODE, in integers.
 
-    On the curve scaled by weight u (see :func:`_weights`), with (E~, S~)
+    On the curve scaled by weight u (see :attr:`Curve.weights`), with (E~, S~)
     the chord ODE's pair (see :func:`formal_exponential`) and L~ the scaled
     log, L~' = sum u^(2k) a(2k + 1) t^(2k) is read off the closed form,
     :func:`_log_core`, and the scaled law F~ = F(u t1, u t2) / u is
@@ -296,9 +285,11 @@ def group_law_exp_log(curve: Curve, order: int) -> GroupLaw:
     denominator.  The law is returned as F~, in ints; :attr:`GroupLaw.series`
     unscales it.
     """
-    _, a, b = _weights(curve)
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    _, a, b = curve.weights
     ell = [0] * order
-    ell[::2] = _log_core(curve, range((order + 1) // 2))[1]
+    ell[::2] = _log_core(curve, range((order + 1) // 2))
     return GroupLaw(curve, BiSeries(order, _chord_flow(ell, a, b, order)), "exp-log")
 
 
@@ -370,7 +361,7 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     """F(t1, t2) from the closed chord-coordinate expression, in integers.
 
     The chart map (t, s) -> (u t, u^3 s) is linear, so it carries the chord
-    construction on the curve scaled by weight u (see :func:`_weights`),
+    construction on the curve scaled by weight u (see :attr:`Curve.weights`),
     s = t^3 + a t s^2 + b s^3, onto that of the curve itself: the scaled law
     is F~(t1, t2) = F(u t1, u t2) / u.  Its s~ = t^3 W comes straight from
     the integer W of :func:`_integer_core`.  With m the divided difference
@@ -386,9 +377,9 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    _, a, b = _weights(curve)
+    _, a, b = curve.weights
     s = [0] * (order + 2)
-    s[3::2] = _integer_core(curve, order // 2)[1]
+    s[3::2] = _integer_core(curve, order // 2)
     s = UniSeries(order + 1, s)
     m = divided_difference(s)
     t1, t2 = BiSeries.variable(order, 1), BiSeries.variable(order, 2)
@@ -498,8 +489,8 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     if order < 0:
         raise ValueError("order must be >= 0")
     h = order // 2
-    u, w = _integer_core(curve, h + 1)
-    an = _log_core(curve, range(h + 1))[1]
+    u, w = curve.weights[0], _integer_core(curve, h + 1)
+    an = _log_core(curve, range(h + 1))
     c = wp_coefficients(curve, max(2, h)).c[: max(h - 1, 0)]  # c_2 .. c_h
     outer = [ck * u ** (2 * k) for k, ck in enumerate(c, 2)]  # c~_k
     q = math.lcm(*(x.denominator for x in outer))

@@ -6,8 +6,8 @@ prime p >= 5, a(p) must be congruent mod p to the trace p + 1 - #E(F_p),
 with #E(F_p) obtained by exhaustive enumeration.  a(p) is read at the
 primes only, from the log's closed form (the Hasse invariant mod p), so
 no other a(n) is built.  The model y^2 = 4x^3 - g2*x - g3 is rewritten
-as (y/2)^2 = x^3 + A*x + B with A = -g2/4, B = -g3/4 before reducing,
-so primes 2 and 3 are never touched.
+as (y/2)^2 = x^3 + A*x + B with A = -g2/4, B = -g3/4, so primes 2 and 3
+are never touched, and is reduced from the curve's weights (u, a, b).
 
 Because the formal logarithm of this model is odd, a(n) = 0 for every
 even n; only prime-index congruences are meaningful and the report
@@ -113,20 +113,20 @@ class HondaReport:
 def reduce_curve(curve: Curve, p: int) -> ReducedCurve:
     """Residues A = -g2/4, B = -g3/4 mod p with a good-reduction check.
 
-    Raises :class:`UnsupportedPrimeError` for p < 5 and
-    :class:`ReductionSkip` (with a reason) when a coefficient
-    denominator is divisible by p or the reduction is singular.
+    Reads the curve's weights (u, a, b): A = a u^-4, B = b u^-6 mod p.
+    Raises :class:`UnsupportedPrimeError` for p < 5 and :class:`ReductionSkip`
+    (with a reason) when p divides u, a denominator of A or B, or the
+    reduction is singular.
     """
     if p < 5:
         raise UnsupportedPrimeError(f"p={p} unsupported; model needs p >= 5")
     if not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    a_frac = -curve.g2 / 4
-    b_frac = -curve.g3 / 4
-    if a_frac.denominator % p == 0 or b_frac.denominator % p == 0:
+    u, a, b = curve.weights
+    if u % p == 0:
         raise ReductionSkip("denominator divisible by p")
-    a_res = a_frac.numerator * pow(a_frac.denominator, -1, p) % p
-    b_res = b_frac.numerator * pow(b_frac.denominator, -1, p) % p
+    v = pow(u, -2, p)
+    a_res, b_res = a * v * v % p, b * v**3 % p
     if (4 * a_res**3 + 27 * b_res**2) % p == 0:
         raise ReductionSkip("bad reduction")
     return ReducedCurve(p, a_res, b_res)
@@ -158,10 +158,10 @@ def honda_check(curve: Curve, pmax: int) -> HondaReport:
     a(p) is read at the good primes only, from the closed form of the log
     (:func:`~ellformal.formal_group._log_core`, one call for all of them),
     as u^(1-p) times the middle coefficient [x^(p-1)] (x^3 + a x + b)^((p-1)/2)
-    of the weight-scaled cubic, and reduced mod p by inverting its
-    denominator.  The ``exact`` flag records whether a(p) equals the trace
-    on the nose (an empirical observation, not something the congruence
-    requires).
+    of the weight-scaled cubic.  p does not divide u at a good prime, so
+    u^(p-1) = 1 mod p (Fermat), and a(p) is that middle coefficient mod p.
+    The ``exact`` flag records whether a(p) equals the trace on the nose
+    (an empirical observation, not something the congruence requires).
     """
     entries, good = {}, []
     for p in primes_upto(pmax):
@@ -171,16 +171,11 @@ def honda_check(curve: Curve, pmax: int) -> HondaReport:
             good.append(reduce_curve(curve, p))
         except ReductionSkip as skip:
             entries[p] = HondaEntry(p, None, None, None, None, skip.reason)
-    # The denominator of a(p) divides u^(p-1); a p dividing u = lcm(den A, den B)
-    # divides den A or den B, so reduce_curve skipped it above ("denominator
-    # divisible by p"), and the inverse below always exists.
-    u, values = _log_core(curve, [(rc.p - 1) // 2 for rc in good])
-    for rc, v in zip(good, values):
+    for rc, v in zip(good, _log_core(curve, [(rc.p - 1) // 2 for rc in good])):
         p = rc.p
-        a_p = Fraction(v, u ** (p - 1))
+        a_p = Fraction(v, curve.weights[0] ** (p - 1))
         trace = p + 1 - count_points(rc)
-        residue = a_p.numerator * pow(a_p.denominator, -1, p) % p
-        entries[p] = HondaEntry(p, trace, a_p, (residue - trace) % p == 0, a_p == trace)
+        entries[p] = HondaEntry(p, trace, a_p, (v - trace) % p == 0, a_p == trace)
     return HondaReport(curve, pmax, tuple(entries[p] for p in sorted(entries)))
 
 

@@ -47,7 +47,9 @@ class Curve:
     group is the additive one) are accepted: the series algebra is
     formal in (g2, g3).  Layers that need an honest elliptic curve --
     reduction mod p and point counting -- check good reduction
-    themselves and skip accordingly.
+    themselves and skip accordingly.  :attr:`weights`, the model every
+    exact route runs on, is made on first read and kept; it is not a
+    field, so equality, the hash and the repr see (g2, g3) only.
     """
 
     g2: Fraction
@@ -56,6 +58,17 @@ class Curve:
     def __post_init__(self):
         object.__setattr__(self, "g2", Fraction(self.g2))
         object.__setattr__(self, "g3", Fraction(self.g3))
+
+    @functools.cached_property
+    def weights(self) -> tuple:
+        """(u, a, b): u = lcm(den A, den B) for A = -g2/4, B = -g3/4 (no factoring:
+        p | u exactly when p | den A or p | den B), and the integers a = u^4 A,
+        b = u^6 B of the curve scaled by u, s = t^3 + a t s^2 + b s^3."""
+        qa, qb = -self.g2 / 4, -self.g3 / 4
+        u = math.lcm(qa.denominator, qb.denominator)
+        a = qa.numerator * (u // qa.denominator) * u**3
+        b = qb.numerator * (u // qb.denominator) * u**5
+        return u, a, b
 
     @property
     def discriminant(self) -> Fraction:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellformal import (
     Curve,
+    HondaEntry,
     ReducedCurve,
     ReductionSkip,
     UnsupportedPrimeError,
@@ -34,6 +35,21 @@ def brute_force_count(rc: ReducedCurve) -> int:
             if (y * y - (x**3 + rc.A * x + rc.B)) % rc.p == 0:
                 total += 1
     return total
+
+
+REDUCTION_CURVES = (Curve(4, 0), Curve(-7, 13), Curve(F(-3, 7), F(5, 11)), Curve(F(5, 6), F(-7, 9)),
+                    Curve(F(2, 35), F(-1, 5)), Curve(0, 0))
+
+
+def _reduce_by_fractions(curve: Curve, p: int):
+    """Reference: (A, B) mod p for A = -g2/4, B = -g3/4, each a numerator times
+    the inverse of its denominator, or the reason the prime is skipped."""
+    qa, qb = -curve.g2 / 4, -curve.g3 / 4
+    if qa.denominator % p == 0 or qb.denominator % p == 0:
+        return "denominator divisible by p"
+    a = qa.numerator * pow(qa.denominator, -1, p) % p
+    b = qb.numerator * pow(qb.denominator, -1, p) % p
+    return "bad reduction" if (4 * a**3 + 27 * b**2) % p == 0 else (a, b)
 
 
 class TestPrimes:
@@ -69,6 +85,18 @@ class TestReduceCurve:
     def test_reduced_curve_validates(self):
         with pytest.raises(ValueError):
             ReducedCurve(5, 0, 0)  # 4*0 + 27*0 = 0: singular
+
+    # u = 1, 4, 308 (7 and 11 skipped), 72, 140 (5 and 7 skipped) and 1; 7 divides a on (-7, 13)
+    @pytest.mark.parametrize("curve", REDUCTION_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
+    def test_matches_fraction_reference(self, curve):
+        for p in primes_upto(200)[2:]:
+            try:
+                rc = reduce_curve(curve, p)
+            except ReductionSkip as skip:
+                got = skip.reason
+            else:
+                got = (rc.A, rc.B)
+            assert got == _reduce_by_fractions(curve, p), p
 
 
 class TestCountPoints:
@@ -144,6 +172,21 @@ class TestHondaCheck:
             (5, None), (7, "denominator divisible by p"),
             (11, "denominator divisible by p"), (13, None)]
         assert report.all_congruent and report.n_checked == 2
+
+    @pytest.mark.parametrize("curve", (Curve(4, 0), Curve(-7, 13), Curve(F(-3, 7), F(5, 11))),
+                             ids=lambda c: f"{c.g2},{c.g3}")
+    def test_entries_match_inverse_route(self, curve):
+        # a(p) from the log, reduced mod p through the inverse of its denominator
+        flog, expected = formal_logarithm(curve, 199), []
+        for p in primes_upto(200)[2:]:
+            reduced = _reduce_by_fractions(curve, p)
+            if isinstance(reduced, str):
+                expected.append(HondaEntry(p, None, None, None, None, reduced))
+                continue
+            trace, a_p = p + 1 - count_points(ReducedCurve(p, *reduced)), flog.a(p)
+            residue = a_p.numerator * pow(a_p.denominator, -1, p) % p
+            expected.append(HondaEntry(p, trace, a_p, (residue - trace) % p == 0, a_p == trace))
+        assert honda_check(curve, 200).entries == tuple(expected)
 
     @pytest.mark.parametrize("curve", (Curve(-7, 13), Curve(F(-3, 7), F(5, 11))))  # u = 4, 308
     def test_a_p_is_the_logs(self, curve):

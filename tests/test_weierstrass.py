@@ -34,6 +34,45 @@ class TestCurve:
         assert Curve(3, 1).is_singular  # 27 - 27 = 0
 
 
+def _weights_by_fractions(curve: Curve) -> tuple:
+    """Reference: u = lcm(den A, den B) for A = -g2/4, B = -g3/4, and the
+    integers a = u^4 A, b = u^6 B, each numerator scaled up to u."""
+    qa, qb = -curve.g2 / 4, -curve.g3 / 4
+    u = math.lcm(qa.denominator, qb.denominator)
+    a = qa.numerator * (u // qa.denominator) * u**3
+    b = qb.numerator * (u // qb.denominator) * u**5
+    return u, a, b
+
+
+class TestWeights:
+    """The curve's integral model (u, a, b), read lazily and not a field."""
+
+    @given(curve=CURVE_FAMILIES)
+    @example(curve=Curve(F(-3, 7**101), F(5, 11)))  # a tall curve
+    @example(curve=Curve(F(1, 10**4000), 0))
+    def test_matches_reference(self, curve):
+        u, a, b = curve.weights
+        assert (u, a, b) == _weights_by_fractions(curve)
+        assert type(u) is type(a) is type(b) is int
+        assert (a, b) == (-curve.g2 / 4 * u**4, -curve.g3 / 4 * u**6)
+
+    def test_read_once(self):
+        curve = Curve(F(-3, 7), F(5, 11))
+        first = curve.weights
+        assert first == (308, 964197696, -97011144186880) and curve.weights is first
+
+    def test_not_a_field(self):
+        # equality, the hash (the wp_coefficients memo key) and the repr see (g2, g3) only
+        read, fresh = Curve(F(-3, 7), F(5, 11)), Curve(F(-3, 7), F(5, 11))
+        assert read.weights[0] == 308
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == "Curve(g2=-3/7, g3=5/11)"
+        expansion = wp_coefficients(read, 12)
+        hits = wp_coefficients.cache_info().hits
+        assert wp_coefficients(fresh, 12) is expansion
+        assert wp_coefficients.cache_info().hits == hits + 1
+
+
 class TestWpCoefficients:
     def test_zero_invariants_give_pure_pole(self):
         exp = wp_coefficients(Curve(0, 0), 10)
