@@ -108,31 +108,25 @@ def _height(values: dict) -> float:
     return max(a.bit_length() / 4, b.bit_length() / 6)
 
 
-def _check_param_cost(values: dict, scales: dict) -> None:
-    """Refuse --order with --precision whose estimated seconds on (-3/7, 5/11),
-    same host, pass 60: the exact wp expansion grows as order^4 (56 s at order
-    1040), and the numeric part as precision * (order + 180), the 180 standing
-    for pi, exp(2*pi*i*z) and the printed digits; fitted to calls at orders
+def _param_cost(values: dict, scales: dict) -> tuple[float, str]:
+    """Estimated seconds of --order with --precision on (-3/7, 5/11), same
+    host: the exact wp expansion grows as order^4 (56 s at order 1040), and
+    the numeric part as precision * (order + 180), the 180 standing for pi,
+    exp(2*pi*i*z) and the printed digits; fitted to calls at orders
     40..1040 and 53..290000 bits (README).  On a taller curve the expansion
     costs at ``order`` what it costs at order / (its cap's scale) on that one."""
     order, precision = values["order"], values["precision"]
     seconds = (order / scales["order"]) ** 4 / 2.1e10 + precision * (order + 180) / 1.25e6
-    if seconds > 60:
-        raise UsageError(f"param --order {order} with --precision {precision} would take "
-                         f"about {seconds:.0f} s, above the 60 s the caps allow; "
-                         "lower either")
+    return seconds, f"param --order {order} with --precision {precision}"
 
 
-def _check_classical_work(values: dict, scales: dict) -> None:
-    """Refuse --order with --s values whose estimated seconds pass 60: the
-    reversion as order^4 (53.3 s at order 230), and each --s at 2 ms, above
-    the dearest value measured at any --nmax (34000 of s = 47 at --nmax 10^18
-    take 1.8 ms each, report included)."""
+def _classical_cost(values: dict, scales: dict) -> tuple[float, str]:
+    """Estimated seconds of --order with the --s values: the reversion as
+    order^4 (53.3 s at order 230), and each --s at 2 ms, above the dearest
+    value measured at any --nmax (34000 of s = 47 at --nmax 10^18 take
+    1.8 ms each, report included)."""
     order, count = values["order"], len(values["s"])
-    seconds = order**4 / 5.25e7 + count * 2e-3
-    if seconds > 60:
-        raise UsageError(f"classical --order {order} with {count} --s values would take "
-                         f"about {seconds:.0f} s, above the 60 s the caps allow; lower either")
+    return order**4 / 5.25e7 + count * 2e-3, f"classical --order {order} with {count} --s values"
 
 
 @dataclass(frozen=True)
@@ -333,7 +327,7 @@ def _run_honda(config: RunConfig) -> tuple[bool, dict]:
 def _run_bernoulli(config: RunConfig) -> tuple[bool, dict]:
     curve = Curve(config.g2, config.g3)
     order = config.order
-    universal = universal_bernoulli(formal_exponential(curve, order + 1), order)
+    universal = universal_bernoulli(formal_exponential(curve, order + 1).series, order)
     wp = wp_coefficients(curve, max(2, order // 2))  # one expansion, for every 2k*G_k
     bh = {k: 2 * k * _eisenstein(wp, k) for k in range(4, order + 1)}
     body: dict = {
@@ -408,17 +402,17 @@ class _Command:
     defaults: dict = field(default_factory=dict)  # "format" defaults to "text"
     bounds: dict = field(default_factory=dict)
     bounds_by: str | None = None
-    # refuses values too costly together, given the height scale of each _Cap
-    joint: Callable[[dict, dict], None] | None = None
+    # (estimated seconds, what) of the values together, given each _Cap's scale
+    cost: Callable[[dict, dict], tuple[float, str]] | None = None
 
 
 # Each cap sits near where one call on (-3/7, 5/11), the slowest curve of the
 # test corpus, passes 60 s on a 2-vCPU x86 host; seconds at the cap (and above):
 #   expand --order: fe 58 (1500: 68), s 58 (2500: 62), wp 55; fl 6.0, 8.7 and
-#     an 6.7, 7.2 since the log's closed form (59 and 56 before; these caps and
-#     honda's wait for a refit of gamma on the tall curve);
+#     an 6.7, 7.2 by the log's closed form (these caps and honda's wait for a
+#     refit of gamma on the tall curve);
 #   grouplaw --order: 57.6 (120: 63.5), the closed form and the axiom check;
-#   honda --pmax: 1.7, 1.9, a(p) at primes only (45 with the full log); --order
+#   honda --pmax: 1.7, 1.9, a(p) at primes only; --order
 #     sizes nothing;  bernoulli --order: 53 (1150: 66);
 #   param, the other value small: --order 53 at 53 bits (1050: 63), most of it
 #     the wp expansion; --precision 54 at order 40 (300000: 61);
@@ -455,14 +449,14 @@ _COMMANDS = {
         ("g2", "g3", "z", "order", "nmax", "precision", "format"), _run_param,
         defaults={"nmax": "order", "precision": 53},
         bounds={"order": (2, _Cap(1040, 0.3)), "nmax": (1, "order"), "precision": (53, 290000)},
-        joint=_check_param_cost,
+        cost=_param_cost,
     ),
     "classical": _Command(
         "exp(T)-1 degeneration: log(1+T) and eta partial sums",
         ("nmax", "order", "s", "format"), _run_classical,
         defaults={"order": 16, "s": (1, 2)},
         bounds={"nmax": (1, 10**18), "order": (1, 230), "s": (1, None)},
-        joint=_check_classical_work,
+        cost=_classical_cost,
     ),
 }
 
@@ -535,7 +529,7 @@ def _json_int(text: str):
 # argparse reads n repeated flags in time quadratic in n, whatever their
 # action: 5000 --s flags take 1.0 to 1.3 s to parse (4000: 0.6 s, 6000:
 # 1.7 s; CPython 3.11, 2-vCPU x86 host).  More are refused before parsing;
-# a --config file takes any count, priced by the joint check.
+# a --config file takes any count, priced by the command's cost.
 _S_FLAG_LIMIT = 5000
 
 
@@ -567,7 +561,7 @@ def resolve_config(argv=None) -> RunConfig:
         who += f" --{spec.bounds_by} {values[spec.bounds_by]}"
         bounds = bounds[values[spec.bounds_by]]
     height = _height(values) if "g2" in values else None
-    scales = {}  # of each _Cap, for the joint check
+    scales = {}  # of each _Cap, for the cost
     for name, (low, high) in bounds.items():
         cap = high if isinstance(high, _Cap) else None
         if cap:
@@ -586,8 +580,11 @@ def resolve_config(argv=None) -> RunConfig:
                             f"{REFERENCE_HEIGHT:.2f} the cap {high} scales by "
                             f"({REFERENCE_HEIGHT:.2f}/height)^{cap.gamma}")
             raise UsageError(message)
-    if spec.joint:
-        spec.joint(values, scales)
+    if spec.cost:
+        seconds, what = spec.cost(values, scales)
+        if seconds > 60:
+            raise UsageError(f"{what} would take about {seconds:.0f} s, above the 60 s the caps "
+                             "allow; lower either")
     return RunConfig(command=command, **values)
 
 

@@ -6,8 +6,9 @@ Every series here comes from the curve itself, in the chord coordinates
 B s^3 is Silverman's w = z^3 + a4 z w^2 + a6 w^3, whose formal group lies
 in Z[A, B].  Each route runs in integers on the curve scaled by weight
 u = lcm(den A, den B), (a, b) = (u^4 A, u^6 B), held as :attr:`Curve.weights`,
-and turns into Fractions once, at the end.  Three routes read neither each
-other nor wp: (A, B) -> exp by the chord ODE; (A, B) -> log in closed form,
+and turns into Fractions once, at the end, in :func:`_unscale` (a law in
+:func:`_unscale_law`).  Three routes read neither each other nor wp:
+(A, B) -> exp by the chord ODE; (A, B) -> log in closed form,
 u^(2k) a(2k + 1) = [x^(2k)] (x^3 + a x + b)^k, whose a(n) are the candidate
 L-series coefficients handled downstream; and (A, B) -> W, the chart
 s = t^3 w, by its own recursion.  wp checks them from outside: the
@@ -36,13 +37,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from .series import (
-    BiSeries,
-    UniSeries,
-    _div,
-    bi_substitute,
-    divided_difference,
-)
+from .series import BiSeries, UniSeries, bi_substitute, divided_difference
 from .weierstrass import Curve, wp_coefficients
 
 _ZERO = Fraction(0)
@@ -137,8 +132,9 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
     e_n = n! [z^n] E(u z) / u and s_n = n! [z^n] S(u z) / u^3 are integers:
     e_(m+1) = [m = 0] - sum_k C(m, k) (2a e_k + 3b s_k) s_(m-k) and
     s_(m+1) = sum_k C(m, k) (3 e_k e_(m-k) + a s_k s_(m-k)), over odd k as
-    both series are odd.  [z^n] E = e_n / (n! u^(n-1)), divided once, at the
-    end: no wp expansion and no series division.
+    both series are odd.  [z^n] E = e_n / (n! u^(n-1)), one Fraction per
+    coefficient, made by :func:`_unscale`: no wp expansion and no series
+    division.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -153,8 +149,8 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
         if m % 2 == 0:
             ss = conv(s, s)
             e, s = e + [-2 * a * conv(e, s) - 3 * b * ss], s + [3 * conv(e, e) + a * ss]
-    scaled = [Fraction(x, math.factorial(2 * i + 1)) for i, x in enumerate(e)]
-    return FormalExp(curve, UniSeries(order, _unscale(u, scaled, order + 1, first=1)))
+    dens = map(math.factorial, range(1, 2 * len(e), 2))  # n! at n = 2i + 1
+    return FormalExp(curve, UniSeries(order, _unscale(u, e, order + 1, first=1, dens=dens)))
 
 
 def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
@@ -168,11 +164,9 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
     if order < 1:
         raise ValueError("order must be >= 1")
     u, values = curve.weights[0], _log_core(curve, range((order + 1) // 2))
-    an, coeffs, scale = [_ZERO] * order, [_ZERO] * (order + 1), 1
-    for k, v in enumerate(values):  # one Fraction per coefficient: v / u^(2k), over 2k + 1
-        an[2 * k], coeffs[2 * k + 1] = Fraction(v, scale), Fraction(v, scale * (2 * k + 1))
-        scale *= u * u
-    return FormalLog(curve, UniSeries(order, coeffs), tuple(an))
+    an = _unscale(u, values, order)  # a(2k + 1) = V_k / u^(2k), and over 2k + 1 in the series
+    series = _unscale(u, values, order + 1, first=1, dens=range(1, order + 1, 2))
+    return FormalLog(curve, UniSeries(order, series), tuple(an))
 
 
 def _log_core(curve: Curve, ks) -> list:
@@ -206,14 +200,13 @@ def _log_core(curve: Curve, ks) -> list:
     return values
 
 
-def universal_bernoulli(fexp, order: int):
+def universal_bernoulli(series: UniSeries, order: int):
     """Coefficients b_k with T / f(T) = sum b_k T^k / k!, for k <= order.
 
-    Accepts a :class:`FormalExp` or any raw series f = T + O(T^2) (e.g. a
-    truncated exp(T) - 1, which reproduces the classical Bernoulli
-    numbers).  Needs f known through T^(order + 1).
+    f is a series c T + O(T^2): the series of a :class:`FormalExp`, or any
+    other (e.g. a truncated exp(T) - 1, which reproduces the classical
+    Bernoulli numbers).  Needs f known through T^(order + 1).
     """
-    series = fexp.series if isinstance(fexp, FormalExp) else fexp
     if series.coeffs[0] != 0 or series.coeffs[1] == 0:
         raise ValueError("need f = c*T + O(T^2) with c != 0")
     if order > series.order - 1:
@@ -252,12 +245,13 @@ def _integer_core(curve: Curve, terms: int) -> list:
     return w
 
 
-def _unscale(u: int, values: list, length: int, first: int = 0) -> list:
-    """values[i] / u^(2i) at index first + 2i of ``length`` Fractions, zeros between."""
+def _unscale(u: int, values: list, length: int, first: int = 0, dens=None) -> list:
+    """values[i] / (dens[i] u^(2i)) at index first + 2i of ``length`` Fractions,
+    zeros between, one reduction each; ``dens`` iterates int divisors, 1 by default."""
     out = [_ZERO] * length
     u2, scale = u * u, 1
-    for i, v in enumerate(values):
-        out[first + 2 * i] = Fraction(v, scale)
+    for i, (v, d) in enumerate(zip(values, repeat(1) if dens is None else dens)):
+        out[first + 2 * i] = Fraction(v, d * scale)
         scale *= u2
     return out
 
@@ -482,9 +476,10 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     series, R by truncated Horner; a coefficient at degree 2i carries
     (2i)!, a denominator that grows with the degree.  In T, Q P is R / (2i)!
     over Z / T, an integer series; with both scaled by (2h + 2)! it is one
-    exact integer division, and P is Q P / Q.  Two more exact divisions (by
-    log' for the T^i coefficients (2i - 2) P_i, and by W) give the scaled
-    bodies, which are unscaled by u^(2i) once, at the end.
+    exact integer division.  The divisions by log' (of the T^i coefficients
+    (2i - 2) (Q P)_i, for Q times the y body) and by W run on ints too, as
+    both have constant term 1; :func:`_unscale` divides each body's T^i
+    coefficient by u^(2i), and by Q on the x and y sides, once.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -512,11 +507,11 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     top = math.factorial(2 * h + 2)
     scale = [top // math.factorial(2 * i) for i in range(h + 2)]  # (2h + 2)! / (2i)!
     qx = UniSeries(h, map(mul, r, scale)) / UniSeries(h, map(mul, z[1:], scale[1:]))  # Q P
-    x = UniSeries(h, [_div(v, q) for v in qx.coeffs])
-    y = UniSeries(h, [(2 * i - 2) * xi for i, xi in enumerate(x.coeffs)]) / UniSeries(h, an)
+    qy = UniSeries(h, [(2 * i - 2) * v for i, v in enumerate(qx.coeffs)]) / UniSeries(h, an)
     chart = UniSeries.one(h) / UniSeries(h, w)
 
-    def spread(series: UniSeries) -> UniSeries:
-        return UniSeries(order, _unscale(u, series.coeffs, order + 1))
+    def spread(series: UniSeries, d: int = 1) -> UniSeries:
+        return UniSeries(order, _unscale(u, series.coeffs, order + 1, dens=repeat(d)))
 
-    return PullbackIdentities(order, spread(x), spread(chart), spread(y), spread(-2 * chart))
+    return PullbackIdentities(order, spread(qx, q), spread(chart), spread(qy, q),
+                              spread(-2 * chart))

@@ -95,9 +95,12 @@ class _Numerics:
         return float(x) if self.mp is None else self.mp.mpf(x)
 
     def rational(self, q):
+        """q correctly rounded: float(q), or the exact quotient at ``precision``."""
         if self.mp is None:
             return float(q)
-        return self.mp.mpf(q.numerator) / q.denominator
+        libmp = self.mp.libmp
+        return self.mp.make_mpf(libmp.from_rational(q.numerator, q.denominator, self.precision,
+                                                    libmp.round_nearest))
 
     def magnitude(self, x) -> str:
         """x >= 0 as '%.6g', or in mpmath's notation beyond the double range."""

@@ -284,15 +284,43 @@ class TestExpLogInverse:
         assert flog.series.compose(fexp.series) == t
 
 
+class TestUnscale:
+    """Every univariate route leaves its weight-scaled integers through
+    ``_unscale``, one Fraction and one reduction per coefficient."""
+
+    @pytest.mark.parametrize("u", (1, 308, 2**40))
+    @pytest.mark.parametrize("first", (0, 1, 3))
+    def test_matches_reference(self, u, first):
+        values = [1, 0, -7, 3**50, 0, -(2**70) + 1]
+        dens = [1, 6, 5, 2**33, 11, math.factorial(11)]
+        length = first + 2 * len(values) + 1
+        for divisors in (dens, None):
+            got = formal_group._unscale(u, values, length, first=first, dens=divisors)
+            expected = [F(0)] * length
+            for i, v in enumerate(values):
+                expected[first + 2 * i] = F(v) / (dens[i] if divisors else 1) / F(u) ** (2 * i)
+            assert got == expected
+            assert all(type(c) is F for c in got)
+
+    @pytest.mark.parametrize("order", (1, 2, 9, 40))
+    def test_exponential_makes_one_fraction_per_coefficient(self, order, monkeypatch):
+        made = []
+        monkeypatch.setattr(formal_group, "Fraction", lambda *args: made.append(args) or F(*args))
+        fexp = formal_exponential(Curve(F(-3, 7), F(5, 11)), order)
+        assert len(made) == (order + 1) // 2
+        monkeypatch.undo()
+        assert fexp == formal_exponential(Curve(F(-3, 7), F(5, 11)), order)
+
+
 class TestUniversalBernoulli:
     def test_constant_term(self, rng):
-        ub = universal_bernoulli(formal_exponential(random_curve(rng), 3), 2)
+        ub = universal_bernoulli(formal_exponential(random_curve(rng), 3).series, 2)
         assert ub[0] == 1
 
     def test_curve_values(self, rng):
         for _ in range(5):
             c = random_curve(rng)
-            ub = universal_bernoulli(formal_exponential(c, 9), 8)
+            ub = universal_bernoulli(formal_exponential(c, 9).series, 8)
             assert ub[4] == -12 * c.g2 / 5
             assert ub[6] == -540 * c.g3 / 7
 
@@ -307,7 +335,7 @@ class TestUniversalBernoulli:
     def test_needs_enough_order(self):
         fe = formal_exponential(Curve(4, 0), 5)
         with pytest.raises(ValueError):
-            universal_bernoulli(fe, 5)
+            universal_bernoulli(fe.series, 5)
 
 
 class TestSCoordinate:
@@ -856,17 +884,20 @@ class TestPullbackIdentities:
         assert all(type(c) is int and c.bit_length() <= 1024
                    for series in divided[0] for c in series.coeffs)
 
+    @pytest.mark.parametrize("perturbed", (False, True), ids=("wp", "perturbed-wp"))
+    @pytest.mark.parametrize("curve", WEIGHTED_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
+    def test_every_division_runs_on_integers(self, curve, perturbed, monkeypatch):
+        if perturbed:  # Q P is still an integer series, though P = 1/W no longer is
+            _perturb_wp(monkeypatch, 5)
+        divided = _record_operands(monkeypatch, UniSeries, "__truediv__")
+        assert coordinate_pullback(curve, 40).holds is not perturbed
+        # x, y and the chart: Q and u^(2i) leave only in _unscale
+        assert len(divided) == 3
+        assert all(_integer_rows(series) for pair in divided for series in pair)
+
     @pytest.mark.parametrize("k", (2, 5, 15))
     def test_perturbed_wp_coefficient_fails(self, k, monkeypatch):
-        original = formal_group.wp_coefficients
-
-        def perturbed(curve, order):
-            wp = original(curve, order)
-            c = list(wp.c)
-            c[k - 2] += F(1, 7)
-            return weierstrass.WpExpansion(curve, order, tuple(c))
-
-        monkeypatch.setattr(formal_group, "wp_coefficients", perturbed)
+        _perturb_wp(monkeypatch, k)
         pb = coordinate_pullback(Curve(F(-3, 7), F(5, 11)), 30)
         assert not pb.holds
         assert pb.x_pullback != pb.x_coords and pb.y_pullback != pb.y_coords
@@ -883,6 +914,19 @@ class TestPullbackIdentities:
         monkeypatch.setattr(formal_group, "_log_core", perturbed)
         pb = coordinate_pullback(Curve(-7, 13), 30)
         assert pb.x_pullback != pb.x_coords and pb.y_pullback != pb.y_coords
+
+
+def _perturb_wp(monkeypatch, k: int) -> None:
+    """Add 1/7 to the c_k that the pullback reads."""
+    original = formal_group.wp_coefficients
+
+    def perturbed(curve, order):
+        wp = original(curve, order)
+        c = list(wp.c)
+        c[k - 2] += F(1, 7)
+        return weierstrass.WpExpansion(curve, order, tuple(c))
+
+    monkeypatch.setattr(formal_group, "wp_coefficients", perturbed)
 
 
 def _pullback_by_fraction(curve: Curve, order: int) -> formal_group.PullbackIdentities:

@@ -302,6 +302,22 @@ class TestConversionTables:
             call()
             assert converted == []
 
+    def test_wp_table_is_correctly_rounded_at_150_bits(self):
+        """Each c_k is its exact quotient rounded once to 150 bits, not the
+        numerator rounded first and the quotient again."""
+        exp = wp_coefficients(Curve(F(-3, 7), F(5, 11)), 40)
+        num = numeric_eval._Numerics(150)
+        with num.workprec():
+            terms = numeric_eval._wp_terms(num, exp)
+        libmp = mpmath.libmp
+        for c, term in zip(exp.c, terms, strict=True):
+            if c:
+                reference = libmp.from_rational(c.numerator, c.denominator, 150,
+                                                libmp.round_nearest)
+                assert term[1]._mpf_ == reference, c
+            else:
+                assert term is None
+
     def test_tables_die_with_their_objects(self):
         curve = Curve(-7, 13)
         flog = formal_logarithm(curve, 20)
