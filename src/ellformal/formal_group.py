@@ -275,72 +275,53 @@ def group_law_exp_log(curve: Curve, order: int) -> GroupLaw:
         dPhi/dt1 = L~'(t1) (1 - 2a Phi Sigma - 3b Sigma^2),
         dSigma/dt1 = L~'(t1) (3 Phi^2 + a Sigma^2).
 
-    :func:`_chord_flow` solves it: no composition, no W and no common
-    denominator.  The law is returned as F~, in ints; :attr:`GroupLaw.series`
-    unscales it.
+    :func:`_chord_flow` solves it one total degree at a time: no
+    composition, no W and no common denominator.  The law is returned as
+    F~, in ints; :attr:`GroupLaw.series` unscales it.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     _, a, b = curve.weights
-    ell = [0] * order
-    ell[::2] = _log_core(curve, range((order + 1) // 2))
+    ell = _log_core(curve, range((order + 1) // 2))  # [t^(2k)] L~', k < (order + 1) / 2
     return GroupLaw(curve, BiSeries(order, _chord_flow(ell, a, b, order)), "exp-log")
 
 
 def _chord_flow(ell: list, a: int, b: int, n: int) -> list:
     """Rows in t1 of Phi = E~(L~ t1 + L~ t2) through total degree n, for
-    L~' = ell, by the flow dPhi/dt1 = ell(t1) R, dSigma/dt1 = ell(t1) S with
-    R = 1 - 2a Phi Sigma - 3b Sigma^2 and S = 3 Phi^2 + a Sigma^2.
+    L~' = sum ell[k] t^(2k), by the flow dPhi/dt1 = L~'(t1) R,
+    dSigma/dt1 = L~'(t1) S with R = 1 - 2a Phi Sigma - 3b Sigma^2 and
+    S = 3 Phi^2 + a Sigma^2, from Phi = Sigma = 0 at t1 = t2 = 0.
 
-    The rows at t1 = 0, E~(L~ t2) and S~(L~ t2), come from the same flow in
-    one variable from (0, 0).  For the curve's own log they are t2 and
-    s~(t2), but they are solved from ell, not read from W, so the law stays
-    Phi = exp(log t1 + log t2) for whatever ell holds, and a wrong ell
-    changes the law.  Then row k of R and S needs rows 0 .. k of Phi and
-    Sigma, and (k + 1) Phi_(k+1) = sum_j ell_j R_(k-j), likewise for Sigma.
-    All four are symmetric in t1 and t2, so entry (k, c) with c < k is
-    copied from entry (c, k), and only c >= k is solved; ell is even and
-    Phi and Sigma odd, so every sum steps by two.
+    One sweep by total degree.  Phi and Sigma are odd, R and S even, and
+    all four are symmetric in t1 and t2.  At each even d, R and S at degree
+    d are formed from Phi and Sigma below d, the entries (i, d - i) with
+    i <= d - i only, and mirrored.  Then (i + 1) Phi_(i+1, d-i) =
+    sum_m ell_m R_(i-m, d-i) over even m, for i = 0 .. d, likewise for
+    Sigma, and Phi_(0, d+1) = Phi_(d+1, 0) by symmetry.  So the row
+    t1 = 0, E~(L~ t2), is solved from ell like every other entry, not read
+    from W: the law stays exp(log t1 + log t2) for whatever ell holds, and
+    a wrong ell changes the law or, if a division leaves a remainder, is
+    refused with :class:`InexactLawError`.  Row i has n + 1 - i ints.
     """
-    phi, sigma, r, s = [0], [0], [], []  # E~(L~ t) and S~(L~ t); [t^k] of R and S
-    for k in range(n):
-        ps, s2, p2 = (sum(map(mul, x, reversed(y)))
-                      for x, y in ((phi, sigma), (sigma, sigma), (phi, phi)))
-        r.append((k == 0) - 2 * a * ps - 3 * b * s2)
-        s.append(3 * p2 + a * s2)
-        phi.append(_exact(sum(map(mul, ell, reversed(r))), k + 1))
-        sigma.append(_exact(sum(map(mul, ell, reversed(s))), k + 1))
-    phis, sigmas, rs, ss = [phi], [sigma], [], []
-
-    def product(x, y, k, m):  # entries k .. m - 1 of row k of x y
-        out = [0] * (m - k)
-        for i in range(k + 1):
-            p = (i + 1) % 2  # row i of Phi and Sigma is nonzero at odd i + j only
-            xi, yk = x[i][p::2], y[k - i]
-            for c in range(k + 2 * (p > k), m, 2):
-                out[c - k] += sum(map(mul, xi, yk[c - p :: -2]))
-        return out
-
-    for k in range(n):
-        m = n - k  # row k of R and S, and row k + 1 of Phi and Sigma, have m entries
-        r, s = ([x[k] for x in rows[: min(k, m)]] for rows in (rs, ss))
-        if k < m:
-            ps, s2, p2 = (product(x, y, k, m)
-                          for x, y in ((phis, sigmas), (sigmas, sigmas), (phis, phis)))
-            r += [-2 * a * x - 3 * b * y for x, y in zip(ps, s2)]
-            s += [3 * x + a * y for x, y in zip(p2, s2)]
-        if k == 0:
-            r[0] += 1
-        rs.append(r)
-        ss.append(s)
-        weights = ell[: k + 1 : 2]  # ell_0, ell_2, ... against rows k, k - 2, ...
-        for rows, out in ((rs, phis), (ss, sigmas)):
-            below, row = rows[k::-2], [x[k + 1] for x in out[:m]]
-            row += [0] * (m - len(row))
-            for c in range(k + 2, m, 2):
-                row[c] = _exact(sum(map(mul, weights, [x[c] for x in below])), k + 1)
-            out.append(row)
-    return phis
+    phi, sigma, r, s = ([[0] * (n + 1 - i) for i in range(n + 1)] for _ in range(4))
+    for d in range(0, n, 2):
+        for i in range(d // 2 + 1):
+            j, ps, s2, p2 = d - i, 0, 0, 0
+            for i1 in range(i + 1):
+                p = (i1 + 1) % 2  # row i1 of Phi and Sigma is nonzero at odd i1 + j only
+                xp, xs = phi[i1][p : j + 1 : 2], sigma[i1][p : j + 1 : 2]
+                yp, ys = phi[i - i1][j - p :: -2], sigma[i - i1][j - p :: -2]
+                ps += sum(map(mul, xp, ys))
+                s2 += sum(map(mul, xs, ys))
+                p2 += sum(map(mul, xp, yp))
+            r[i][j] = r[j][i] = (d == 0) - 2 * a * ps - 3 * b * s2
+            s[i][j] = s[j][i] = 3 * p2 + a * s2
+        for i in range(d + 1):  # R_(i-m, d-i) = R_(d-i, i-m): row d - i, read backwards
+            weights = ell[: i // 2 + 1]
+            phi[i + 1][d - i] = _exact(sum(map(mul, weights, r[d - i][i::-2])), i + 1)
+            sigma[i + 1][d - i] = _exact(sum(map(mul, weights, s[d - i][i::-2])), i + 1)
+        phi[0][d + 1], sigma[0][d + 1] = phi[d + 1][0], sigma[d + 1][0]
+    return phi
 
 
 def _exact(x: int, d: int) -> int:

@@ -173,6 +173,8 @@ def _qseries(num: _Numerics, z, flog: FormalLog, build, nmax: int):
     zc = num.complex_of(z)
     if not zc.imag > 0:
         raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
     if nmax > flog.series.order:
         raise ValueError(f"nmax={nmax} exceeds formal log order {flog.series.order}")
     q = num.exp(num.two_pi_i() * zc)
@@ -233,9 +235,10 @@ def _cusp_terms(num: _Numerics, flog: FormalLog) -> tuple:
 
 
 def _wp_terms(num: _Numerics, exp: WpExpansion) -> tuple:
-    """((2k - 2) c_k, c_k) for k = 2..order, None for an exact zero."""
-    cs = (num.rational(c) if c else None for c in exp.c)
-    return tuple(cf if cf is None else ((2 * k - 2) * cf, cf) for k, cf in enumerate(cs, 2))
+    """((2k - 2) c_k, c_k) for k = 2..order, each rounded once from its exact
+    value, None for an exact zero."""
+    return tuple(((num.rational((2 * k - 2) * c), num.rational(c)) if c else None)
+                 for k, c in enumerate(exp.c, 2))
 
 
 def _curve_terms(num: _Numerics, exp: WpExpansion) -> tuple:

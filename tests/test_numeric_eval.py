@@ -62,6 +62,21 @@ class TestLogQSeries:
         with pytest.raises(ValueError):
             eval_log_qseries(flog_lemniscatic, 1j, 61)
 
+    @pytest.mark.parametrize("precision", (53, 150))
+    @pytest.mark.parametrize("nmax", (0, -5))
+    def test_nmax_below_one_refused(self, nmax, precision):
+        # no q-series term to sum: refused by name, not summed from the end of
+        # the table nor reported as a point at the cusp
+        curve = Curve(F(-3, 7), F(5, 11))
+        flog, z = formal_logarithm(curve, 40), 0.1 + 0.8j
+        calls = (lambda: param_point(curve, flog, z, nmax, 20, precision),
+                 lambda: derivative_check(curve, flog, z, 1e-4, nmax, 20, precision),
+                 lambda: eval_log_qseries(flog, z, nmax, precision),
+                 lambda: eval_cusp_qseries(flog, z, nmax, precision))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^nmax must be >= 1, got {nmax}$"):
+                call()
+
 
 class TestEvalWp:
     def test_pure_pole_exact(self):
@@ -303,20 +318,20 @@ class TestConversionTables:
             assert converted == []
 
     def test_wp_table_is_correctly_rounded_at_150_bits(self):
-        """Each c_k is its exact quotient rounded once to 150 bits, not the
-        numerator rounded first and the quotient again."""
-        exp = wp_coefficients(Curve(F(-3, 7), F(5, 11)), 40)
-        num = numeric_eval._Numerics(150)
-        with num.workprec():
-            terms = numeric_eval._wp_terms(num, exp)
+        """Each c_k and (2k - 2) c_k is its exact quotient rounded once to 150
+        bits, not the numerator rounded first and the quotient again, nor the
+        rounded c_k times 2k - 2 rounded again."""
         libmp = mpmath.libmp
-        for c, term in zip(exp.c, terms, strict=True):
-            if c:
-                reference = libmp.from_rational(c.numerator, c.denominator, 150,
-                                                libmp.round_nearest)
-                assert term[1]._mpf_ == reference, c
-            else:
-                assert term is None
+
+        def reference(q):
+            return libmp.from_rational(q.numerator, q.denominator, 150, libmp.round_nearest)
+
+        for (dc, c), term in _wp_table(150):
+            assert (term[0]._mpf_, term[1]._mpf_) == (reference(dc), reference(c)), c
+
+    def test_wp_table_is_correctly_rounded_at_53_bits(self):
+        for (dc, c), term in _wp_table(53):
+            assert term == (float(dc), float(c)), c
 
     def test_tables_die_with_their_objects(self):
         curve = Curve(-7, 13)
@@ -342,3 +357,15 @@ class TestConversionTables:
             param_point(curve, flog, 0.1 + 0.8j, 40, 40, 150)
         with pytest.raises(OutOfRadiusError, match=r"radius 7\.67181e-102 at order 4$"):
             param_point(curve, flog, 0.1 + 0.8j, 4, 4)  # coefficient 5 is not read
+
+
+def _wp_table(precision: int):
+    """Pairs of ((2k - 2) c_k, c_k), exact, and the ``_wp_terms`` entry, for
+    the nonzero c_k of (-3/7, 5/11) at order 40; a zero c_k must be None."""
+    exp = wp_coefficients(Curve(F(-3, 7), F(5, 11)), 40)
+    num = numeric_eval._Numerics(precision)
+    with num.workprec():
+        terms = numeric_eval._wp_terms(num, exp)
+    pairs = [((2 * k - 2) * c, c) for k, c in enumerate(exp.c, 2)]
+    assert all(term is None for (_, c), term in zip(pairs, terms, strict=True) if not c)
+    return [(pair, term) for pair, term in zip(pairs, terms) if pair[1]]
