@@ -162,7 +162,10 @@ def honda_check(curve: Curve, pmax: int) -> HondaReport:
     u^(p-1) = 1 mod p (Fermat), and a(p) is that middle coefficient mod p.
     The ``exact`` flag records whether a(p) equals the trace on the nose
     (an empirical observation, not something the congruence requires).
+    A prime above ``POINT_COUNT_CAP`` is refused before any reduction.
     """
+    if any(map(_is_prime, range(POINT_COUNT_CAP + 1, pmax + 1))):
+        raise ValueError(f"point counting capped at p <= {POINT_COUNT_CAP}")
     entries, good = {}, []
     for p in primes_upto(pmax):
         if p < 5:

@@ -32,7 +32,8 @@ The q-series truncation error is likewise only estimated, by the
 magnitude of the last retained term, and reported as such.  In double
 precision a point near the cusp (Im z above about 18.8) is refused with
 ``OverflowError``: q underflows there or wp(w) ~ q^-2 overflows.  So is
-a formal-log coefficient past the double range, by its index.
+a formal-log coefficient or a wp coefficient c_k past the double range, by
+its index.
 
 Default arithmetic is the machine double / ``complex`` pair; passing
 ``precision`` (binary digits) above 53 switches the same code path onto
@@ -236,9 +237,16 @@ def _cusp_terms(num: _Numerics, flog: FormalLog) -> tuple:
 
 def _wp_terms(num: _Numerics, exp: WpExpansion) -> tuple:
     """((2k - 2) c_k, c_k) for k = 2..order, each rounded once from its exact
-    value, None for an exact zero."""
-    return tuple(((num.rational((2 * k - 2) * c), num.rational(c)) if c else None)
-                 for k, c in enumerate(exp.c, 2))
+    value, None for an exact zero; a c_k past the double range is refused
+    by its index."""
+    terms = []
+    for k, c in enumerate(exp.c, 2):
+        try:
+            terms.append((num.rational((2 * k - 2) * c), num.rational(c)) if c else None)
+        except OverflowError:  # from float(c): past the largest double
+            raise OverflowError(f"wp coefficient c_{k} is beyond the double range; "
+                                "use --precision above 53") from None
+    return tuple(terms)
 
 
 def _curve_terms(num: _Numerics, exp: WpExpansion) -> tuple:
@@ -346,21 +354,20 @@ def _param_point(num: _Numerics, exp: WpExpansion, zc, q, w, estimate):
     """:func:`param_point` from a :func:`_qseries` point and a built expansion,
     run under ``num.workprec()``."""
     # Near the cusp, doubles underflow q (w = 0: the pole) or overflow wp(w) ~ q^-2.
-    try:
+    if w != 0:
         alpha, beta = _eval_wp(num, exp, w)
         g2, g3 = _table(num, exp, _curve_terms)
-        residual = abs(beta * beta - (4 * alpha**3 - g2 * alpha - g3))
-        finite = num.mp is not None or all(
-            map(cmath.isfinite, (alpha, beta, residual)))
-    except (OverflowError, PoleError):
-        finite = False
-    if not finite:
-        raise OverflowError(
-            f"Im(z) = {float(zc.imag):.6g} is too close to the cusp for double "
-            "precision: q = exp(2*pi*i*z) underflows or wp(w) overflows; "
-            "use --precision above 53"
-        )
-    return ParamResult(zc, q, w, alpha, beta, residual, estimate, num.precision)
+        try:
+            residual = abs(beta * beta - (4 * alpha**3 - g2 * alpha - g3))
+        except OverflowError:  # abs() past the largest double
+            residual = math.inf
+        if num.mp is not None or all(map(cmath.isfinite, (alpha, beta, residual))):
+            return ParamResult(zc, q, w, alpha, beta, residual, estimate, num.precision)
+    raise OverflowError(
+        f"Im(z) = {float(zc.imag):.6g} is too close to the cusp for double "
+        "precision: q = exp(2*pi*i*z) underflows or wp(w) overflows; "
+        "use --precision above 53"
+    )
 
 
 def derivative_check(

@@ -2,10 +2,11 @@
 
 Every ``cli`` entry of the perfbench catalogues (``perfbench/workloads.py``)
 is rerun in this process, through the catalogue's own runner, and the sha256
-of its stdout is compared with ``perfbench/digests.json``, as
-``tools/check_digests.py`` does.  Nothing under ``perfbench/`` is written, so
-a change that moves a digest fails here, and only
-``perfbench/record_digests.py`` records new ones.
+of its stdout is compared with ``perfbench/digests.json``.  Nothing under
+``perfbench/`` is written, so a change that moves a digest fails here, and
+only ``perfbench/record_digests.py`` records new ones.  Run alone:
+
+    PYTHONPATH=src python -m pytest -q tests/test_bench_digests.py
 """
 
 from __future__ import annotations

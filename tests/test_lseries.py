@@ -188,6 +188,25 @@ class TestHondaCheck:
             expected.append(HondaEntry(p, trace, a_p, (residue - trace) % p == 0, a_p == trace))
         assert honda_check(curve, 200).entries == tuple(expected)
 
+    def test_prime_above_the_cap_refused_before_any_reduction(self, monkeypatch):
+        # with the cap at 50, the 44 primes 5..199 would be reduced and the 42 good ones
+        # passed to _log_core before count_points refused p = 53
+        calls = []
+
+        def spy(name):
+            real = getattr(lseries, name)
+            monkeypatch.setattr(lseries, name, lambda *args: calls.append(name) or real(*args))
+
+        monkeypatch.setattr(lseries, "POINT_COUNT_CAP", 50)
+        spy("reduce_curve")
+        spy("_log_core")
+        with pytest.raises(ValueError, match=r"^point counting capped at p <= 50$"):
+            honda_check(Curve(F(-3, 7), F(5, 11)), 200)
+        assert calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr(lseries, "POINT_COUNT_CAP", 52)  # 53 is the first prime above
+        assert honda_check(Curve(4, 0), 52).n_checked == 13
+
     @pytest.mark.parametrize("curve", (Curve(-7, 13), Curve(F(-3, 7), F(5, 11))))  # u = 4, 308
     def test_a_p_is_the_logs(self, curve):
         flog = formal_logarithm(curve, 97)

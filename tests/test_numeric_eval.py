@@ -135,6 +135,15 @@ class TestEvalWp:
                                                    r"reliability radius 2\.44293e-100 at order 40$"):
             param_point(curve, flog, 0.1 + 0.8j, 40, 40, 150)
 
+    def test_wp_coefficient_beyond_the_doubles_refused_by_its_index(self):
+        curve = Curve(0, 28 * 10**200)  # c_6 ~ 2.6e398; q ~ 1e-35 and wp(w) ~ 1e69 fit a double
+        flog = formal_logarithm(curve, 3)
+        with pytest.raises(OverflowError, match=r"^wp coefficient c_6 is beyond the double "
+                                                r"range; use --precision above 53$"):
+            param_point(curve, flog, 0.1 + 12.8j, 3, 6)
+        res = param_point(curve, flog, 0.1 + 12.8j, 3, 6, 80)
+        assert 1e69 < abs(res.alpha) < 1e70 and res.relative_residual < 1e-20
+
 
 class TestParamPoint:
     def test_residual_rounding_dominated_at_i(self, flog_lemniscatic):

@@ -1,0 +1,33 @@
+"""The scripts under ``tools/`` still run on this tree.
+
+Each is run as a subprocess, as from the command line, at the smallest
+sizes: ``layer_ladder.py --against`` the tree itself (so the comparison of
+results runs too) and ``time_cap.py`` on one short ``expand`` call.
+"""
+
+from __future__ import annotations
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_layer_ladder_compares_the_tree_with_itself():
+    proc = _run("tools/layer_ladder.py", "--tables", "log", "--log-orders", "5", "9",
+                "--repeat", "1", "--against", str(ROOT))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "log change" in proc.stdout
+
+
+def test_time_cap_times_one_call():
+    proc = _run("tools/time_cap.py", "expand", "--order", "5", "--what", "fe")
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"\d+\.\d\d s\n", proc.stdout), proc.stdout
