@@ -46,7 +46,7 @@ from .formal_group import (
 from .lseries import classical_demo, honda_check
 from .numeric_eval import param_point
 from .series import BiSeries, UniSeries
-from .weierstrass import Curve, _eisenstein, wp_coefficients
+from .weierstrass import Curve, wp_coefficients
 
 
 class UsageError(ValueError):
@@ -329,7 +329,7 @@ def _run_bernoulli(config: RunConfig) -> tuple[bool, dict]:
     order = config.order
     universal = universal_bernoulli(formal_exponential(curve, order + 1).series, order)
     wp = wp_coefficients(curve, max(2, order // 2))  # one expansion, for every 2k*G_k
-    bh = {k: 2 * k * _eisenstein(wp, k) for k in range(4, order + 1)}
+    bh = {k: 2 * k * wp.eisenstein(k) for k in range(4, order + 1)}
     body: dict = {
         "universal": [str(b) for b in universal],
         "bernoulli_hurwitz": [{"k": k, "value": str(v)} for k, v in bh.items()],

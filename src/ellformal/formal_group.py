@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from .series import BiSeries, UniSeries, bi_substitute, divided_difference
+from .series import BiSeries, UniSeries, _valid_order, bi_substitute, divided_difference
 from .weierstrass import Curve, wp_coefficients
 
 _ZERO = Fraction(0)
@@ -136,8 +136,7 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
     coefficient, made by :func:`_unscale`: no wp expansion and no series
     division.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _valid_order(order, 1)
     u, a, b = curve.weights
     e, s, row = [1], [0], [1]  # e_n and s_n at n = 1, 3, 5, ...; row m of Pascal's triangle
     # conv reads every odd entry of every even row: built by additions, the rows
@@ -163,9 +162,7 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
         curve, order = curve.curve, curve.series.order
     elif order is None:
         raise TypeError("formal_logarithm(curve, order) needs an order")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    u, values = curve.weights[0], _log_core(curve, range((order + 1) // 2))
+    u, values = curve.weights[0], _log_core(curve, range((_valid_order(order, 1) + 1) // 2))
     an = _unscale(u, values, order)  # a(2k + 1) = V_k / u^(2k), and over 2k + 1 in the series
     series = _unscale(u, values, order + 1, first=1, dens=range(1, order + 1, 2))
     return FormalLog(curve, UniSeries(order, series), tuple(an))
@@ -209,6 +206,7 @@ def universal_bernoulli(series: UniSeries, order: int):
     other (e.g. a truncated exp(T) - 1, which reproduces the classical
     Bernoulli numbers).  Needs f known through T^(order + 1).
     """
+    _valid_order(order, 0)
     if series.coeffs[0] != 0 or series.coeffs[1] == 0:
         raise ValueError("need f = c*T + O(T^2) with c != 0")
     if order > series.order - 1:
@@ -222,9 +220,7 @@ def universal_bernoulli(series: UniSeries, order: int):
 
 def s_coordinate(curve: Curve, order: int) -> SCoordinate:
     """s = t^3 w through t^order, from the integer w of the core."""
-    if order < 3:
-        raise ValueError("order must be >= 3")
-    w = _integer_core(curve, (order - 1) // 2)
+    w = _integer_core(curve, (_valid_order(order, 3) - 1) // 2)
     return SCoordinate(curve, UniSeries(order, _unscale(curve.weights[0], w, order + 1, first=3)))
 
 
@@ -281,10 +277,9 @@ def group_law_exp_log(curve: Curve, order: int) -> GroupLaw:
     composition, no W and no common denominator.  The law is returned as
     F~, in ints; :attr:`GroupLaw.series` unscales it.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
     _, a, b = curve.weights
-    ell = _log_core(curve, range((order + 1) // 2))  # [t^(2k)] L~', k < (order + 1) / 2
+    # [t^(2k)] L~', k < (order + 1) / 2
+    ell = _log_core(curve, range((_valid_order(order, 2) + 1) // 2))
     return GroupLaw(curve, BiSeries(order, _chord_flow(ell, a, b, order)), "exp-log")
 
 
@@ -352,10 +347,8 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     degree 2k, so G is needed only through x^(order // 2).  The law is
     returned as F~, in ints; :attr:`GroupLaw.series` unscales it.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
     _, a, b = curve.weights
-    s = [0] * (order + 2)
+    s = [0] * (_valid_order(order, 2) + 2)
     s[3::2] = _integer_core(curve, order // 2)
     s = UniSeries(order + 1, s)
     m = divided_difference(s)
@@ -464,9 +457,7 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     both have constant term 1; :func:`_unscale` divides each body's T^i
     coefficient by u^(2i), and by Q on the x and y sides, once.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    h = order // 2
+    h = _valid_order(order, 0) // 2
     u, w = curve.weights[0], _integer_core(curve, h + 1)
     an = _log_core(curve, range(h + 1))
     c = wp_coefficients(curve, max(2, h)).c[: max(h - 1, 0)]  # c_2 .. c_h

@@ -245,6 +245,8 @@ def classical_demo(nmax: int, s_values, series_order: int = 16) -> ClassicalRepo
     partial sums sum_{n<=nmax} (-1)^(n-1)/n^s, in closed form at any nmax,
     are then compared against (1 - 2^(1-s)) * zeta(s) for each requested s.
     """
+    if type(nmax) is bool:
+        raise TypeError("nmax must be a count, not bool")
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     exp_minus_one = UniSeries(
@@ -257,7 +259,7 @@ def classical_demo(nmax: int, s_values, series_order: int = 16) -> ClassicalRepo
 
     rows, sums = {}, []  # each distinct s is computed once, however often it is asked for
     for s in s_values:
-        if not isinstance(s, int) or s < 1:
+        if type(s) is bool or not isinstance(s, int) or s < 1:
             raise ValueError(f"s must be a positive integer, got {s!r}")
         if s not in rows:
             partial, ref = _eta_partial_sum(nmax, s), _eta_reference(s)

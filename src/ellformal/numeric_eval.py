@@ -174,6 +174,8 @@ def _qseries(num: _Numerics, z, flog: FormalLog, build, nmax: int):
     zc = num.complex_of(z)
     if not zc.imag > 0:
         raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
+    if type(nmax) is bool:
+        raise TypeError("nmax must be a count, not bool")
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     if nmax > flog.series.order:

@@ -5,10 +5,12 @@ arithmetic stays inside that window, so results are exact as elements of
 Q[[T]] / T^(N+1).  A coefficient is an ``int`` or a
 :class:`fractions.Fraction`: every row, given or computed, passes one type
 check when its series is built, and any other type (bool, float, str,
-Decimal, complex) raises :class:`TypeError` naming it.  Integer rows stay
-integer through ``+``, ``-``, products, composition and division by a
-series whose constant term is 1 (a quotient that is not integral becomes a
-Fraction), so the same kernels serve Z[[T]] and Q[[T]].
+Decimal, complex) raises :class:`TypeError` naming it.  Its order passes
+``_valid_order``, the package's one order rule, which every exact route
+applies to its own order too.  Integer rows stay integer through ``+``,
+``-``, products, composition and division by a series whose constant term
+is 1 (a quotient that is not integral becomes a Fraction), so the same
+kernels serve Z[[T]] and Q[[T]].
 
 Two containers on one core live in this module:
 
@@ -66,6 +68,17 @@ def _div(a, b):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return a / b
+
+
+def _valid_order(order, low: int) -> int:
+    """``order`` if it is an ``int`` (not a ``bool``) of at least ``low``;
+    :class:`TypeError` or :class:`ValueError` naming the rule otherwise.
+    Every series constructor and exact route checks its order here."""
+    if type(order) is bool or not isinstance(order, int):
+        raise TypeError(f"order must be an int, not {type(order).__name__}")
+    if order < low:
+        raise ValueError(f"order must be >= {low}")
+    return order
 
 
 _EXACT = frozenset((int, Fraction))
@@ -146,9 +159,7 @@ class UniSeries(_Series):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", _valid_order(order, 0))
         object.__setattr__(self, "coeffs", _row(coeffs, order + 1))
 
     def _rows(self) -> tuple:
@@ -251,8 +262,7 @@ class BiSeries(_Series):
     __slots__ = ("order", "rows")
 
     def __init__(self, order: int, rows: Iterable[Iterable] = ()):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
+        _valid_order(order, 0)
         rows = tuple(rows)
         if len(rows) > order + 1:
             raise ValueError("more rows than the total degree admits")
@@ -276,13 +286,7 @@ class BiSeries(_Series):
     @classmethod
     def variable(cls, order: int, which: int) -> "BiSeries":
         """The monomial t1 (which=1) or t2 (which=2)."""
-        if order < 1:
-            raise ValueError("variable needs order >= 1")
-        if which == 1:
-            return cls(order, ((), (1,)))
-        if which == 2:
-            return cls(order, ((0, 1),))
-        raise ValueError("which must be 1 or 2")
+        return cls.from_uni(UniSeries(_valid_order(order, 1), (0, 1)), order, which)
 
     @classmethod
     def from_uni(cls, f: UniSeries, order: int, which: int) -> "BiSeries":

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import UniSeries
+from .series import UniSeries, _valid_order
 
 _ZERO = Fraction(0)
 
@@ -109,6 +109,13 @@ class WpExpansion:
         """z^3 * wp' = -2 + sum (2k - 2) c_k z^(2k): entry i of body() times i - 2."""
         return UniSeries(2 * self.order, [(i - 2) * c for i, c in enumerate(self.body().coeffs)])
 
+    def eisenstein(self, k: int) -> Fraction:
+        """G_k = (k-2)! c_(k/2) / 2, zero for odd k.  Weights below 4 are not
+        defined for a lattice sum, hence rejected; c_(k/2) must be in range."""
+        if k < 4:
+            raise ValueError("Eisenstein values need weight k >= 4")
+        return _ZERO if k % 2 else math.factorial(k - 2) * self.coefficient(k // 2) / 2
+
 
 @functools.lru_cache(maxsize=16, typed=True)
 def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
@@ -128,11 +135,7 @@ def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     read and empty that memo.  The memo keys on the order's type too, and
     an order that is not an ``int``, or is a ``bool``, raises ``TypeError``.
     """
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise TypeError(f"order must be an int, not {type(order).__name__}")
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    c = [curve.g2 / 20, curve.g3 / 28][: order - 1]
+    c = [curve.g2 / 20, curve.g3 / 28][: _valid_order(order, 2) - 1]
     num = [0, 0] + [x.numerator for x in c]  # index by k, entries 0..1 unused
     den = [1, 1] + [x.denominator for x in c]
     for k in range(4, order + 1):
@@ -170,23 +173,11 @@ def differential_equation_residual(curve: Curve, order: int) -> UniSeries:
 
 
 def eisenstein_g(curve: Curve, k: int) -> Fraction:
-    """The weight-k Eisenstein value as a polynomial in (g2, g3).
-
-    Zero for odd k; for even k it is (k-2)! * c_{k/2} / 2.  Weights
-    below 4 are not defined for a lattice sum, hence rejected.
-    """
-    if k < 4:
-        raise ValueError("Eisenstein values need weight k >= 4")
-    return _eisenstein(wp_coefficients(curve, k // 2), k)
+    """The weight-k Eisenstein value as a polynomial in (g2, g3):
+    :meth:`WpExpansion.eisenstein` on an expansion through c_(k//2)."""
+    return wp_coefficients(curve, max(2, k // 2)).eisenstein(k)
 
 
 def bernoulli_hurwitz(curve: Curve, k: int) -> Fraction:
     """Elliptic Bernoulli analogue: 2k * G_k for even k >= 4, zero for odd."""
-    if k < 4:
-        raise ValueError("Bernoulli-Hurwitz numbers need k >= 4")
-    return 2 * k * _eisenstein(wp_coefficients(curve, k // 2), k)
-
-
-def _eisenstein(wp: WpExpansion, k: int) -> Fraction:
-    """G_k read off an expansion through c_(k//2): zero for odd k."""
-    return _ZERO if k % 2 else math.factorial(k - 2) * wp.coefficient(k // 2) / 2
+    return 2 * k * eisenstein_g(curve, k)

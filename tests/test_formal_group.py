@@ -943,3 +943,37 @@ def _pullback_by_fraction(curve: Curve, order: int) -> formal_group.PullbackIden
     y_pullback = ui2 * unit_inv * UniSeries(m, wp.prime_body().coeffs[: m + 1]).compose(log_m)
     w_inv = UniSeries.one(m) / w
     return formal_group.PullbackIdentities(m, x_pullback, w_inv, y_pullback, -2 * w_inv)
+
+
+# Every series constructor and exact route, with the least order it takes.
+_ORDER_ROUTES = {
+    "UniSeries": (0, lambda n: UniSeries(n)),
+    "BiSeries": (0, lambda n: BiSeries(n)),
+    "BiSeries.variable": (1, lambda n: BiSeries.variable(n, 1)),
+    "wp_coefficients": (2, lambda n: wp_coefficients(Curve(4, 0), n)),
+    "formal_exponential": (1, lambda n: formal_exponential(Curve(4, 0), n)),
+    "formal_logarithm": (1, lambda n: formal_logarithm(Curve(4, 0), n)),
+    "s_coordinate": (3, lambda n: s_coordinate(Curve(4, 0), n)),
+    "group_law_exp_log": (2, lambda n: group_law_exp_log(Curve(4, 0), n)),
+    "group_law_closed_form": (2, lambda n: group_law_closed_form(Curve(4, 0), n)),
+    "coordinate_pullback": (0, lambda n: coordinate_pullback(Curve(4, 0), n)),
+    "universal_bernoulli": (
+        0, lambda n: universal_bernoulli(formal_exponential(Curve(4, 0), 6).series, n)),
+}
+
+
+class TestOrderRule:
+    @pytest.mark.parametrize("order", (True, 4.0, F(4)), ids=("bool", "float", "Fraction"))
+    @pytest.mark.parametrize("route", _ORDER_ROUTES)
+    def test_order_of_another_type_refused_by_name(self, route, order):
+        # 4.0 and F(4) equal 4, and True is 1: each is refused before any work
+        name = type(order).__name__
+        with pytest.raises(TypeError, match=f"^order must be an int, not {name}$"):
+            _ORDER_ROUTES[route][1](order)
+
+    @pytest.mark.parametrize("route", _ORDER_ROUTES)
+    def test_least_order_taken_and_one_below_refused(self, route):
+        low, build = _ORDER_ROUTES[route]
+        build(low)
+        with pytest.raises(ValueError, match=f"^order must be >= {low}$"):
+            build(low - 1)

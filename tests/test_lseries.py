@@ -245,6 +245,14 @@ class TestClassicalDemo:
         with pytest.raises(ValueError):
             classical_demo(10, [0])
 
+    def test_bool_count_refused_by_name(self):
+        # True is an int equal to 1: taken as a count it sums one term
+        with pytest.raises(TypeError, match="^nmax must be a count, not bool$"):
+            classical_demo(True, [2])
+        for s_values in ([True], [2, True]):
+            with pytest.raises(ValueError, match="^s must be a positive integer, got True$"):
+                classical_demo(10, s_values)
+
     def test_each_distinct_s_is_summed_once(self, monkeypatch):
         calls = []
         summed = lseries._eta_partial_sum

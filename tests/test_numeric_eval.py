@@ -77,6 +77,19 @@ class TestLogQSeries:
             with pytest.raises(ValueError, match=f"^nmax must be >= 1, got {nmax}$"):
                 call()
 
+    @pytest.mark.parametrize("precision", (53, 150))
+    def test_bool_nmax_refused_by_name(self, precision):
+        # True is an int equal to 1: taken as a count it sums one q-term
+        curve = Curve(F(-3, 7), F(5, 11))
+        flog, z = formal_logarithm(curve, 40), 0.3 + 0.9j
+        calls = (lambda: param_point(curve, flog, z, True, 20, precision),
+                 lambda: derivative_check(curve, flog, z, 1e-4, True, 20, precision),
+                 lambda: eval_log_qseries(flog, z, True, precision),
+                 lambda: eval_cusp_qseries(flog, z, True, precision))
+        for call in calls:
+            with pytest.raises(TypeError, match="^nmax must be a count, not bool$"):
+                call()
+
 
 class TestEvalWp:
     def test_pure_pole_exact(self):

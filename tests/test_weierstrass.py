@@ -209,6 +209,22 @@ class TestEisensteinAndHurwitz:
             expected = math.factorial(k - 2) * exp.coefficient(k // 2) / 2
             assert eisenstein_g(c, k) == expected
 
+    def test_expansion_reads_weights_four_and_six(self):
+        assert wp_coefficients(Curve(4, 0), 2).eisenstein(4) == F(1, 5)  # c_2 = g2/20
+        assert wp_coefficients(Curve(3, 5), 3).eisenstein(6) == F(15, 7)  # 4! c_3 / 2
+
+    def test_expansion_gives_zero_at_odd_weights(self):
+        wp = wp_coefficients(Curve(3, 5), 4)
+        assert [wp.eisenstein(k) for k in (5, 7, 9)] == [0, 0, 0]
+
+    def test_expansion_refuses_low_weight_and_weight_past_it(self):
+        wp = wp_coefficients(Curve(3, 5), 3)
+        for k in (3, 2, 0, -4):
+            with pytest.raises(ValueError, match="^Eisenstein values need weight k >= 4$"):
+                wp.eisenstein(k)
+        with pytest.raises(IndexError, match=r"^c_4 outside computed range 2\.\.3$"):
+            wp.eisenstein(8)
+
     @pytest.mark.parametrize("sign,failing", ((1, 0), (-1, 31)))
     def test_hurwitz_theorem_on_lemniscatic_curve(self, sign, failing):
         # Hurwitz (Math. Ann. 51, 1899): on (4, 0) let H_n = c_(2n) 4n (4n-2)! / 2^(4n).
