@@ -34,9 +34,7 @@ from .series import (
 from .weierstrass import (
     Curve,
     WpExpansion,
-    bernoulli_hurwitz,
     differential_equation_residual,
-    eisenstein_g,
     wp_coefficients,
 )
 from .formal_group import (
@@ -115,7 +113,6 @@ __all__ = [
     "UniSeries",
     "UnsupportedPrimeError",
     "WpExpansion",
-    "bernoulli_hurwitz",
     "bi_substitute",
     "classical_demo",
     "coordinate_pullback",
@@ -123,7 +120,6 @@ __all__ = [
     "derivative_check",
     "differential_equation_residual",
     "divided_difference",
-    "eisenstein_g",
     "eval_cusp_qseries",
     "eval_log_qseries",
     "eval_wp",

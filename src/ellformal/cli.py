@@ -460,8 +460,6 @@ _COMMANDS = {
     ),
 }
 
-COMMANDS = tuple(_COMMANDS)
-
 
 # Field -> (parser, argparse keywords), in the order flags appear in --help.
 _FLAGS: dict[str, tuple[Callable, dict]] = {

@@ -104,10 +104,6 @@ class GroupLaw:
     def series(self) -> BiSeries:
         return _unscale_law(self.scaled, self.curve.weights[0])
 
-    @property
-    def order(self) -> int:
-        return self.scaled.order
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -206,13 +202,12 @@ def universal_bernoulli(series: UniSeries, order: int):
     other (e.g. a truncated exp(T) - 1, which reproduces the classical
     Bernoulli numbers).  Needs f known through T^(order + 1).
     """
-    _valid_order(order, 0)
-    if series.coeffs[0] != 0 or series.coeffs[1] == 0:
-        raise ValueError("need f = c*T + O(T^2) with c != 0")
-    if order > series.order - 1:
+    if _valid_order(order, 0) > series.order - 1:
         raise ValueError(
             f"need series order >= {order + 1} to get {order + 1} coefficients"
         )
+    if series.coeffs[0] != 0 or series.coeffs[1] == 0:
+        raise ValueError("need f = c*T + O(T^2) with c != 0")
     m = series.order - 1
     recip = UniSeries.one(m) / UniSeries(m, series.coeffs[1:])
     return [math.factorial(k) * recip.coeffs[k] for k in range(order + 1)]

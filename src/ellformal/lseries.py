@@ -60,15 +60,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int) -> None:
+    """The model's one rule on a modulus: :class:`UnsupportedPrimeError` for
+    p < 5, :class:`ValueError` for a composite."""
+    if p < 5:
+        raise UnsupportedPrimeError(f"p={p} unsupported; model needs p >= 5")
+    if not _is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+
+
 @dataclass(frozen=True)
 class ReducedCurve:
-    """(y/2)^2 = x^3 + A*x + B over F_p, guaranteed nonsingular."""
+    """(y/2)^2 = x^3 + A*x + B over F_p, p >= 5 prime, guaranteed nonsingular."""
 
     p: int
     A: int
     B: int
 
     def __post_init__(self):
+        _check_prime(self.p)
         if not 0 <= self.A < self.p or not 0 <= self.B < self.p:
             raise ValueError("residues must be reduced into [0, p)")
         if (4 * self.A**3 + 27 * self.B**2) % self.p == 0:
@@ -118,10 +128,7 @@ def reduce_curve(curve: Curve, p: int) -> ReducedCurve:
     (with a reason) when p divides u, a denominator of A or B, or the
     reduction is singular.
     """
-    if p < 5:
-        raise UnsupportedPrimeError(f"p={p} unsupported; model needs p >= 5")
-    if not _is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    _check_prime(p)
     u, a, b = curve.weights
     if u % p == 0:
         raise ReductionSkip("denominator divisible by p")
@@ -164,6 +171,8 @@ def honda_check(curve: Curve, pmax: int) -> HondaReport:
     (an empirical observation, not something the congruence requires).
     A prime above ``POINT_COUNT_CAP`` is refused before any reduction.
     """
+    if type(pmax) is bool or not isinstance(pmax, int):
+        raise TypeError(f"pmax must be an int, not {type(pmax).__name__}")
     if any(map(_is_prime, range(POINT_COUNT_CAP + 1, pmax + 1))):
         raise ValueError(f"point counting capped at p <= {POINT_COUNT_CAP}")
     entries, good = {}, []

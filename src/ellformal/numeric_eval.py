@@ -386,6 +386,8 @@ def derivative_check(
     Uses the symmetric difference (alpha(z+h) - alpha(z-h)) / 2h, which
     converges at O(h^2) until rounding takes over.
     """
+    if type(h) is bool:
+        raise TypeError("h must be a step, not bool")
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     num = _Numerics(precision)

@@ -19,9 +19,9 @@ Two containers on one core live in this module:
 
 Both share the private ring core ``_Series``: an immutable tuple of
 int-or-Fraction rows truncated at ``order`` (one row, or the triangle
-i + j <= N), whose ``+``, ``-``, negation, scalar scaling, ``==``,
-``is_zero``, ``repr``, order check and immutability guard are written once,
-row by row, over the hooks ``_rows()`` and ``_from_rows(order, rows)``.
+i + j <= N), whose ``+``, ``-``, scalar scaling, ``==``, ``repr``, order
+check and immutability guard are written once, row by row, over the hooks
+``_rows()`` and ``_from_rows(order, rows)``.
 
 Each operation has one kernel.  A product, on either class, pairs the
 nonzero terms of its left operand with those of its right one, taken in
@@ -110,9 +110,6 @@ class _Series:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self._rows()))
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -125,9 +122,6 @@ class _Series:
     def _check_order(self, other) -> None:
         if self.order != other.order:
             raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
-
-    def _map(self, op):
-        return self._from_rows(self.order, tuple(tuple(map(op, row)) for row in self._rows()))
 
     def _zip(self, other, op):
         if type(other) is not type(self):
@@ -142,11 +136,8 @@ class _Series:
     def __sub__(self, other):
         return self._zip(other, operator.sub)
 
-    def __neg__(self):
-        return self._map(operator.neg)
-
     def _scale(self, c):
-        return self._map(lambda a: a * c)
+        return self._from_rows(self.order, tuple(tuple(a * c for a in row) for row in self._rows()))
 
 
 class UniSeries(_Series):

@@ -42,12 +42,11 @@ _ZERO = Fraction(0)
 class Curve:
     """A curve y^2 = 4x^3 - g2*x - g3 over the rationals.
 
-    The discriminant is always recomputed from (g2, g3), never stored.
-    Singular pairs (discriminant zero, e.g. g2 = g3 = 0, whose formal
-    group is the additive one) are accepted: the series algebra is
-    formal in (g2, g3).  Layers that need an honest elliptic curve --
-    reduction mod p and point counting -- check good reduction
-    themselves and skip accordingly.  :attr:`weights`, the model every
+    Singular pairs (g2^3 = 27 g3^2, e.g. g2 = g3 = 0, whose formal group
+    is the additive one) are accepted: the series algebra is formal in
+    (g2, g3).  Layers that need an honest elliptic curve -- reduction mod
+    p and point counting -- test 4A^3 + 27B^2 mod p themselves and skip
+    accordingly.  :attr:`weights`, the model every
     exact route runs on, is made on first read and kept; it is not a
     field, so equality, the hash and the repr see (g2, g3) only.
     """
@@ -69,14 +68,6 @@ class Curve:
         a = qa.numerator * (u // qa.denominator) * u**3
         b = qb.numerator * (u // qb.denominator) * u**5
         return u, a, b
-
-    @property
-    def discriminant(self) -> Fraction:
-        return self.g2**3 - 27 * self.g3**2
-
-    @property
-    def is_singular(self) -> bool:
-        return self.discriminant == 0
 
     def __repr__(self) -> str:
         return f"Curve(g2={self.g2}, g3={self.g3})"
@@ -171,13 +162,3 @@ def differential_equation_residual(curve: Curve, order: int) -> UniSeries:
     rhs = rhs - UniSeries(n, ((0,) * 6 + (curve.g3,))[: n + 1])  # z^6 * g3, in the window
     return lhs - rhs
 
-
-def eisenstein_g(curve: Curve, k: int) -> Fraction:
-    """The weight-k Eisenstein value as a polynomial in (g2, g3):
-    :meth:`WpExpansion.eisenstein` on an expansion through c_(k//2)."""
-    return wp_coefficients(curve, max(2, k // 2)).eisenstein(k)
-
-
-def bernoulli_hurwitz(curve: Curve, k: int) -> Fraction:
-    """Elliptic Bernoulli analogue: 2k * G_k for even k >= 4, zero for odd."""
-    return 2 * k * eisenstein_g(curve, k)

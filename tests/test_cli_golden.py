@@ -26,7 +26,7 @@ import re
 
 import pytest
 
-from ellformal.cli import COMMANDS, main
+from ellformal.cli import _COMMANDS, main
 
 CURVES = (("4", "0"), ("-7", "13"), ("-3/7", "5/11"))
 FORMATS = ("text", "json")
@@ -257,7 +257,7 @@ def test_corpus_is_fully_recorded():
     assert sorted(" ".join(argv) for argv in _corpus()) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", tuple(_COMMANDS))
 def test_help_lists_the_same_flags(command):
     assert _help_flags(command) == HELP_FLAGS[command]
 
@@ -267,6 +267,6 @@ if __name__ == "__main__":
     for argv in _corpus():
         print(f"    {' '.join(argv)!r}: {_run(argv)!r},")
     print("}\n\nHELP_FLAGS = {")
-    for command in COMMANDS:
+    for command in _COMMANDS:
         print(f"    {command!r}: {_help_flags(command)!r},")
     print("}")

@@ -337,6 +337,16 @@ class TestUniversalBernoulli:
         with pytest.raises(ValueError):
             universal_bernoulli(fe.series, 5)
 
+    def test_order_zero_series_refused_by_its_order(self):
+        # an order-0 series has no T^1 to read: its order is checked first
+        with pytest.raises(ValueError, match="^need series order >= 1 to get 1 coefficients$"):
+            universal_bernoulli(UniSeries(0, (0,)), 0)
+
+    @pytest.mark.parametrize("coeffs", ((1, 1), (0, 0, 1)), ids=("constant-term", "no-linear-term"))
+    def test_series_not_c_t_refused(self, coeffs):
+        with pytest.raises(ValueError, match=r"^need f = c\*T \+ O\(T\^2\) with c != 0$"):
+            universal_bernoulli(UniSeries(3, coeffs), 2)
+
 
 class TestSCoordinate:
     def test_additive_case(self):
@@ -741,7 +751,7 @@ class TestIntegerLaw:
         rows = [[F(1 + i + 2 * j, 3 + i) if (i + j) % 3 else 5 + i for j in range(7 - i)]
                 for i in range(7)]
         law = GroupLaw(curve, BiSeries(6, rows), "exp-log")
-        assert u == 308 and law.scaled[0, 0] == 5 and law.order == 6
+        assert u == 308 and law.scaled[0, 0] == 5 and law.scaled.order == 6
         for i, j in ((i, j) for i in range(7) for j in range(7 - i)):
             assert law.series[i, j] * F(u) ** (i + j - 1) == law.scaled[i, j]
 

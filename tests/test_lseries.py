@@ -64,12 +64,12 @@ class TestReduceCurve:
         assert (rc.A + 1) % 5 == 0 and rc.B == 0
 
     def test_small_primes_unsupported(self):
-        for p in (2, 3):
-            with pytest.raises(UnsupportedPrimeError):
+        for p in (2, 3, 4):  # 4 is below 5 before it is composite
+            with pytest.raises(UnsupportedPrimeError, match=f"^p={p} unsupported; model needs p >= 5$"):
                 reduce_curve(Curve(4, 0), p)
 
     def test_composite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^p=15 is not prime$"):
             reduce_curve(Curve(4, 0), 15)
 
     def test_bad_reduction_skip(self):
@@ -85,6 +85,15 @@ class TestReduceCurve:
     def test_reduced_curve_validates(self):
         with pytest.raises(ValueError):
             ReducedCurve(5, 0, 0)  # 4*0 + 27*0 = 0: singular
+
+    @pytest.mark.parametrize("p,error,text", (
+        (9, ValueError, "p=9 is not prime"),
+        (3, UnsupportedPrimeError, "p=3 unsupported; model needs p >= 5"),
+    ), ids=("nine", "three"))
+    def test_reduced_curve_needs_a_prime_from_five(self, p, error, text):
+        # Z/9 is not a field: a "point count" over it would mean nothing
+        with pytest.raises(error, match=f"^{text}$"):
+            ReducedCurve(p, 1, 1)
 
     # u = 1, 4, 308 (7 and 11 skipped), 72, 140 (5 and 7 skipped) and 1; 7 divides a on (-7, 13)
     @pytest.mark.parametrize("curve", REDUCTION_CURVES, ids=lambda c: f"{c.g2},{c.g3}")
@@ -206,6 +215,13 @@ class TestHondaCheck:
         monkeypatch.undo()
         monkeypatch.setattr(lseries, "POINT_COUNT_CAP", 52)  # 53 is the first prime above
         assert honda_check(Curve(4, 0), 52).n_checked == 13
+
+    @pytest.mark.parametrize("pmax", (True, 40.0, F(40)), ids=("bool", "float", "Fraction"))
+    def test_pmax_of_another_type_refused_by_name(self, pmax, monkeypatch):
+        # True would check no prime and pass; a float failed inside range()
+        monkeypatch.setattr(lseries, "primes_upto", None)  # refused before any work
+        with pytest.raises(TypeError, match=f"^pmax must be an int, not {type(pmax).__name__}$"):
+            honda_check(Curve(4, 0), pmax)
 
     @pytest.mark.parametrize("curve", (Curve(-7, 13), Curve(F(-3, 7), F(5, 11))))  # u = 4, 308
     def test_a_p_is_the_logs(self, curve):

@@ -251,6 +251,11 @@ class TestDerivativeCheck:
             with pytest.raises(ValueError, match=f"^h must be positive and finite, got {h}$"):
                 derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, h)
 
+    def test_bool_h_refused_by_name(self, flog_lemniscatic):
+        # True is an int of value 1, which would pass as a step of 1.0
+        with pytest.raises(TypeError, match="^h must be a step, not bool$"):
+            derivative_check(LEMNISCATIC, flog_lemniscatic, 1j, True)
+
 
 class TestOneExpansionPerEvaluation:
     """Each evaluation asks for its exact wp expansion once."""

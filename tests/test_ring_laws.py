@@ -51,11 +51,10 @@ def test_addition_commutes_and_associates(cls, data):
 
 @BOTH
 @given(data=st.data())
-def test_subtraction_and_negation(cls, data):
+def test_subtraction(cls, data):
     a, b = _draw(data, cls, 2)
-    assert (a - a).is_zero() and a - a == cls(a.order)
-    assert -(-a) == a
-    assert a - b == a + (-b)
+    assert a - a == cls(a.order)
+    assert a - b == a + (-1) * b
 
 
 @BOTH

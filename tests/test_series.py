@@ -78,12 +78,10 @@ class TestRingOps:
     # -- the shared ring core, on both series types ---------------------
 
     @BOTH
-    def test_subtraction_and_negation(self, rng, cls):
+    def test_subtraction(self, rng, cls):
         a, b = _sample(cls, 4, rng), _sample(cls, 4, rng)
         assert _rows(a - b) == _zipped(a, b, lambda x, y: x - y)
-        assert _rows(-a) == _zipped(a, a, lambda x, _: -x)
-        assert a - b == a + (-b)
-        assert -(-a) == a
+        assert a - b == a + (-1) * b
 
     @BOTH
     @pytest.mark.parametrize("c", (3, F(-2, 5), 0))
@@ -108,13 +106,13 @@ class TestRingOps:
                 setattr(s, name, 5)
 
     @BOTH
-    def test_is_zero_and_zero(self, rng, cls):
+    def test_zero_series(self, rng, cls):
         z = cls(3)
-        assert z.order == 3 and z.is_zero() and z == cls(3)
+        assert z.order == 3 and not any(map(any, _rows(z)))
         a = _sample(cls, 3, rng)
-        assert not a.is_zero() and (a - a).is_zero() and a - a == z
+        assert a != z and a - a == z
         last = UniSeries(3, (0, 0, 0, 1)) if cls is UniSeries else BiSeries(3, ((), (), (), (1,)))
-        assert not last.is_zero() and last != z
+        assert last != z
         assert cls(3) != cls(4)
 
     @pytest.mark.parametrize("build", (
@@ -152,7 +150,7 @@ class TestExactCoefficients:
 
     def test_integer_rows_stay_integer(self):
         a, t = self.A, UniSeries(4, (0, 1))
-        for s in (a + a, a - a, -a, 3 * a, a * a, a.compose(t * t), UniSeries(4)):
+        for s in (a + a, a - a, (-1) * a, 3 * a, a * a, a.compose(t * t), UniSeries(4)):
             assert all(type(c) is int for c in s.coeffs)
         m = divided_difference(a)
         assert all(type(c) is int for row in (m * m).rows for c in row)
