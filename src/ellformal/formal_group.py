@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from .series import BiSeries, UniSeries, _valid_order, bi_substitute, divided_difference
+from .series import BiSeries, UniSeries, _valid_int, bi_substitute, divided_difference
 from .weierstrass import Curve, wp_coefficients
 
 _ZERO = Fraction(0)
@@ -59,7 +59,7 @@ class FormalLog:
     a(n) = n * [T^n] log-series; these are the candidate L-series
     coefficients.  They are computed as the integers u^(n-1) a(n) =
     [x^(n-1)] (x^3 + a x + b)^((n-1)/2) of the curve scaled by weight u
-    (see :func:`_log_core`), one Fraction each for a(n) and a(n)/n.  The
+    (see :func:`_log_core`), one Fraction each, and [T^n] is a(n) / n.  The
     same series from W by a division, and by reverting the exponential,
     are kept as checks.  Odd model, so a(n) = 0 for all even n.
     """
@@ -132,7 +132,7 @@ def formal_exponential(curve: Curve, order: int) -> FormalExp:
     coefficient, made by :func:`_unscale`: no wp expansion and no series
     division.
     """
-    _valid_order(order, 1)
+    _valid_int(order, 1, "order")
     u, a, b = curve.weights
     e, s, row = [1], [0], [1]  # e_n and s_n at n = 1, 3, 5, ...; row m of Pascal's triangle
     # conv reads every odd entry of every even row: built by additions, the rows
@@ -158,9 +158,10 @@ def formal_logarithm(curve: Curve, order: int | None = None) -> FormalLog:
         curve, order = curve.curve, curve.series.order
     elif order is None:
         raise TypeError("formal_logarithm(curve, order) needs an order")
-    u, values = curve.weights[0], _log_core(curve, range((_valid_order(order, 1) + 1) // 2))
-    an = _unscale(u, values, order)  # a(2k + 1) = V_k / u^(2k), and over 2k + 1 in the series
-    series = _unscale(u, values, order + 1, first=1, dens=range(1, order + 1, 2))
+    values = _log_core(curve, range((_valid_int(order, 1, "order") + 1) // 2))
+    an = _unscale(curve.weights[0], values, order)  # a(2k + 1) = V_k / u^(2k)
+    series = [_ZERO] * (order + 1)  # [T^n] = a(n) / n, reduced against n only
+    series[1::2] = [a / n if a else a for n, a in zip(range(1, order + 1, 2), an[::2])]
     return FormalLog(curve, UniSeries(order, series), tuple(an))
 
 
@@ -202,7 +203,7 @@ def universal_bernoulli(series: UniSeries, order: int):
     other (e.g. a truncated exp(T) - 1, which reproduces the classical
     Bernoulli numbers).  Needs f known through T^(order + 1).
     """
-    if _valid_order(order, 0) > series.order - 1:
+    if _valid_int(order, 0, "order") > series.order - 1:
         raise ValueError(
             f"need series order >= {order + 1} to get {order + 1} coefficients"
         )
@@ -215,7 +216,7 @@ def universal_bernoulli(series: UniSeries, order: int):
 
 def s_coordinate(curve: Curve, order: int) -> SCoordinate:
     """s = t^3 w through t^order, from the integer w of the core."""
-    w = _integer_core(curve, (_valid_order(order, 3) - 1) // 2)
+    w = _integer_core(curve, (_valid_int(order, 3, "order") - 1) // 2)
     return SCoordinate(curve, UniSeries(order, _unscale(curve.weights[0], w, order + 1, first=3)))
 
 
@@ -274,7 +275,7 @@ def group_law_exp_log(curve: Curve, order: int) -> GroupLaw:
     """
     _, a, b = curve.weights
     # [t^(2k)] L~', k < (order + 1) / 2
-    ell = _log_core(curve, range((_valid_order(order, 2) + 1) // 2))
+    ell = _log_core(curve, range((_valid_int(order, 2, "order") + 1) // 2))
     return GroupLaw(curve, BiSeries(order, _chord_flow(ell, a, b, order)), "exp-log")
 
 
@@ -343,7 +344,7 @@ def group_law_closed_form(curve: Curve, order: int) -> GroupLaw:
     returned as F~, in ints; :attr:`GroupLaw.series` unscales it.
     """
     _, a, b = curve.weights
-    s = [0] * (_valid_order(order, 2) + 2)
+    s = [0] * (_valid_int(order, 2, "order") + 2)
     s[3::2] = _integer_core(curve, order // 2)
     s = UniSeries(order + 1, s)
     m = divided_difference(s)
@@ -452,7 +453,7 @@ def coordinate_pullback(curve: Curve, order: int) -> PullbackIdentities:
     both have constant term 1; :func:`_unscale` divides each body's T^i
     coefficient by u^(2i), and by Q on the x and y sides, once.
     """
-    h = _valid_order(order, 0) // 2
+    h = _valid_int(order, 0, "order") // 2
     u, w = curve.weights[0], _integer_core(curve, h + 1)
     an = _log_core(curve, range(h + 1))
     c = wp_coefficients(curve, max(2, h)).c[: max(h - 1, 0)]  # c_2 .. c_h

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formal_group import _log_core
-from .series import UniSeries
+from .series import UniSeries, _valid_int
 from .weierstrass import Curve
 
 POINT_COUNT_CAP = 10**6
@@ -41,7 +41,7 @@ class ReductionSkip(Exception):
 
 
 def primes_upto(n: int) -> list[int]:
-    if n < 2:
+    if _valid_int(n, None, "n") < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
@@ -63,7 +63,7 @@ def _is_prime(n: int) -> bool:
 def _check_prime(p: int) -> None:
     """The model's one rule on a modulus: :class:`UnsupportedPrimeError` for
     p < 5, :class:`ValueError` for a composite."""
-    if p < 5:
+    if _valid_int(p, None, "p") < 5:
         raise UnsupportedPrimeError(f"p={p} unsupported; model needs p >= 5")
     if not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
@@ -79,9 +79,10 @@ class ReducedCurve:
 
     def __post_init__(self):
         _check_prime(self.p)
-        if not 0 <= self.A < self.p or not 0 <= self.B < self.p:
+        a_res, b_res = _valid_int(self.A, None, "A"), _valid_int(self.B, None, "B")
+        if not 0 <= a_res < self.p or not 0 <= b_res < self.p:
             raise ValueError("residues must be reduced into [0, p)")
-        if (4 * self.A**3 + 27 * self.B**2) % self.p == 0:
+        if (4 * a_res**3 + 27 * b_res**2) % self.p == 0:
             raise ValueError(f"singular reduction at p={self.p}")
 
 
@@ -169,10 +170,10 @@ def honda_check(curve: Curve, pmax: int) -> HondaReport:
     u^(p-1) = 1 mod p (Fermat), and a(p) is that middle coefficient mod p.
     The ``exact`` flag records whether a(p) equals the trace on the nose
     (an empirical observation, not something the congruence requires).
-    A prime above ``POINT_COUNT_CAP`` is refused before any reduction.
+    A prime above ``POINT_COUNT_CAP`` is refused before any reduction, and
+    a ``pmax`` below 5, which would check no prime and pass, at once.
     """
-    if type(pmax) is bool or not isinstance(pmax, int):
-        raise TypeError(f"pmax must be an int, not {type(pmax).__name__}")
+    _valid_int(pmax, 5, "pmax")
     if any(map(_is_prime, range(POINT_COUNT_CAP + 1, pmax + 1))):
         raise ValueError(f"point counting capped at p <= {POINT_COUNT_CAP}")
     entries, good = {}, []
@@ -254,22 +255,16 @@ def classical_demo(nmax: int, s_values, series_order: int = 16) -> ClassicalRepo
     partial sums sum_{n<=nmax} (-1)^(n-1)/n^s, in closed form at any nmax,
     are then compared against (1 - 2^(1-s)) * zeta(s) for each requested s.
     """
-    if type(nmax) is bool:
-        raise TypeError("nmax must be a count, not bool")
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    exp_minus_one = UniSeries(
-        series_order,
-        [0] + [Fraction(1, math.factorial(k)) for k in range(1, series_order + 1)],
-    )
+    _valid_int(nmax, 1, "nmax")
+    s_values = [_valid_int(s, 1, "s") for s in s_values]
+    terms = range(1, _valid_int(series_order, 1, "series_order") + 1)
+    exp_minus_one = UniSeries(series_order, [0] + [Fraction(1, math.factorial(k)) for k in terms])
     log_series = exp_minus_one.reverse()
-    an = tuple(n * log_series.coeffs[n] for n in range(1, series_order + 1))
-    alternating = all(an[n - 1] == (-1) ** (n - 1) for n in range(1, series_order + 1))
+    an = tuple(n * log_series.coeffs[n] for n in terms)
+    alternating = all(an[n - 1] == (-1) ** (n - 1) for n in terms)
 
     rows, sums = {}, []  # each distinct s is computed once, however often it is asked for
     for s in s_values:
-        if type(s) is bool or not isinstance(s, int) or s < 1:
-            raise ValueError(f"s must be a positive integer, got {s!r}")
         if s not in rows:
             partial, ref = _eta_partial_sum(nmax, s), _eta_reference(s)
             rows[s] = EtaPartialSum(s, nmax, partial, ref, abs(partial - ref),

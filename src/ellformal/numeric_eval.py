@@ -37,7 +37,7 @@ its index.
 
 Default arithmetic is the machine double / ``complex`` pair; passing
 ``precision`` (binary digits) above 53 switches the same code path onto
-mpmath arbitrary-precision numbers; a precision below 53 is refused.
+mpmath numbers; a precision that is not an ``int`` of at least 53 is refused.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .formal_group import FormalLog
+from .series import _valid_int
 from .weierstrass import Curve, WpExpansion, wp_coefficients
 
 RADIUS_RELATIVE_TOLERANCE = 1e-12
@@ -71,9 +72,7 @@ class _Numerics:
     __slots__ = ("precision", "mp")
 
     def __init__(self, precision: int):
-        if precision < 53:  # below 53 bits the arithmetic would still be double
-            raise ValueError(f"precision must be at least 53 bits, got {precision}")
-        self.precision = precision
+        self.precision = _valid_int(precision, 53, "precision")  # below 53: still double
         if precision <= 53:
             self.mp = None
         else:
@@ -174,11 +173,7 @@ def _qseries(num: _Numerics, z, flog: FormalLog, build, nmax: int):
     zc = num.complex_of(z)
     if not zc.imag > 0:
         raise HalfPlaneError(f"Im(z) must be positive, got {zc.imag}")
-    if type(nmax) is bool:
-        raise TypeError("nmax must be a count, not bool")
-    if nmax < 1:
-        raise ValueError(f"nmax must be >= 1, got {nmax}")
-    if nmax > flog.series.order:
+    if _valid_int(nmax, 1, "nmax") > flog.series.order:
         raise ValueError(f"nmax={nmax} exceeds formal log order {flog.series.order}")
     q = num.exp(num.two_pi_i() * zc)
     return (zc, q, *_qsum(q, _table(num, flog, build), nmax))
@@ -386,8 +381,8 @@ def derivative_check(
     Uses the symmetric difference (alpha(z+h) - alpha(z-h)) / 2h, which
     converges at O(h^2) until rounding takes over.
     """
-    if type(h) is bool:
-        raise TypeError("h must be a step, not bool")
+    if type(h) not in (int, float):  # not a bool: True would pass as a step of 1.0
+        raise TypeError(f"h must be a step, not {type(h).__name__}")
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     num = _Numerics(precision)

@@ -6,8 +6,9 @@ Q[[T]] / T^(N+1).  A coefficient is an ``int`` or a
 :class:`fractions.Fraction`: every row, given or computed, passes one type
 check when its series is built, and any other type (bool, float, str,
 Decimal, complex) raises :class:`TypeError` naming it.  Its order passes
-``_valid_order``, the package's one order rule, which every exact route
-applies to its own order too.  Integer rows stay integer through ``+``,
+``_valid_int``, the library's one integer rule, which every exact route
+applies to its own order and every other layer to its counts, primes,
+precisions and weights.  Integer rows stay integer through ``+``,
 ``-``, products, composition and division by a series whose constant term
 is 1 (a quotient that is not integral becomes a Fraction), so the same
 kernels serve Z[[T]] and Q[[T]].
@@ -70,15 +71,15 @@ def _div(a, b):
     return a / b
 
 
-def _valid_order(order, low: int) -> int:
-    """``order`` if it is an ``int`` (not a ``bool``) of at least ``low``;
-    :class:`TypeError` or :class:`ValueError` naming the rule otherwise.
-    Every series constructor and exact route checks its order here."""
-    if type(order) is bool or not isinstance(order, int):
-        raise TypeError(f"order must be an int, not {type(order).__name__}")
-    if order < low:
-        raise ValueError(f"order must be >= {low}")
-    return order
+def _valid_int(value, low: int | None, name: str) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) of at least ``low`` (of any
+    size at ``low=None``), else :class:`TypeError` or :class:`ValueError` naming
+    ``name``: the library's one integer rule, for every integer it takes."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 _EXACT = frozenset((int, Fraction))
@@ -150,7 +151,7 @@ class UniSeries(_Series):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable = ()):
-        object.__setattr__(self, "order", _valid_order(order, 0))
+        object.__setattr__(self, "order", _valid_int(order, 0, "order"))
         object.__setattr__(self, "coeffs", _row(coeffs, order + 1))
 
     def _rows(self) -> tuple:
@@ -253,7 +254,7 @@ class BiSeries(_Series):
     __slots__ = ("order", "rows")
 
     def __init__(self, order: int, rows: Iterable[Iterable] = ()):
-        _valid_order(order, 0)
+        _valid_int(order, 0, "order")
         rows = tuple(rows)
         if len(rows) > order + 1:
             raise ValueError("more rows than the total degree admits")
@@ -277,7 +278,7 @@ class BiSeries(_Series):
     @classmethod
     def variable(cls, order: int, which: int) -> "BiSeries":
         """The monomial t1 (which=1) or t2 (which=2)."""
-        return cls.from_uni(UniSeries(_valid_order(order, 1), (0, 1)), order, which)
+        return cls.from_uni(UniSeries(_valid_int(order, 1, "order"), (0, 1)), order, which)
 
     @classmethod
     def from_uni(cls, f: UniSeries, order: int, which: int) -> "BiSeries":

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import UniSeries, _valid_order
+from .series import UniSeries, _valid_int
 
 _ZERO = Fraction(0)
 
@@ -103,8 +103,7 @@ class WpExpansion:
     def eisenstein(self, k: int) -> Fraction:
         """G_k = (k-2)! c_(k/2) / 2, zero for odd k.  Weights below 4 are not
         defined for a lattice sum, hence rejected; c_(k/2) must be in range."""
-        if k < 4:
-            raise ValueError("Eisenstein values need weight k >= 4")
+        _valid_int(k, 4, "k")
         return _ZERO if k % 2 else math.factorial(k - 2) * self.coefficient(k // 2) / 2
 
 
@@ -126,7 +125,7 @@ def wp_coefficients(curve: Curve, order: int) -> WpExpansion:
     read and empty that memo.  The memo keys on the order's type too, and
     an order that is not an ``int``, or is a ``bool``, raises ``TypeError``.
     """
-    c = [curve.g2 / 20, curve.g3 / 28][: _valid_order(order, 2) - 1]
+    c = [curve.g2 / 20, curve.g3 / 28][: _valid_int(order, 2, "order") - 1]
     num = [0, 0] + [x.numerator for x in c]  # index by k, entries 0..1 unused
     den = [1, 1] + [x.denominator for x in c]
     for k in range(4, order + 1):

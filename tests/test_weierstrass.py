@@ -204,7 +204,7 @@ class TestEisensteinAndHurwitz:
     def test_expansion_refuses_low_weight_and_weight_past_it(self):
         wp = wp_coefficients(Curve(3, 5), 3)
         for k in (3, 2, 0, -4):
-            with pytest.raises(ValueError, match="^Eisenstein values need weight k >= 4$"):
+            with pytest.raises(ValueError, match="^k must be >= 4$"):
                 wp.eisenstein(k)
         with pytest.raises(IndexError, match=r"^c_4 outside computed range 2\.\.3$"):
             wp.eisenstein(8)
